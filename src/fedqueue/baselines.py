@@ -28,8 +28,7 @@ from . import metrics, protocol
 from .engine import Simulation, _client_weights, _TIME_EPS
 
 __all__ = ["ORCHESTRATORS", "staleness_factor", "BufferPolicy",
-            "compass_assignments", "run_fedavg", "run_fedasync", "run_fedbuff",
-            "run_fedcompass"]
+           "compass_assignments"]
 
 
 def staleness_factor(fn: str, kwargs: dict, tau: int) -> float:
@@ -79,7 +78,8 @@ def compass_assignments(speeds: np.ndarray, min_steps: int, max_steps: int,
 
 
 class _BaselineBase:
-    """Shared bookkeeping: evals, per-aggregation round rows, arrival records."""
+    """Shared bookkeeping: dispatch, evals, per-aggregation round rows,
+    arrival records.  Subclasses set the step count through `_steps`."""
 
     def __init__(self, sim: Simulation):
         self.sim = sim
@@ -90,7 +90,7 @@ class _BaselineBase:
 
     def start(self) -> None:
         self.sim.evaluate(self.w)
-        self.initial_dispatch()
+        self._dispatch_all()
 
     def on_round_boundary(self, boundary: int) -> None:  # no fixed cadence
         pass
@@ -101,55 +101,47 @@ class _BaselineBase:
     def _can_dispatch(self) -> bool:
         return self.sim.now < self.sim.horizon - _TIME_EPS
 
+    def _steps(self, k: int) -> int:
+        """Local steps for client k's next job; the async pair's fixed count."""
+        return self.cfg.fedasync.num_local_steps
+
+    def _dispatch(self, k: int) -> None:
+        self.sim.submit_job(k, self.w, self.agg_index, self.cfg.fedqueue.lr_base,
+                            self._steps(k), time_budget=math.inf)
+
+    def _dispatch_all(self) -> None:
+        for k in range(self.sim.num_clients):
+            self._dispatch(k)
+
     def _record_aggregation(self, contributions, taus) -> None:
         """One round row + arrival records for the updates just applied."""
         sim = self.sim
-        nan = float("nan")
-        k_range = range(sim.num_clients)
-        cols = {k: {} for k in k_range}
+        cols = {}
         for msg, tau in zip(contributions, taus):
-            sim.log.arrivals.append(metrics.ArrivalRecord(
-                client=msg.client, submit_round=msg.submit_round,
-                submit_time=msg.submit_time, q=msg.observed_q,
-                q_hat=msg.q_hat_used,
-                compute_seconds=msg.arrival - msg.submit_time - msg.observed_q,
-                arrival=msg.arrival, agg_round=self.agg_index, tau=tau,
-                steps_done=msg.steps_done))
+            sim.log.arrivals.append(metrics.ArrivalRecord.of(msg, self.agg_index, tau))
             cols[msg.client] = {"q": msg.observed_q, "steps_done": msg.steps_done}
-        loss, acc = sim.evaluate(self.w)
+        evaluation = sim.evaluate(self.w)
         sim.log.event(sim.now, "aggregate", round=self.agg_index,
                       clients=[m.client for m in contributions], taus=list(taus))
-        sim.log.rounds.append(metrics.RoundRecord(
-            round=self.agg_index, time=sim.now, loss=loss, accuracy=acc,
-            admitted=len(contributions), deferred=sum(1 for t in taus if t >= 1),
-            mean_tau=float(np.mean(taus)) if len(taus) else 0.0,
-            max_tau=int(max(taus)) if len(taus) else 0,
-            q=[cols[k].get("q", nan) for k in k_range],
-            q_hat=[nan] * sim.num_clients,
-            steps_budget=[nan] * sim.num_clients,
-            eta=[nan] * sim.num_clients,
-            steps_done=[cols[k].get("steps_done", nan) for k in k_range]))
+        sim.log.rounds.append(metrics.RoundRecord.of(
+            self.agg_index, sim.now, evaluation, taus, cols, sim.num_clients,
+            deferred=sum(1 for t in taus if t >= 1)))
         self.agg_index += 1
 
 
-class FedAvgOrchestrator(_BaselineBase):
-    name = "fedavg"
+class _CohortBase(_BaselineBase):
+    """Collect-all-K rounds: every client trains from the same model, and
+    the server averages once all K updates are in, then re-dispatches all."""
 
     def __init__(self, sim: Simulation):
         super().__init__(sim)
         self.collected = {}
 
-    def initial_dispatch(self) -> None:
-        self._dispatch_all()
-
-    def _dispatch_all(self) -> None:
-        steps = self.cfg.fedavg.num_local_steps
-        for k in range(self.sim.num_clients):
-            self.sim.submit_job(k, self.w, self.agg_index,
-                                self.cfg.fedqueue.lr_base, int(steps[k]),
-                                time_budget=math.inf)
+    def _observe(self, msg: protocol.ClientUpdate) -> None:
+        """Hook run on each arrival before it joins the cohort."""
 
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
+        self._observe(msg)
         self.collected[msg.client] = msg
         if len(self.collected) < self.sim.num_clients:
             return
@@ -161,6 +153,13 @@ class FedAvgOrchestrator(_BaselineBase):
         self._record_aggregation(batch, [0] * len(batch))
         if self._can_dispatch():
             self._dispatch_all()
+
+
+class FedAvgOrchestrator(_CohortBase):
+    name = "fedavg"
+
+    def _steps(self, k: int) -> int:
+        return int(self.cfg.fedavg.num_local_steps[k])
 
 
 class FedAsyncOrchestrator(_BaselineBase):
@@ -179,16 +178,9 @@ class FedAsyncOrchestrator(_BaselineBase):
         super().__init__(sim)
         self.dispatched_from = {}     # client -> model snapshot it trains on
 
-    def initial_dispatch(self) -> None:
-        for k in range(self.sim.num_clients):
-            self._dispatch(k)
-
     def _dispatch(self, k: int) -> None:
         self.dispatched_from[k] = self.w.copy()
-        self.sim.submit_job(k, self.w, self.agg_index,
-                            self.cfg.fedqueue.lr_base,
-                            self.cfg.fedasync.num_local_steps,
-                            time_budget=math.inf)
+        super()._dispatch(k)
 
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
         az = self.cfg.fedasync
@@ -210,16 +202,6 @@ class FedBuffOrchestrator(_BaselineBase):
         super().__init__(sim)
         self.buffer = BufferPolicy(sim.cfg.fedbuff.k)
 
-    def initial_dispatch(self) -> None:
-        for k in range(self.sim.num_clients):
-            self._dispatch(k)
-
-    def _dispatch(self, k: int) -> None:
-        self.sim.submit_job(k, self.w, self.agg_index,
-                            self.cfg.fedqueue.lr_base,
-                            self.cfg.fedasync.num_local_steps,
-                            time_budget=math.inf)
-
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
         flushed = self.buffer.add(msg)
         if flushed is not None:
@@ -236,7 +218,7 @@ class FedBuffOrchestrator(_BaselineBase):
             self._dispatch(msg.client)
 
 
-class FedCompassOrchestrator(_BaselineBase):
+class FedCompassOrchestrator(_CohortBase):
     """Throughput-profiling cohort scheduler (no queue-delay modeling)."""
 
     name = "fedcompass"
@@ -246,37 +228,23 @@ class FedCompassOrchestrator(_BaselineBase):
         # profiled speeds in wall steps/second; refined by momentum EWMA
         self.speeds = np.array([sim.effective_rate(k)
                                 for k in range(sim.num_clients)])
-        self.collected = {}
+        self.assigned = None          # per-client steps of the current cohort
 
-    def initial_dispatch(self) -> None:
-        self._dispatch_cohort()
-
-    def _dispatch_cohort(self) -> None:
-        cp = self.cfg.compass
-        steps = compass_assignments(self.speeds, cp.min_local_steps,
-                                    cp.max_local_steps, cp.latest_time_factor)
-        for k in range(self.sim.num_clients):
-            self.sim.submit_job(k, self.w, self.agg_index,
-                                self.cfg.fedqueue.lr_base, int(steps[k]),
-                                time_budget=math.inf)
-
-    def on_arrival(self, msg: protocol.ClientUpdate) -> None:
+    def _observe(self, msg: protocol.ClientUpdate) -> None:
         elapsed = msg.arrival - msg.submit_time - msg.observed_q
         if msg.steps_done > 0 and elapsed > 0:
             m = self.cfg.compass.speed_momentum
             self.speeds[msg.client] = (m * self.speeds[msg.client]
                                        + (1.0 - m) * msg.steps_done / elapsed)
-        self.collected[msg.client] = msg
-        if len(self.collected) < self.sim.num_clients:
-            return
-        batch = [self.collected[k] for k in sorted(self.collected)]
-        self.collected = {}
-        entries = [(float(self.weights[m.client]), 0, m.delta) for m in batch]
-        self.w = protocol.aggregate(self.w, entries, protocol.StalenessDecay.flat())
-        self.sim.version += 1
-        self._record_aggregation(batch, [0] * len(batch))
-        if self._can_dispatch():
-            self._dispatch_cohort()
+
+    def _dispatch_all(self) -> None:
+        cp = self.cfg.compass
+        self.assigned = compass_assignments(self.speeds, cp.min_local_steps,
+                                            cp.max_local_steps, cp.latest_time_factor)
+        super()._dispatch_all()
+
+    def _steps(self, k: int) -> int:
+        return int(self.assigned[k])
 
 
 ORCHESTRATORS = {
@@ -285,26 +253,3 @@ ORCHESTRATORS = {
     "fedbuff": FedBuffOrchestrator,
     "fedcompass": FedCompassOrchestrator,
 }
-
-
-def _run_as(cfg, algo: str):
-    from .engine import run_experiment
-    run_cfg = cfg.copy()
-    run_cfg.protocol.algo = algo
-    return run_experiment(run_cfg)
-
-
-def run_fedavg(cfg):
-    return _run_as(cfg, "fedavg")
-
-
-def run_fedasync(cfg):
-    return _run_as(cfg, "fedasync")
-
-
-def run_fedbuff(cfg):
-    return _run_as(cfg, "fedbuff")
-
-
-def run_fedcompass(cfg):
-    return _run_as(cfg, "fedcompass")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -314,7 +315,7 @@ def _set_attr(cfg: ExperimentConfig, attr: str, value) -> None:
 def resolve_axis(key: str):
     """Map a sweep-axis key to (section, file key).
 
-    Qualified names split on the first dot when the prefix是 a section;
+    Qualified names split on the first dot when the prefix is a section;
     unqualified names search fedqueue, protocol, workload, ablation in order.
     """
     head, _, rest = key.partition(".")
@@ -408,6 +409,13 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    for section, key, spec in _iter_keys():
+        if spec.kind in ("float", "floats"):
+            value = get_key(cfg, spec.attr)
+            values = value if spec.kind == "floats" else (value,)
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"[{section}] {key} must be finite, "
+                                  f"got {_render(spec.kind, value)}")
     p, fq, wl = cfg.protocol, cfg.fedqueue, cfg.workload
     _require(p.num_clients >= 1, "num_clients must be >= 1")
     _require(p.num_rounds >= 1, "num_rounds must be >= 1")
@@ -440,10 +448,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(fq.staleness_beta >= 0, "staleness_beta must be >= 0")
     _require(fq.admission_horizon in ("horizon", "all"),
              f"admission_horizon must be horizon or all, got {fq.admission_horizon!r}")
-    _require(fq.client_weight_mode in ("equal", "data_size", "data size"),
-             "client_weight_mode must be equal or data_size")
-    if fq.client_weight_mode == "data size":
-        fq.client_weight_mode = "data_size"
+    _require(fq.client_weight_mode in ("equal", "data_size"),
+             f"client_weight_mode must be equal or data_size, "
+             f"got {fq.client_weight_mode!r}")
     _require(fq.lr_base > 0, "lr_base must be > 0")
     _require(fq.e_floor >= 0, "E_floor must be >= 0")
     _require(fq.broadcast_when in ("immediate", "next_round"),
@@ -464,7 +471,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  f"{name} has length {len(vec)} but num_clients = {k}")
     _require(all(v >= 0 for v in fq.queue_fixed), "queue_fixed must be >= 0")
     _require(all(v > 0 for v in fq.queue_means), "queue_means must be > 0")
-    _require(all(v >= 0 for v in fq.slowdown), "slowdown must be >= 0")
+    _require(all(v > 0 for v in fq.slowdown), "slowdown must be > 0")
     _require(all(v > 0 for v in fq.throughput), "throughput must be > 0")
     az, cp = cfg.fedasync, cfg.compass
     _require(az.num_local_steps >= 1, "async num_local_steps must be >= 1")

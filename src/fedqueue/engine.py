@@ -57,7 +57,6 @@ class Simulation:
         self._heap = []
         self._seq = 0
         self._submissions = np.zeros(self.num_clients, dtype=int)
-        self.in_flight = 0
 
     # ---- scheduling ------------------------------------------------------
     def schedule(self, time: float, rank: int, key: int, event: SimEvent) -> None:
@@ -74,8 +73,7 @@ class Simulation:
 
     # ---- client jobs -----------------------------------------------------
     def effective_rate(self, k: int) -> float:
-        slow = max(float(self.profile.slowdown[k]), 1e-9)
-        return float(self.profile.throughput[k]) / slow
+        return float(self.profile.throughput[k]) / float(self.profile.slowdown[k])
 
     def submit_job(self, k: int, w: np.ndarray, submit_round: int, eta: float,
                    step_budget: int, time_budget: float,
@@ -98,7 +96,6 @@ class Simulation:
         self.schedule(self.now + q, RANK_JOB_START, k,
                       SimEvent(self.now + q, "job_start", k))
         self.schedule(arrival, RANK_ARRIVAL, k, SimEvent(arrival, "arrival", msg))
-        self.in_flight += 1
         self.log.total_local_steps += steps_done
         self.log.dispatches.append(metrics.DispatchRecord(
             time=self.now, client=k, round=submit_round,
@@ -126,7 +123,6 @@ class Simulation:
                 self.log.event(time, "job_start", client=event.payload)
             elif event.kind == "arrival":
                 msg = event.payload
-                self.in_flight -= 1
                 # causality: arrival = submit + queue wait + compute, exactly
                 assert msg.arrival >= msg.submit_time - _TIME_EPS
                 self.log.event(time, "arrival", client=msg.client,
@@ -170,10 +166,8 @@ class FedQueueOrchestrator:
         self.delta_eff = protocol.effective_safety_buffer(fq.delta, fq.gamma)
         self.buffer: list[protocol.ClientUpdate] = []
         self.pool = set(range(sim.num_clients))
-        self.round_in_progress = 0
         self.e_min_ref: int | None = None
-        self._round_cols = {}     # round -> per-client dispatch/arrival columns
-        self._round_rows = []     # (round, time, loss, acc, admitted, mean, max)
+        self._round_cols = {}     # submit round -> client -> dispatch columns
         self._last_eval = (float("nan"), None)
 
     # ---- lifecycle -------------------------------------------------------
@@ -192,80 +186,59 @@ class FedQueueOrchestrator:
         sim.schedule_round_boundaries(cfg.protocol.num_rounds)
         self.dispatch_round(0)
 
-    def dispatch_round(self, r: int) -> None:
-        sim, fq = self.sim, self.cfg.fedqueue
-        cohort = sorted(self.pool)
-        self.pool = set()
-        if not cohort:
-            return
-        budgets = {}
-        for k in cohort:
-            q_hat = self.predictor.predict(k)
-            budgets[k] = (q_hat, protocol.compute_budget(
-                fq.t_sync, q_hat, self.delta_eff, sim.effective_rate(k), fq.e_floor))
-        live = {k: b for k, (qh, b) in budgets.items() if b.steps > 0}
-        if not live:
-            self.pool.update(cohort)
-            return
-        e_min = min(b.steps for b in live.values())
-        self.e_min_ref = e_min
-        for k in cohort:
-            q_hat, budget = budgets[k]
-            if budget.steps == 0:
-                self.pool.add(k)      # nothing dispatchable this round
-                continue
-            if self.cfg.ablation.use_inverse_lr:
-                eta = protocol.scale_learning_rate(fq.lr_base, e_min, budget.steps)
-            else:
-                eta = fq.lr_base
-            # the floor may exceed what fits in J; honor it (deployed practice)
-            time_budget = max(budget.job_seconds,
-                              budget.steps / sim.effective_rate(k))
-            msg = sim.submit_job(k, self.w, r, eta, budget.steps, time_budget,
-                                 q_hat_used=q_hat)
-            self._round_col(r, k).update(
-                q=msg.observed_q, q_hat=q_hat, steps_budget=budget.steps,
-                eta=eta, steps_done=msg.steps_done)
-
-    def on_arrival(self, msg: protocol.ClientUpdate) -> None:
-        # delay observations carry information even when the update buffers
-        self.predictor.observe(msg.client, msg.observed_q)
-        self.buffer.append(msg)
-        if self.cfg.fedqueue.broadcast_when == "immediate":
-            self._dispatch_immediate(msg.client)
-
-    def _dispatch_immediate(self, k: int) -> None:
-        sim, fq = self.sim, self.cfg.fedqueue
-        if sim.now >= sim.horizon - _TIME_EPS:
-            return
-        s = min(int(math.floor(sim.now / fq.t_sync + _TIME_EPS)),
-                self.cfg.protocol.num_rounds - 1)
+    def _budget(self, k: int) -> tuple[float, protocol.RoundBudget]:
+        fq = self.cfg.fedqueue
         q_hat = self.predictor.predict(k)
-        budget = protocol.compute_budget(fq.t_sync, q_hat, self.delta_eff,
-                                         sim.effective_rate(k), fq.e_floor)
+        return q_hat, protocol.compute_budget(
+            fq.t_sync, q_hat, self.delta_eff, self.sim.effective_rate(k), fq.e_floor)
+
+    def _submit(self, k: int, r: int, q_hat: float,
+                budget: protocol.RoundBudget) -> None:
+        sim, fq = self.sim, self.cfg.fedqueue
         if budget.steps == 0:
-            self.pool.add(k)
+            self.pool.add(k)      # nothing dispatchable this round
             return
-        e_ref = min(self.e_min_ref or budget.steps, budget.steps)
         if self.cfg.ablation.use_inverse_lr:
+            # E_min of the last cohort; dispatch_round sets it <= every E_k
+            e_ref = min(self.e_min_ref or budget.steps, budget.steps)
             eta = protocol.scale_learning_rate(fq.lr_base, e_ref, budget.steps)
         else:
             eta = fq.lr_base
+        # the floor may exceed what fits in J; honor it (deployed practice)
         time_budget = max(budget.job_seconds, budget.steps / sim.effective_rate(k))
-        msg = sim.submit_job(k, self.w, s, eta, budget.steps, time_budget,
+        msg = sim.submit_job(k, self.w, r, eta, budget.steps, time_budget,
                              q_hat_used=q_hat)
-        self._round_col(s, k).update(
-            q=msg.observed_q, q_hat=q_hat, steps_budget=budget.steps,
-            eta=eta, steps_done=msg.steps_done)
+        self._round_cols.setdefault(r, {})[k] = {
+            "q": msg.observed_q, "q_hat": q_hat, "steps_budget": budget.steps,
+            "eta": eta, "steps_done": msg.steps_done}
+
+    def dispatch_round(self, r: int) -> None:
+        cohort = sorted(self.pool)
+        self.pool = set()
+        budgets = {k: self._budget(k) for k in cohort}
+        live = [b.steps for _, b in budgets.values() if b.steps > 0]
+        if not live:
+            self.pool.update(cohort)
+            return
+        self.e_min_ref = min(live)
+        for k in cohort:
+            self._submit(k, r, *budgets[k])
+
+    def on_arrival(self, msg: protocol.ClientUpdate) -> None:
+        sim, fq = self.sim, self.cfg.fedqueue
+        # delay observations carry information even when the update buffers
+        self.predictor.observe(msg.client, msg.observed_q)
+        self.buffer.append(msg)
+        if fq.broadcast_when == "immediate" and sim.now < sim.horizon - _TIME_EPS:
+            s = min(int(math.floor(sim.now / fq.t_sync + _TIME_EPS)),
+                    self.cfg.protocol.num_rounds - 1)
+            self._submit(msg.client, s, *self._budget(msg.client))
 
     def on_round_boundary(self, boundary: int) -> None:
         sim, fq = self.sim, self.cfg.fedqueue
         cutoff = boundary * fq.t_sync
         closing = boundary - 1
-        if fq.admission_horizon == "horizon":
-            admitted, self.buffer = protocol.partition_admissions(self.buffer, cutoff)
-        else:
-            admitted, self.buffer = list(self.buffer), []
+        admitted, self.buffer = protocol.partition_admissions(self.buffer, cutoff)
         taus = []
         if admitted:
             entries = []
@@ -277,13 +250,9 @@ class FedQueueOrchestrator:
                     "admission disagrees with the buffering rule"
                 taus.append(tau)
                 entries.append((float(self.weights[m.client]), tau, m.delta))
-                sim.log.arrivals.append(metrics.ArrivalRecord(
-                    client=m.client, submit_round=m.submit_round,
-                    submit_time=m.submit_time, q=m.observed_q,
-                    q_hat=m.q_hat_used,
-                    compute_seconds=m.arrival - m.submit_time - m.observed_q,
-                    arrival=m.arrival, agg_round=closing, tau=tau,
-                    steps_done=m.steps_done))
+                sim.log.arrivals.append(metrics.ArrivalRecord.of(m, closing, tau))
+                if tau >= 1:      # its submit round is closed and recorded
+                    sim.log.rounds[m.submit_round].deferred += 1
             self.w = protocol.aggregate(self.w, entries, self.decay)
             sim.version += 1
             self._last_eval = sim.evaluate(self.w)
@@ -294,37 +263,14 @@ class FedQueueOrchestrator:
         else:
             sim.log.skipped_rounds += 1
             sim.log.event(cutoff, "skipped_round", round=closing)
-        loss, acc = self._last_eval
-        self._round_rows.append((closing, cutoff, loss, acc, len(admitted),
-                                 float(np.mean(taus)) if taus else 0.0,
-                                 max(taus) if taus else 0))
-        self.round_in_progress = boundary
+        sim.log.rounds.append(metrics.RoundRecord.of(
+            closing, cutoff, self._last_eval, taus,
+            self._round_cols.pop(closing, {}), sim.num_clients, deferred=0))
         if boundary < self.cfg.protocol.num_rounds:
             self.dispatch_round(boundary)
 
     def finish(self) -> None:
         self.sim.log.final_model = self.w.copy()
-        nan = float("nan")
-        k_range = range(self.sim.num_clients)
-        deferred_by_round = {}
-        for a in self.sim.log.arrivals:
-            if a.tau >= 1:
-                deferred_by_round[a.submit_round] = \
-                    deferred_by_round.get(a.submit_round, 0) + 1
-        for (r, t, loss, acc, n_adm, mean_tau, max_tau) in self._round_rows:
-            cols = self._round_cols.get(r, {})
-            self.sim.log.rounds.append(metrics.RoundRecord(
-                round=r, time=t, loss=loss, accuracy=acc, admitted=n_adm,
-                deferred=deferred_by_round.get(r, 0),
-                mean_tau=mean_tau, max_tau=max_tau,
-                q=[cols.get(k, {}).get("q", nan) for k in k_range],
-                q_hat=[cols.get(k, {}).get("q_hat", nan) for k in k_range],
-                steps_budget=[cols.get(k, {}).get("steps_budget", nan) for k in k_range],
-                eta=[cols.get(k, {}).get("eta", nan) for k in k_range],
-                steps_done=[cols.get(k, {}).get("steps_done", nan) for k in k_range]))
-
-    def _round_col(self, r: int, k: int) -> dict:
-        return self._round_cols.setdefault(r, {}).setdefault(k, {})
 
 
 def _build_queue_model(cfg: ExperimentConfig) -> queue_sim.QueueModel:
@@ -334,7 +280,6 @@ def _build_queue_model(cfg: ExperimentConfig) -> queue_sim.QueueModel:
         fixed_delays=np.asarray(fq.queue_fixed, dtype=float),
         means=np.asarray(fq.queue_means, dtype=float),
         rho=fq.queue_rho,
-        slowdown=np.asarray(fq.slowdown, dtype=float),
         mean_mode=fq.queue_mean_mode)
 
 

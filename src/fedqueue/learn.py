@@ -388,11 +388,10 @@ def build_objective(cfg, rng: np.random.Generator):
     else:
         parts = dirichlet_partition(y_train, cfg.protocol.num_clients,
                                     wl.data_alpha, rng)
-    weight_mode = ("data_size"
-                   if cfg.fedqueue.client_weight_mode == "data_size" else "equal")
     return ClassifyObjective(x_train, y_train, x_test, y_test, parts,
                              classes=wl.classes, model=wl.model,
-                             weight_mode=weight_mode, init_rng=rng)
+                             weight_mode=cfg.fedqueue.client_weight_mode,
+                             init_rng=rng)
 
 
 def export_dataset_csv(objective: ClassifyObjective, path) -> None:

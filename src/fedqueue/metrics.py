@@ -45,6 +45,26 @@ class RoundRecord:
     eta: list
     steps_done: list
 
+    @classmethod
+    def of(cls, round: int, time: float, evaluation, taus, cols: dict,
+           num_clients: int, deferred: int) -> "RoundRecord":
+        """Row for one round; `cols` maps client -> {column: value}, and a
+        column a client has no entry for reads nan."""
+        nan = float("nan")
+        rows = [cols.get(k, {}) for k in range(num_clients)]
+
+        def col(name):
+            return [row.get(name, nan) for row in rows]
+
+        loss, accuracy = evaluation
+        return cls(round=round, time=time, loss=loss, accuracy=accuracy,
+                   admitted=len(taus), deferred=deferred,
+                   mean_tau=float(np.mean(taus)) if taus else 0.0,
+                   max_tau=int(max(taus)) if taus else 0,
+                   q=col("q"), q_hat=col("q_hat"),
+                   steps_budget=col("steps_budget"), eta=col("eta"),
+                   steps_done=col("steps_done"))
+
 
 @dataclass
 class ArrivalRecord:
@@ -59,9 +79,15 @@ class ArrivalRecord:
     tau: int
     steps_done: int
 
-    @property
-    def delay_ratio(self) -> float:
-        return self.arrival - self.submit_time
+    @classmethod
+    def of(cls, msg, agg_round: int, tau: int) -> "ArrivalRecord":
+        """Record of a ClientUpdate applied in `agg_round` with staleness tau."""
+        return cls(client=msg.client, submit_round=msg.submit_round,
+                   submit_time=msg.submit_time, q=msg.observed_q,
+                   q_hat=msg.q_hat_used,
+                   compute_seconds=msg.arrival - msg.submit_time - msg.observed_q,
+                   arrival=msg.arrival, agg_round=agg_round, tau=tau,
+                   steps_done=msg.steps_done)
 
     def ratio(self, t_sync: float) -> float:
         return (self.arrival - self.submit_time) / t_sync

@@ -46,9 +46,6 @@ class StalenessDecay:
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
 
-    def weight(self, tau: int) -> float:
-        return staleness_weight(self, tau)
-
     @classmethod
     def flat(cls) -> "StalenessDecay":
         """phi(tau) = 1 for all tau (the decay-off ablation)."""
@@ -61,7 +58,6 @@ class RoundBudget:
 
     job_seconds: float     # J: wall seconds allotted to the job (clamped >= 0)
     steps: int             # E: local SGD step budget
-    eta: float = 0.0       # learning rate assigned at dispatch
 
 
 @dataclass

@@ -9,7 +9,7 @@ mu_k as the arithmetic mean is available behind ``mean_mode="arithmetic"``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "sample_queue_delay",
     "compute_time",
     "max_steps_within",
-    "sample_prediction_error",
 ]
 
 FIXED = "fixed"
@@ -35,7 +34,6 @@ class QueueModel:
     fixed_delays  -- per-client delay seconds (fixed kind)
     means         -- per-client location parameters mu_k seconds (lognormal kind)
     rho           -- shared log-space noise scale, >= 0
-    slowdown      -- per-client compute-time multipliers, >= 0
     mean_mode     -- "median": q = exp(ln mu + rho Z); "arithmetic": the draw
                      is shifted by -rho^2/2 in log space so E[q] = mu
     """
@@ -44,7 +42,6 @@ class QueueModel:
     fixed_delays: np.ndarray | None = None
     means: np.ndarray | None = None
     rho: float = 0.0
-    slowdown: np.ndarray = field(default_factory=lambda: np.ones(1))
     mean_mode: str = "median"
 
     def __post_init__(self):
@@ -76,16 +73,13 @@ class ComputeProfile:
     """Client training throughput in local SGD steps per second."""
 
     throughput: np.ndarray            # c_k > 0, steps per second
-    slowdown: np.ndarray              # per-client wall-time multiplier >= 0
-    per_step_jitter: float = 0.0      # fractional jitter on compute time, >= 0
+    slowdown: np.ndarray              # per-client wall-time multiplier > 0
 
     def __post_init__(self):
         if np.any(np.asarray(self.throughput) <= 0):
             raise ValueError("throughput must be > 0 for every client")
-        if np.any(np.asarray(self.slowdown) < 0):
-            raise ValueError("slowdown must be >= 0")
-        if self.per_step_jitter < 0:
-            raise ValueError("per_step_jitter must be >= 0")
+        if np.any(np.asarray(self.slowdown) <= 0):
+            raise ValueError("slowdown must be > 0")
 
 
 def lognormal_delay(mu: float, rho: float, z: float, mean_mode: str = "median") -> float:
@@ -102,35 +96,20 @@ def sample_queue_delay(model: QueueModel, k: int, rng: np.random.Generator) -> f
     return lognormal_delay(float(model.means[k]), model.rho, z, model.mean_mode)
 
 
-def compute_time(profile: ComputeProfile, k: int, steps: int,
-                 rng: np.random.Generator | None = None) -> float:
+def compute_time(profile: ComputeProfile, k: int, steps: int) -> float:
     """Wall seconds client k spends on `steps` local steps."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return 0.0
-    base = steps / float(profile.throughput[k]) * float(profile.slowdown[k])
-    if profile.per_step_jitter > 0 and rng is not None:
-        base *= 1.0 + profile.per_step_jitter * float(rng.uniform(-1.0, 1.0))
-    return max(base, 0.0)
+    return steps / float(profile.throughput[k]) * float(profile.slowdown[k])
 
 
 def max_steps_within(profile: ComputeProfile, k: int, seconds: float) -> int:
     """Largest step count whose nominal compute time fits in `seconds`."""
     if seconds <= 0:
         return 0
-    slow = float(profile.slowdown[k])
-    if slow == 0 or math.isinf(seconds):
+    if math.isinf(seconds):
         return np.iinfo(np.int64).max  # unbounded; caller's step budget binds
-    return int(math.floor(seconds * float(profile.throughput[k]) / slow))
-
-
-def sample_prediction_error(rho_k: float, rng: np.random.Generator,
-                            size: int | None = None):
-    """Zero-mean Gaussian(0, rho_k^2) draw(s); the sub-Gaussian instance used
-    by the staleness-bound Monte Carlo harness."""
-    if rho_k < 0:
-        raise ValueError("rho_k must be >= 0")
-    if size is None:
-        return float(rho_k * rng.standard_normal())
-    return rho_k * rng.standard_normal(size)
+    return int(math.floor(seconds * float(profile.throughput[k])
+                          / float(profile.slowdown[k])))

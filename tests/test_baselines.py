@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fedqueue import baselines, protocol
+from fedqueue import baselines, engine, learn, metrics, protocol
 from fedqueue.baselines import BufferPolicy, compass_assignments, staleness_factor
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
+from fedqueue.streams import substream
 
 
 def quick_config(algo, **over):
@@ -162,10 +163,37 @@ def test_compass_assignments_respect_bounds():
 
 def test_compass_speed_momentum_update():
     cfg = quick_config("fedcompass")
-    log = run_experiment(cfg)
-    assert not log.failed
-    # momentum arithmetic: v' = 0.6 v + 0.4 obs
-    assert 0.6 * 10.0 + 0.4 * 14.0 == pytest.approx(11.6)
+    log = metrics.MetricsLog(algo="fedcompass", seed=cfg.protocol.seed,
+                             num_clients=4, t_sync=10.0, horizon=100.0)
+    sim = engine.Simulation(
+        cfg, learn.build_objective(cfg, substream(cfg.protocol.seed, "data")),
+        engine._build_queue_model(cfg), engine._build_profile(cfg), log)
+    orch = baselines.FedCompassOrchestrator(sim)
+    orch.start()
+    assert orch.speeds.tolist() == [10.0] * 4
+    assert [d.steps_budget for d in log.dispatches] == [200] * 4
+
+    def update(k, steps, q, arrival):
+        return protocol.ClientUpdate(
+            client=k, submit_round=0, delta=np.zeros_like(orch.w), observed_q=q,
+            arrival=arrival, steps_done=steps, submit_time=0.0)
+
+    sim.now = 3.0
+    # 28 steps in 2 s of compute observe 14 steps/s: v' = 0.6 * 10 + 0.4 * 14
+    orch.on_arrival(update(0, 28, 1.0, 3.0))
+    assert orch.speeds[0] == pytest.approx(11.6)
+    # an update without steps carries no speed information
+    orch.on_arrival(update(1, 0, 3.0, 3.0))
+    assert orch.speeds[1] == 10.0
+    orch.on_arrival(update(2, 20, 1.0, 3.0))
+    assert not log.rounds                  # cohort still waits for client 3
+    orch.on_arrival(update(3, 20, 1.0, 3.0))
+    assert orch.speeds.tolist() == pytest.approx([11.6, 10.0, 10.0, 10.0])
+    # the full cohort aggregates once, then re-dispatches on the new speeds
+    assert [r.admitted for r in log.rounds] == [4]
+    expected = compass_assignments(orch.speeds, 20, 200, 1.1).tolist()
+    assert expected == [200, 189, 189, 189]
+    assert [d.steps_budget for d in log.dispatches[4:]] == expected
 
 
 def test_compass_assignment_bounds_hold_in_run():

@@ -8,7 +8,7 @@ import pytest
 from fedqueue import cli
 from fedqueue.config import (ConfigError, default_config, dumps_config,
                              load_config, loads_config, resolve_axis,
-                             save_config, set_key)
+                             save_config, set_key, validate_config)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,36 @@ def test_unknown_section_rejected():
 def test_sleep_delay_mode_rejected():
     with pytest.raises(ConfigError, match="sleep"):
         loads_config("[fedqueue]\ndelay_mode = sleep\n")
+
+
+def test_zero_slowdown_rejected():
+    # zero slowdown would give an unbounded compute rate and step budget
+    with pytest.raises(ConfigError, match="slowdown"):
+        loads_config("[fedqueue]\nslowdown = 0,1,1,1\n")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("fedqueue", "Tsync", "inf"),
+    ("fedqueue", "throughput", "10,inf,10,10"),
+])
+def test_non_finite_float_rejected_with_key_name(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be finite"):
+        loads_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_non_finite_sweep_value_rejected():
+    cfg = default_config()
+    set_key(cfg, "Tsync", "nan")
+    with pytest.raises(ConfigError, match="Tsync"):
+        validate_config(cfg)
+
+
+def test_undocumented_weight_mode_spelling_rejected():
+    cfg = default_config()
+    cfg.fedqueue.client_weight_mode = "data size"
+    with pytest.raises(ConfigError, match="client_weight_mode"):
+        validate_config(cfg)
+    assert cfg.fedqueue.client_weight_mode == "data size"
 
 
 def test_roundtrip_through_save_and_load(tmp_path):

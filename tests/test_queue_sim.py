@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from fedqueue import queue_sim
 from fedqueue.queue_sim import (ComputeProfile, QueueModel, compute_time,
                                 lognormal_delay, max_steps_within,
-                                sample_prediction_error, sample_queue_delay)
+                                sample_queue_delay)
 from fedqueue.streams import substream
 
 
 def fixed_model(delays=(0.5, 1.5, 2.4, 6.0)):
-    return QueueModel(kind="fixed", fixed_delays=np.array(delays),
-                      slowdown=np.ones(len(delays)))
+    return QueueModel(kind="fixed", fixed_delays=np.array(delays))
 
 
 def lognormal_model(means=(1.5, 2.5, 3.5, 4.5), rho=0.4, mean_mode="median"):
     return QueueModel(kind="lognormal", means=np.array(means), rho=rho,
-                      slowdown=np.ones(len(means)), mean_mode=mean_mode)
+                      mean_mode=mean_mode)
 
 
 def test_fixed_kind_returns_configured_delay_exactly():
@@ -81,9 +80,9 @@ def test_sampled_delays_nonnegative(k, seed):
 # compute times
 # ---------------------------------------------------------------------------
 
-def profile(throughput=(10.0, 10.0), slowdown=(1.0, 2.0), jitter=0.0):
+def profile(throughput=(10.0, 10.0), slowdown=(1.0, 2.0)):
     return ComputeProfile(throughput=np.array(throughput),
-                          slowdown=np.array(slowdown), per_step_jitter=jitter)
+                          slowdown=np.array(slowdown))
 
 
 def test_compute_time_division():
@@ -98,33 +97,14 @@ def test_compute_time_slowdown_multiplier():
     assert compute_time(profile(), 1, 60) == pytest.approx(12.0)
 
 
+def test_zero_slowdown_profile_rejected():
+    with pytest.raises(ValueError, match="slowdown"):
+        profile(slowdown=(1.0, 0.0))
+
+
 def test_max_steps_within_inverts_compute_time():
     prof = profile()
     for seconds in (0.0, 0.05, 1.0, 7.3):
         steps = max_steps_within(prof, 0, seconds)
         assert compute_time(prof, 0, steps) <= seconds + 1e-12
         assert compute_time(prof, 0, steps + 1) > seconds
-
-
-def test_jitter_perturbs_but_stays_nonnegative():
-    prof = profile(jitter=0.5)
-    rng = substream(0, "jit")
-    times = {compute_time(prof, 0, 10, rng) for _ in range(50)}
-    assert len(times) > 1
-    assert all(t >= 0 for t in times)
-
-
-# ---------------------------------------------------------------------------
-# prediction-error draws
-# ---------------------------------------------------------------------------
-
-def test_prediction_error_degenerate_at_zero_scale():
-    rng = substream(0, "e")
-    assert sample_prediction_error(0.0, rng) == 0.0
-
-
-def test_prediction_error_moments():
-    rng = substream(11, "moments")
-    draws = sample_prediction_error(0.4, rng, size=100_000)
-    assert abs(draws.mean()) < 0.01
-    assert abs(draws.std() - 0.4) < 0.01
