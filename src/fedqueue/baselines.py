@@ -20,12 +20,10 @@ submission-index) delay substreams as the queue-aware protocol.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import metrics, protocol
-from .engine import Simulation, _client_weights, _TIME_EPS
+from .engine import Simulation, _TIME_EPS
 
 __all__ = ["ORCHESTRATORS", "staleness_factor", "BufferPolicy",
            "compass_assignments"]
@@ -85,7 +83,6 @@ class _BaselineBase:
         self.sim = sim
         self.cfg = sim.cfg
         self.w = sim.objective.init_point()
-        self.weights = _client_weights(sim.cfg, sim.objective)
         self.agg_index = 0
 
     def start(self) -> None:
@@ -107,7 +104,7 @@ class _BaselineBase:
 
     def _dispatch(self, k: int) -> None:
         self.sim.submit_job(k, self.w, self.agg_index, self.cfg.fedqueue.lr_base,
-                            self._steps(k), time_budget=math.inf)
+                            self._steps(k))
 
     def _dispatch_all(self) -> None:
         for k in range(self.sim.num_clients):
@@ -147,7 +144,8 @@ class _CohortBase(_BaselineBase):
             return
         batch = [self.collected[k] for k in sorted(self.collected)]
         self.collected = {}
-        entries = [(float(self.weights[m.client]), 0, m.delta) for m in batch]
+        weights = self.sim.objective.weights
+        entries = [(float(weights[m.client]), 0, m.delta) for m in batch]
         self.w = protocol.aggregate(self.w, entries, protocol.StalenessDecay.flat())
         self.sim.version += 1
         self._record_aggregation(batch, [0] * len(batch))

@@ -5,44 +5,53 @@ controlled-experiment configuration table verbatim (per-client vectors are
 comma-joined, kwargs blocks look like ``{a=1.0}``).  Parsing is fail-closed:
 unknown sections or keys raise a ConfigError naming the offender and, when
 loading from a file, its line number.  An empty file yields the defaults.
-"""
-from __future__ import annotations
 
+Each dataclass field below declares one key: its file key is the field name
+unless the field's metadata names another, its kind follows the annotation,
+and a ``Literal`` annotation lists the only values the key accepts.
+"""
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from copy import deepcopy
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
+from typing import Literal, get_args, get_origin
 
 __all__ = ["ConfigError", "ExperimentConfig", "default_config", "load_config",
            "loads_config", "save_config", "dumps_config", "set_key", "get_key",
            "ALGOS"]
 
-ALGOS = ("fedqueue", "fedavg", "fedasync", "fedbuff", "fedcompass")
+StalenessFn = Literal["constant", "polynomial", "hinge"]
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _key(name: str, **kw):
+    """A field whose file key differs from its attribute name."""
+    return field(metadata={"key": name}, **kw)
+
+
 @dataclass
 class WorkloadConfig:
-    dataset: str = "synthetic"        # synthetic | quadratic
-    partition: str = "non-iid"        # iid | non-iid
-    data_alpha: float = 0.5           # Dirichlet concentration for non-iid
-    model: str = "linear"             # linear | mlp
-    loss_name: str = "CELoss"
-    dim: int = 32
-    classes: int = 10
-    train_size: int = 4000
-    test_size: int = 2000
-    class_sep: float = 3.0
-    noise: float = 1.0
-    quad_sigma: float = 0.0           # stochastic-gradient noise scale (quadratic)
-    quad_spread: float = 1.0          # offset heterogeneity (quadratic)
-    quad_lmax: float = 4.0            # largest curvature eigenvalue (quadratic)
+    dataset: Literal["synthetic", "quadratic"] = "synthetic"
+    partition: Literal["iid", "non-iid"] = "non-iid"
+    data_alpha: float = _key("data.alpha", default=0.5)   # Dirichlet concentration
+    model: Literal["linear", "mlp"] = "linear"
+    loss_name: Literal["CELoss"] = _key("loss.name", default="CELoss")
+    dim: int = _key("data.dim", default=32)
+    classes: int = _key("data.classes", default=10)
+    train_size: int = _key("data.train_size", default=4000)
+    test_size: int = _key("data.test_size", default=2000)
+    class_sep: float = _key("data.class_sep", default=3.0)
+    noise: float = _key("data.noise", default=1.0)
+    # quadratic workload: stochastic-gradient noise scale, offset
+    # heterogeneity, largest curvature eigenvalue
+    quad_sigma: float = _key("quad.sigma", default=0.0)
+    quad_spread: float = _key("quad.spread", default=1.0)
+    quad_lmax: float = _key("quad.lmax", default=4.0)
 
 
 @dataclass
@@ -51,40 +60,41 @@ class ProtocolConfig:
     num_clients: int = 4
     num_rounds: int = 50
     batch_size: int = 64
-    optimizer: str = "sgd"
+    optimizer: Literal["sgd"] = "sgd"
     local_steps: int = 100
-    algo: str = "fedqueue"
+    algo: Literal["fedqueue", "fedavg", "fedasync", "fedbuff", "fedcompass"] = \
+        _key("algo.name", default="fedqueue")
 
 
 @dataclass
 class FedQueueConfig:
-    broadcast_when: str = "next_round"    # immediate | next_round
-    delay_mode: str = "simulate"          # simulate (sleep is out of scope)
-    t_sync: float = 10.0
+    broadcast_when: Literal["immediate", "next_round"] = "next_round"
+    delay_mode: Literal["simulate"] = "simulate"   # sleep is out of scope
+    t_sync: float = _key("Tsync", default=10.0)
     q_init: float = 2.0
     gamma: float = 0.2
     delta: float = 2.0
     alpha: float = 0.5
     warmup_steps: int = 10
-    sim_queue: str = "lognormal"          # fixed | lognormal
-    queue_fixed: tuple = (0.5, 1.5, 2.4, 6.0)
-    queue_means: tuple = (1.5, 2.5, 3.5, 4.5)
+    sim_queue: Literal["fixed", "lognormal"] = "lognormal"
+    queue_fixed: tuple[float, ...] = (0.5, 1.5, 2.4, 6.0)
+    queue_means: tuple[float, ...] = (1.5, 2.5, 3.5, 4.5)
     queue_rho: float = 0.4
-    slowdown: tuple = (1.0, 1.0, 1.0, 1.0)
-    staleness_mode: str = "harmonic"      # harmonic | exp
+    slowdown: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
+    staleness_mode: Literal["harmonic", "exp"] = "harmonic"
     staleness_beta: float = 0.5
-    admission_horizon: str = "horizon"    # horizon | all
-    client_weight_mode: str = "equal"     # equal | data_size
+    admission_horizon: Literal["horizon", "all"] = "horizon"
+    client_weight_mode: Literal["equal", "data_size"] = "equal"
     lr_base: float = 0.003
-    e_floor: int = 1
-    throughput: tuple = (10.0, 10.0, 10.0, 10.0)   # profiled c_k, steps/second
-    queue_mean_mode: str = "median"       # median | arithmetic
+    e_floor: int = _key("E_floor", default=1)
+    throughput: tuple[float, ...] = (10.0, 10.0, 10.0, 10.0)  # profiled c_k, steps/s
+    queue_mean_mode: Literal["median", "arithmetic"] = "median"
 
 
 @dataclass
 class AsyncConfig:
     num_local_steps: int = 155
-    staleness_fn: str = "polynomial"      # constant | polynomial | hinge
+    staleness_fn: StalenessFn = "polynomial"
     staleness_fn_kwargs: dict = field(default_factory=lambda: {"a": 1.0})
     alpha: float = 0.5                    # server mixing factor
     optimize_memory: bool = True          # accepted for compatibility; inert here
@@ -92,12 +102,12 @@ class AsyncConfig:
 
 @dataclass
 class FedBuffConfig:
-    k: int = 3                            # buffer size before aggregation
+    k: int = _key("K", default=3)         # buffer size before aggregation
 
 
 @dataclass
 class CompassConfig:
-    staleness_fn: str = "polynomial"
+    staleness_fn: StalenessFn = "polynomial"
     staleness_fn_kwargs: dict = field(default_factory=dict)
     alpha: float = 0.5
     max_local_steps: int = 200
@@ -108,7 +118,7 @@ class CompassConfig:
 
 @dataclass
 class FedAvgConfig:
-    num_local_steps: tuple = (67, 155, 147, 15)
+    num_local_steps: tuple[int, ...] = (67, 155, 147, 15)
 
 
 @dataclass
@@ -123,26 +133,14 @@ class ExperimentConfig:
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     fedqueue: FedQueueConfig = field(default_factory=FedQueueConfig)
-    fedasync: AsyncConfig = field(default_factory=AsyncConfig)
+    fedasync: AsyncConfig = _key("async", default_factory=AsyncConfig)
     fedbuff: FedBuffConfig = field(default_factory=FedBuffConfig)
     compass: CompassConfig = field(default_factory=CompassConfig)
     fedavg: FedAvgConfig = field(default_factory=FedAvgConfig)
     ablation: AblationConfig = field(default_factory=AblationConfig)
 
     def copy(self) -> "ExperimentConfig":
-        return replace(
-            self,
-            workload=replace(self.workload),
-            protocol=replace(self.protocol),
-            fedqueue=replace(self.fedqueue),
-            fedasync=replace(self.fedasync,
-                             staleness_fn_kwargs=dict(self.fedasync.staleness_fn_kwargs)),
-            fedbuff=replace(self.fedbuff),
-            compass=replace(self.compass,
-                            staleness_fn_kwargs=dict(self.compass.staleness_fn_kwargs)),
-            fedavg=replace(self.fedavg),
-            ablation=replace(self.ablation),
-        )
+        return deepcopy(self)
 
     def flat(self) -> dict:
         out = {}
@@ -152,92 +150,33 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# key registry: (section, file key) -> (attr path, kind)
+# key registry, derived from the dataclasses: section -> file key -> spec
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _KeySpec:
     attr: str
     kind: str      # int | float | bool | str | floats | ints | kwargs
+    choices: tuple = ()
 
 
-_SCHEMA: dict[str, dict[str, _KeySpec]] = {
-    "workload": {
-        "dataset": _KeySpec("workload.dataset", "str"),
-        "partition": _KeySpec("workload.partition", "str"),
-        "data.alpha": _KeySpec("workload.data_alpha", "float"),
-        "model": _KeySpec("workload.model", "str"),
-        "loss.name": _KeySpec("workload.loss_name", "str"),
-        "data.dim": _KeySpec("workload.dim", "int"),
-        "data.classes": _KeySpec("workload.classes", "int"),
-        "data.train_size": _KeySpec("workload.train_size", "int"),
-        "data.test_size": _KeySpec("workload.test_size", "int"),
-        "data.class_sep": _KeySpec("workload.class_sep", "float"),
-        "data.noise": _KeySpec("workload.noise", "float"),
-        "quad.sigma": _KeySpec("workload.quad_sigma", "float"),
-        "quad.spread": _KeySpec("workload.quad_spread", "float"),
-        "quad.lmax": _KeySpec("workload.quad_lmax", "float"),
-    },
-    "protocol": {
-        "seed": _KeySpec("protocol.seed", "int"),
-        "num_clients": _KeySpec("protocol.num_clients", "int"),
-        "num_rounds": _KeySpec("protocol.num_rounds", "int"),
-        "batch_size": _KeySpec("protocol.batch_size", "int"),
-        "optimizer": _KeySpec("protocol.optimizer", "str"),
-        "local_steps": _KeySpec("protocol.local_steps", "int"),
-        "algo.name": _KeySpec("protocol.algo", "str"),
-    },
-    "fedqueue": {
-        "broadcast_when": _KeySpec("fedqueue.broadcast_when", "str"),
-        "delay_mode": _KeySpec("fedqueue.delay_mode", "str"),
-        "Tsync": _KeySpec("fedqueue.t_sync", "float"),
-        "q_init": _KeySpec("fedqueue.q_init", "float"),
-        "gamma": _KeySpec("fedqueue.gamma", "float"),
-        "delta": _KeySpec("fedqueue.delta", "float"),
-        "alpha": _KeySpec("fedqueue.alpha", "float"),
-        "warmup_steps": _KeySpec("fedqueue.warmup_steps", "int"),
-        "sim_queue": _KeySpec("fedqueue.sim_queue", "str"),
-        "queue_fixed": _KeySpec("fedqueue.queue_fixed", "floats"),
-        "queue_means": _KeySpec("fedqueue.queue_means", "floats"),
-        "queue_rho": _KeySpec("fedqueue.queue_rho", "float"),
-        "slowdown": _KeySpec("fedqueue.slowdown", "floats"),
-        "staleness_mode": _KeySpec("fedqueue.staleness_mode", "str"),
-        "staleness_beta": _KeySpec("fedqueue.staleness_beta", "float"),
-        "admission_horizon": _KeySpec("fedqueue.admission_horizon", "str"),
-        "client_weight_mode": _KeySpec("fedqueue.client_weight_mode", "str"),
-        "lr_base": _KeySpec("fedqueue.lr_base", "float"),
-        "E_floor": _KeySpec("fedqueue.e_floor", "int"),
-        "throughput": _KeySpec("fedqueue.throughput", "floats"),
-        "queue_mean_mode": _KeySpec("fedqueue.queue_mean_mode", "str"),
-    },
-    "async": {
-        "num_local_steps": _KeySpec("fedasync.num_local_steps", "int"),
-        "staleness_fn": _KeySpec("fedasync.staleness_fn", "str"),
-        "staleness_fn_kwargs": _KeySpec("fedasync.staleness_fn_kwargs", "kwargs"),
-        "alpha": _KeySpec("fedasync.alpha", "float"),
-        "optimize_memory": _KeySpec("fedasync.optimize_memory", "bool"),
-    },
-    "fedbuff": {
-        "K": _KeySpec("fedbuff.k", "int"),
-    },
-    "compass": {
-        "staleness_fn": _KeySpec("compass.staleness_fn", "str"),
-        "staleness_fn_kwargs": _KeySpec("compass.staleness_fn_kwargs", "kwargs"),
-        "alpha": _KeySpec("compass.alpha", "float"),
-        "max_local_steps": _KeySpec("compass.max_local_steps", "int"),
-        "min_local_steps": _KeySpec("compass.min_local_steps", "int"),
-        "speed_momentum": _KeySpec("compass.speed_momentum", "float"),
-        "latest_time_factor": _KeySpec("compass.latest_time_factor", "float"),
-    },
-    "fedavg": {
-        "num_local_steps": _KeySpec("fedavg.num_local_steps", "ints"),
-    },
-    "ablation": {
-        "use_ewma": _KeySpec("ablation.use_ewma", "bool"),
-        "use_staleness_decay": _KeySpec("ablation.use_staleness_decay", "bool"),
-        "use_inverse_lr": _KeySpec("ablation.use_inverse_lr", "bool"),
-    },
-}
+_KINDS = {int: "int", float: "float", bool: "bool", str: "str", dict: "kwargs",
+          tuple[float, ...]: "floats", tuple[int, ...]: "ints"}
+
+
+def _schema() -> dict[str, dict[str, _KeySpec]]:
+    schema = {}
+    for sec in fields(ExperimentConfig):
+        keys = schema[sec.metadata.get("key", sec.name)] = {}
+        for f in fields(sec.type):
+            choices = get_args(f.type) if get_origin(f.type) is Literal else ()
+            keys[f.metadata.get("key", f.name)] = _KeySpec(
+                f"{sec.name}.{f.name}", "str" if choices else _KINDS[f.type], choices)
+    return schema
+
+
+_SCHEMA = _schema()
+ALGOS = _SCHEMA["protocol"]["algo.name"].choices
 
 # unqualified sweep-axis keys resolve through these sections, in order
 _AXIS_SECTIONS = ("fedqueue", "protocol", "workload", "ablation")
@@ -410,24 +349,19 @@ def _require(cond: bool, msg: str) -> None:
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for section, key, spec in _iter_keys():
+        value = get_key(cfg, spec.attr)
         if spec.kind in ("float", "floats"):
-            value = get_key(cfg, spec.attr)
             values = value if spec.kind == "floats" else (value,)
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"[{section}] {key} must be finite, "
                                   f"got {_render(spec.kind, value)}")
+        if spec.choices and value not in spec.choices:
+            raise ConfigError(f"[{section}] {key} must be one of "
+                              f"{' | '.join(spec.choices)}, got {value!r}")
     p, fq, wl = cfg.protocol, cfg.fedqueue, cfg.workload
     _require(p.num_clients >= 1, "num_clients must be >= 1")
     _require(p.num_rounds >= 1, "num_rounds must be >= 1")
     _require(p.batch_size >= 1, "batch_size must be >= 1")
-    _require(p.algo in ALGOS, f"algo.name must be one of {ALGOS}, got {p.algo!r}")
-    _require(p.optimizer == "sgd", "optimizer: only sgd is supported")
-    _require(wl.dataset in ("synthetic", "quadratic"),
-             f"dataset must be synthetic or quadratic, got {wl.dataset!r}")
-    _require(wl.partition in ("iid", "non-iid"),
-             f"partition must be iid or non-iid, got {wl.partition!r}")
-    _require(wl.model in ("linear", "mlp"), f"model must be linear or mlp")
-    _require(wl.loss_name == "CELoss", "loss.name: only CELoss is supported")
     _require(wl.data_alpha > 0, "data.alpha must be > 0")
     _require(wl.dim >= 1 and wl.classes >= 2, "data.dim >= 1 and data.classes >= 2")
     _require(wl.train_size >= p.num_clients, "data.train_size must cover all clients")
@@ -440,27 +374,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(fq.delta >= 0, "delta must be >= 0")
     _require(0.0 < fq.alpha <= 1.0, "alpha must be in (0, 1]")
     _require(fq.warmup_steps >= 0, "warmup_steps must be >= 0")
-    _require(fq.sim_queue in ("fixed", "lognormal"),
-             f"sim_queue must be fixed or lognormal, got {fq.sim_queue!r}")
     _require(fq.queue_rho >= 0, "queue_rho must be >= 0")
-    _require(fq.staleness_mode in ("harmonic", "exp"),
-             f"staleness_mode must be harmonic or exp, got {fq.staleness_mode!r}")
     _require(fq.staleness_beta >= 0, "staleness_beta must be >= 0")
-    _require(fq.admission_horizon in ("horizon", "all"),
-             f"admission_horizon must be horizon or all, got {fq.admission_horizon!r}")
-    _require(fq.client_weight_mode in ("equal", "data_size"),
-             f"client_weight_mode must be equal or data_size, "
-             f"got {fq.client_weight_mode!r}")
     _require(fq.lr_base > 0, "lr_base must be > 0")
     _require(fq.e_floor >= 0, "E_floor must be >= 0")
-    _require(fq.broadcast_when in ("immediate", "next_round"),
-             "broadcast_when must be immediate or next_round")
-    _require(fq.delay_mode in ("simulate", "sleep"),
-             "delay_mode must be simulate or sleep")
-    _require(fq.delay_mode == "simulate",
-             "delay_mode=sleep is not supported by the simulator (use simulate)")
-    _require(fq.queue_mean_mode in ("median", "arithmetic"),
-             "queue_mean_mode must be median or arithmetic")
     k = p.num_clients
     for name, vec in (("queue_fixed", fq.queue_fixed),
                       ("queue_means", fq.queue_means),
@@ -473,12 +390,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(all(v > 0 for v in fq.queue_means), "queue_means must be > 0")
     _require(all(v > 0 for v in fq.slowdown), "slowdown must be > 0")
     _require(all(v > 0 for v in fq.throughput), "throughput must be > 0")
+    _require(all(v >= 1 for v in cfg.fedavg.num_local_steps),
+             "fedavg num_local_steps must be >= 1")
     az, cp = cfg.fedasync, cfg.compass
     _require(az.num_local_steps >= 1, "async num_local_steps must be >= 1")
     _require(0.0 < az.alpha <= 1.0, "async alpha must be in (0, 1]")
-    for name, fn in (("async", az.staleness_fn), ("compass", cp.staleness_fn)):
-        _require(fn in ("constant", "polynomial", "hinge"),
-                 f"{name} staleness_fn must be constant, polynomial, or hinge")
     _require(cfg.fedbuff.k >= 1, "fedbuff K must be >= 1")
     _require(1 <= cp.min_local_steps <= cp.max_local_steps,
              "compass requires 1 <= min_local_steps <= max_local_steps")

@@ -21,7 +21,8 @@ from .config import ExperimentConfig, set_key, validate_config
 from .predictor import DelayPredictor
 from .streams import spawn_seed, substream
 
-__all__ = ["Simulation", "FedQueueOrchestrator", "run_experiment", "run_sweep"]
+__all__ = ["Simulation", "FedQueueOrchestrator", "InvariantError",
+           "run_experiment", "run_sweep"]
 
 # event ranks: arrivals strictly before round boundaries at equal times
 RANK_JOB_START = 0
@@ -29,6 +30,15 @@ RANK_ARRIVAL = 1
 RANK_ROUND = 2
 
 _TIME_EPS = 1e-9
+
+
+class InvariantError(RuntimeError):
+    """A simulator invariant failed; checked also under ``python -O``."""
+
+    def __init__(self, what: str, time: float, client: int | None,
+                 round: int | None):
+        super().__init__(f"{what} (t={time}, client={client}, round={round})")
+        self.time, self.client, self.round = time, client, round
 
 
 @dataclass
@@ -76,18 +86,18 @@ class Simulation:
         return float(self.profile.throughput[k]) / float(self.profile.slowdown[k])
 
     def submit_job(self, k: int, w: np.ndarray, submit_round: int, eta: float,
-                   step_budget: int, time_budget: float,
+                   step_budget: int,
                    q_hat_used: float = float("nan")) -> protocol.ClientUpdate:
         """Broadcast + job submission: draws the admission delay, runs the
-        budget-capped local update, and schedules start/arrival events."""
+        local update, and schedules start/arrival events."""
         j = int(self._submissions[k])
         self._submissions[k] += 1
         q = queue_sim.sample_queue_delay(self.queue_model, k,
                                          substream(self.seed, "queue", k, j))
         sgd_rng = substream(self.seed, "sgd", k, j)
         delta, steps_done, elapsed = protocol.client_local_update(
-            self.objective, k, w, eta, step_budget, time_budget,
-            self.profile, self.cfg.protocol.batch_size, sgd_rng)
+            self.objective, k, w, eta, step_budget, self.profile,
+            self.cfg.protocol.batch_size, sgd_rng)
         arrival = self.now + q + elapsed
         msg = protocol.ClientUpdate(
             client=k, submit_round=submit_round, delta=delta, observed_q=q,
@@ -117,14 +127,20 @@ class Simulation:
             time, rank, key, _, event = heapq.heappop(self._heap)
             if time > self.horizon + _TIME_EPS:
                 break
-            assert time >= self.now - _TIME_EPS
+            if time < self.now - _TIME_EPS:
+                client, r = (None, key) if event.kind == "round" else (key, None)
+                raise InvariantError(f"{event.kind} event precedes the clock "
+                                     f"{self.now}", time, client, r)
             self.now = time
             if event.kind == "job_start":
                 self.log.event(time, "job_start", client=event.payload)
             elif event.kind == "arrival":
                 msg = event.payload
                 # causality: arrival = submit + queue wait + compute, exactly
-                assert msg.arrival >= msg.submit_time - _TIME_EPS
+                if msg.arrival < msg.submit_time - _TIME_EPS:
+                    raise InvariantError(
+                        f"arrival precedes its submission at {msg.submit_time}",
+                        time, msg.client, msg.submit_round)
                 self.log.event(time, "arrival", client=msg.client,
                                round=msg.submit_round, q=msg.observed_q,
                                steps=msg.steps_done)
@@ -132,12 +148,6 @@ class Simulation:
             else:
                 orchestrator.on_round_boundary(event.payload)
         orchestrator.finish()
-
-
-def _client_weights(cfg: ExperimentConfig, objective) -> np.ndarray:
-    if cfg.fedqueue.client_weight_mode == "data_size":
-        return np.asarray(objective.weights, dtype=float)
-    return np.full(cfg.protocol.num_clients, 1.0 / cfg.protocol.num_clients)
 
 
 class FedQueueOrchestrator:
@@ -152,7 +162,6 @@ class FedQueueOrchestrator:
         self.cfg = cfg
         fq = cfg.fedqueue
         self.w = sim.objective.init_point()
-        self.weights = _client_weights(cfg, sim.objective)
         if cfg.ablation.use_staleness_decay:
             self.decay = protocol.StalenessDecay(fq.staleness_mode, fq.staleness_beta)
         else:
@@ -179,7 +188,6 @@ class FedQueueOrchestrator:
                 q = queue_sim.sample_queue_delay(
                     sim.queue_model, k, substream(sim.seed, "warmup", k))
                 self.predictor.seed(k, q)
-                sim.log.warmup.append((k, q))
                 sim.log.total_local_steps += cfg.fedqueue.warmup_steps
                 sim.log.event(0.0, "warmup_probe", client=k, q=q)
         self._last_eval = sim.evaluate(self.w)
@@ -204,10 +212,8 @@ class FedQueueOrchestrator:
             eta = protocol.scale_learning_rate(fq.lr_base, e_ref, budget.steps)
         else:
             eta = fq.lr_base
-        # the floor may exceed what fits in J; honor it (deployed practice)
-        time_budget = max(budget.job_seconds, budget.steps / sim.effective_rate(k))
-        msg = sim.submit_job(k, self.w, r, eta, budget.steps, time_budget,
-                             q_hat_used=q_hat)
+        # the floor may exceed what fits in J; the job runs it anyway
+        msg = sim.submit_job(k, self.w, r, eta, budget.steps, q_hat_used=q_hat)
         self._round_cols.setdefault(r, {})[k] = {
             "q": msg.observed_q, "q_hat": q_hat, "steps_budget": budget.steps,
             "eta": eta, "steps_done": msg.steps_done}
@@ -246,10 +252,13 @@ class FedQueueOrchestrator:
                 r_formula, tau_formula = protocol.assign_aggregation_round(
                     m.submit_round, m.arrival, fq.t_sync)
                 tau = closing - m.submit_round
-                assert tau == tau_formula and r_formula == closing, \
-                    "admission disagrees with the buffering rule"
+                if tau != tau_formula or r_formula != closing:
+                    raise InvariantError(
+                        f"admission to round {closing} (tau {tau}) disagrees "
+                        f"with the buffering rule ({r_formula}, tau {tau_formula})",
+                        cutoff, m.client, m.submit_round)
                 taus.append(tau)
-                entries.append((float(self.weights[m.client]), tau, m.delta))
+                entries.append((float(sim.objective.weights[m.client]), tau, m.delta))
                 sim.log.arrivals.append(metrics.ArrivalRecord.of(m, closing, tau))
                 if tau >= 1:      # its submit round is closed and recorded
                     sim.log.rounds[m.submit_round].deferred += 1

@@ -115,7 +115,6 @@ class MetricsLog:
     dispatches: list = field(default_factory=list)   # DispatchRecord
     evals: list = field(default_factory=list)        # (time, loss, accuracy)
     events: list = field(default_factory=list)       # raw jsonl-able dicts
-    warmup: list = field(default_factory=list)       # (client, observed q)
     total_local_steps: int = 0
     skipped_rounds: int = 0
     failed: bool = False

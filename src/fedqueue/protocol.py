@@ -3,8 +3,8 @@
 Server side: per-round job-time and step budgets from the current delay
 prediction, inverse learning-rate scaling across heterogeneous step budgets,
 deadline admission with buffering of late arrivals, and staleness-weighted
-delta aggregation.  Client side: budget-capped local SGD returning a model
-delta.  Everything here is pure over value inputs; the engine owns state.
+delta aggregation.  Client side: local SGD over a step budget, returning a
+model delta.  Everything here is pure over value inputs; the engine owns state.
 """
 from __future__ import annotations
 
@@ -171,11 +171,9 @@ def aggregate(w: np.ndarray, admitted, decay: StalenessDecay) -> np.ndarray:
 
 
 def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
-                        step_budget: int, time_budget: float,
-                        profile: queue_sim.ComputeProfile, batch_size: int,
-                        rng: np.random.Generator):
-    """Run local SGD for at most `step_budget` steps or until the time budget
-    would be exceeded under the compute model.
+                        step_budget: int, profile: queue_sim.ComputeProfile,
+                        batch_size: int, rng: np.random.Generator):
+    """Run `step_budget` local SGD steps; the compute model prices them.
 
     Returns (delta, steps_done, elapsed_seconds).  Raises FloatingPointError
     on a non-finite gradient so the engine can mark the run failed.
@@ -184,8 +182,7 @@ def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
         raise ValueError("step budget must be >= 0")
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    cap = queue_sim.max_steps_within(profile, k, time_budget)
-    steps = min(int(step_budget), cap)
+    steps = int(step_budget)
     w = w_start.copy()
     for _ in range(steps):
         g = objective.stochastic_gradient(k, w, batch_size, rng)

@@ -19,7 +19,6 @@ __all__ = [
     "lognormal_delay",
     "sample_queue_delay",
     "compute_time",
-    "max_steps_within",
 ]
 
 FIXED = "fixed"
@@ -103,13 +102,3 @@ def compute_time(profile: ComputeProfile, k: int, steps: int) -> float:
     if steps == 0:
         return 0.0
     return steps / float(profile.throughput[k]) * float(profile.slowdown[k])
-
-
-def max_steps_within(profile: ComputeProfile, k: int, seconds: float) -> int:
-    """Largest step count whose nominal compute time fits in `seconds`."""
-    if seconds <= 0:
-        return 0
-    if math.isinf(seconds):
-        return np.iinfo(np.int64).max  # unbounded; caller's step budget binds
-    return int(math.floor(seconds * float(profile.throughput[k])
-                          / float(profile.slowdown[k])))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fedqueue import cli
+from fedqueue import cli, config
 from fedqueue.config import (ConfigError, default_config, dumps_config,
                              load_config, loads_config, resolve_axis,
                              save_config, set_key, validate_config)
@@ -68,6 +68,37 @@ def test_unknown_section_rejected():
 def test_sleep_delay_mode_rejected():
     with pytest.raises(ConfigError, match="sleep"):
         loads_config("[fedqueue]\ndelay_mode = sleep\n")
+
+
+@pytest.mark.parametrize("section, key, choices", [
+    (section, key, spec.choices) for section, key, spec in config._iter_keys()
+    if spec.choices])
+def test_every_enumerated_key_rejects_other_values(section, key, choices):
+    with pytest.raises(ConfigError) as err:
+        loads_config(f"[{section}]\n{key} = bogus\n")
+    assert str(err.value) == (f"[{section}] {key} must be one of "
+                              f"{' | '.join(choices)}, got 'bogus'")
+
+
+@pytest.mark.parametrize("steps", ["0,0,0,0", "-1,5,5,5"])
+def test_fedavg_step_counts_below_one_rejected(steps):
+    # all zeros with zero delays would dispatch empty jobs at one instant forever
+    with pytest.raises(ConfigError, match="fedavg num_local_steps must be >= 1"):
+        loads_config(f"[fedavg]\nnum_local_steps = {steps}\n")
+
+
+def test_readme_config_block_is_the_default_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = "\n".join(line.split(";", 1)[0].rstrip() for line in block.splitlines())
+    assert loads_config(block) == default_config()
+    section, named = None, []
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            named.append((section, line.split("=", 1)[0].strip()))
+    assert named == [(section, key) for section, key, _ in config._iter_keys()]
 
 
 def test_zero_slowdown_rejected():

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedqueue import engine, metrics
+import fedqueue
+from fedqueue import engine, metrics, protocol
 from fedqueue.config import default_config, ConfigError
-from fedqueue.engine import run_experiment, run_sweep
+from fedqueue.engine import InvariantError, run_experiment, run_sweep
 
 
 def quick_config(**over):
@@ -140,6 +146,55 @@ def test_quadratic_workload_converges():
         protocol__num_rounds=40)
     log = run_experiment(cfg)
     assert log.evals[-1][1] < log.evals[0][1]
+
+
+def test_floor_budget_beyond_job_time_runs_every_step():
+    # J = 0 here, so every budget is the floor; 123 steps at 60 steps/s
+    cfg = quick_config(fedqueue__throughput=(60.0,) * 4, fedqueue__delta=10.0,
+                       fedqueue__e_floor=123)
+    log = run_experiment(cfg)
+    dispatched = [(r.steps_budget[k], r.steps_done[k])
+                  for r in log.rounds for k in range(4)
+                  if not np.isnan(r.steps_budget[k])]
+    assert dispatched and all(pair == (123, 123) for pair in dispatched)
+    assert all(a.steps_done == 123 for a in log.arrivals)
+
+
+def _disagreeing_admission(submit_round, arrival, t_sync):
+    return submit_round + 7, 7
+
+
+def test_admission_disagreement_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(protocol, "assign_aggregation_round", _disagreeing_admission)
+    with pytest.raises(InvariantError, match="buffering rule") as err:
+        run_experiment(quick_config(protocol__num_rounds=3))
+    # the first cutoff admits round 0's first arrival
+    assert (err.value.time, err.value.round) == (10.0, 0)
+    assert err.value.client in range(4)
+
+
+def test_invariant_checks_survive_optimized_mode():
+    script = """
+import sys
+from fedqueue import engine, protocol
+from fedqueue.config import default_config
+assert not __debug__
+protocol.assign_aggregation_round = lambda s, a, t: (s + 7, 7)
+cfg = default_config()
+cfg.protocol.num_rounds = 3
+cfg.workload.train_size, cfg.workload.test_size = 400, 200
+try:
+    engine.run_experiment(cfg)
+except engine.InvariantError as exc:
+    print(exc.time, exc.client, exc.round)
+    sys.exit(3)
+"""
+    src = str(Path(fedqueue.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout.split()[:3:2] == ["10.0", "0"]
 
 
 def test_divergence_marks_run_failed():

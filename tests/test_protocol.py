@@ -253,7 +253,7 @@ def unit_profile(n=1):
 
 def test_zero_budget_returns_zero_delta():
     delta, steps, elapsed = client_local_update(
-        quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 0, 100.0,
+        quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 0,
         unit_profile(), 1, substream(0, "t"))
     assert steps == 0 and elapsed == 0.0
     assert np.array_equal(delta, np.zeros(2))
@@ -261,18 +261,10 @@ def test_zero_budget_returns_zero_delta():
 
 def test_single_explicit_gradient_step():
     delta, steps, _ = client_local_update(
-        quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 1, 100.0,
+        quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 1,
         unit_profile(), 1, substream(0, "t"))
     assert steps == 1
     assert np.allclose(delta, [-0.1, 0.0])
-
-
-def test_time_budget_truncates_steps():
-    delta, steps, elapsed = client_local_update(
-        quadratic_identity(), 0, np.ones(2), 0.01, 100, 3.0,
-        unit_profile(), 1, substream(0, "t"))
-    assert steps == 30
-    assert elapsed == pytest.approx(3.0)
 
 
 def test_matches_straight_line_sgd_oracle_bitwise():
@@ -280,7 +272,7 @@ def test_matches_straight_line_sgd_oracle_bitwise():
                                    np.array([[0.3, -0.7]]), noise_sigma=0.5)
     w0 = np.array([1.0, 2.0])
     delta, steps, _ = client_local_update(
-        obj, 0, w0, 0.05, 60, 100.0, unit_profile(), 1, substream(9, "sgd", 0, 0))
+        obj, 0, w0, 0.05, 60, unit_profile(), 1, substream(9, "sgd", 0, 0))
     assert steps == 60
     # independent reference loop over the same substream
     rng = substream(9, "sgd", 0, 0)
@@ -293,7 +285,7 @@ def test_matches_straight_line_sgd_oracle_bitwise():
 def test_nonfinite_gradient_surfaces_as_numerical_error():
     obj = quadratic_identity()
     with pytest.raises(FloatingPointError):
-        client_local_update(obj, 0, np.array([np.inf, 0.0]), 0.1, 5, 10.0,
+        client_local_update(obj, 0, np.array([np.inf, 0.0]), 0.1, 5,
                             unit_profile(), 1, substream(0, "t"))
 
 
@@ -312,12 +304,12 @@ def test_first_order_displacement_equalization_on_constant_gradient():
 
     eta_base, e_min = 0.003, 20
     base_delta, _, _ = client_local_update(
-        Linearized(), 0, np.zeros(2), eta_base, e_min, 1e9, unit_profile(),
+        Linearized(), 0, np.zeros(2), eta_base, e_min, unit_profile(),
         1, substream(0, "a"))
     for e_k in (40, 97, 176):
         eta = scale_learning_rate(eta_base, e_min, e_k)
         delta, _, _ = client_local_update(
-            Linearized(), 0, np.zeros(2), eta, e_k, 1e9, unit_profile(),
+            Linearized(), 0, np.zeros(2), eta, e_k, unit_profile(),
             1, substream(0, "b"))
         rel = abs(np.linalg.norm(delta) - np.linalg.norm(base_delta)) \
             / np.linalg.norm(base_delta)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from fedqueue import queue_sim
 from fedqueue.queue_sim import (ComputeProfile, QueueModel, compute_time,
-                                lognormal_delay, max_steps_within,
-                                sample_queue_delay)
+                                lognormal_delay, sample_queue_delay)
 from fedqueue.streams import substream
 
 
@@ -100,11 +99,3 @@ def test_compute_time_slowdown_multiplier():
 def test_zero_slowdown_profile_rejected():
     with pytest.raises(ValueError, match="slowdown"):
         profile(slowdown=(1.0, 0.0))
-
-
-def test_max_steps_within_inverts_compute_time():
-    prof = profile()
-    for seconds in (0.0, 0.05, 1.0, 7.3):
-        steps = max_steps_within(prof, 0, seconds)
-        assert compute_time(prof, 0, steps) <= seconds + 1e-12
-        assert compute_time(prof, 0, steps + 1) > seconds
