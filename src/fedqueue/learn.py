@@ -1,7 +1,13 @@
 """Local objectives and synthetic data.
 
 Two workload families share one duck-typed interface (dimension, weights,
-client/global gradients, stochastic gradients, evaluate):
+client/global gradients, stochastic gradients, evaluate).  Stochastic
+gradients come in two calls: ``sample_batches(k, steps, batch_size, rng)``
+draws all the randomness of a ``steps``-step job on client k in one call and
+returns one batch per step, and ``stochastic_gradient(k, w, batch)`` computes
+the gradient on one such batch without touching an RNG.  A draw of shape
+(steps, ...) yields the same values as ``steps`` one-step draws from the
+same generator.
 
 * ``QuadraticObjective`` -- F_k(w) = 0.5 (w - b_k)' A (w - b_k) with a shared
   PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
@@ -97,14 +103,19 @@ class QuadraticObjective:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.A @ (w - self.b_bar)
 
-    def stochastic_gradient(self, k: int, w: np.ndarray, batch_size: int,
-                            rng: np.random.Generator) -> np.ndarray:
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError("non-finite iterate")
-        g = self.client_gradient(k, w)
+    def sample_batches(self, k: int, steps: int, batch_size: int,
+                       rng: np.random.Generator):
+        """Per-step gradient noise of scale sigma_k / sqrt(p) (None when
+        sigma_k = 0); batch_size does not apply to the quadratic."""
         sig = float(self.noise_sigma[k])
         if sig > 0:
-            g = g + sig / math.sqrt(self.dimension) * rng.standard_normal(self.dimension)
+            return sig / math.sqrt(self.dimension) * rng.standard_normal((steps, self.dimension))
+        return [None] * steps
+
+    def stochastic_gradient(self, k: int, w: np.ndarray, batch) -> np.ndarray:
+        g = self.client_gradient(k, w)
+        if batch is not None:
+            g = g + batch
         return g
 
     def evaluate(self, w: np.ndarray, split: str = "test"):
@@ -191,6 +202,8 @@ class ClassifyObjective:
         self.x_test = np.asarray(x_test, dtype=float)
         self.y_test = np.asarray(y_test, dtype=int)
         self.partition = [np.asarray(p, dtype=int) for p in partition]
+        # each client's rows, gathered once: batches index into these
+        self._rows = [(self.x_train[p], self.y_train[p]) for p in self.partition]
         self.classes = classes
         self.model = model
         self.hidden = hidden
@@ -243,15 +256,16 @@ class ClassifyObjective:
         a1 = np.tanh(x @ w1.T + b1)
         return a1 @ w2.T + b2, a1
 
-    def _loss_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   want_grad: bool = True):
+    @staticmethod
+    def _nll(probs: np.ndarray, y: np.ndarray) -> float:
+        return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
+
+    def _grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy gradient over the rows (x, y): the one backward
+        pass behind both full-client and minibatch gradients."""
         n = len(y)
         logits, a1 = self._forward(w, x)
-        probs = _softmax(logits)
-        loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))
-        if not want_grad:
-            return loss, None
-        dlogits = probs
+        dlogits = _softmax(logits)
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
         g = np.empty_like(w)
@@ -273,17 +287,15 @@ class ClassifyObjective:
             g[i: i + h] = gb1; i += h
             g[i: i + self.classes * h] = gw2.ravel(); i += self.classes * h
             g[i:] = gb2
-        return loss, g
+        return g
 
     # ---- objective interface --------------------------------------------
     def client_loss(self, k: int, w: np.ndarray) -> float:
-        idx = self.partition[k]
-        return self._loss_grad(w, self.x_train[idx], self.y_train[idx],
-                               want_grad=False)[0]
+        x, y = self._rows[k]
+        return self._nll(_softmax(self._forward(w, x)[0]), y)
 
     def client_gradient(self, k: int, w: np.ndarray) -> np.ndarray:
-        idx = self.partition[k]
-        return self._loss_grad(w, self.x_train[idx], self.y_train[idx])[1]
+        return self._grad(w, *self._rows[k])
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         g = np.zeros(self.dimension)
@@ -295,15 +307,18 @@ class ClassifyObjective:
         return float(sum(p * self.client_loss(k, w)
                          for k, p in enumerate(self.weights)))
 
-    def stochastic_gradient(self, k: int, w: np.ndarray, batch_size: int,
-                            rng: np.random.Generator) -> np.ndarray:
+    def sample_batches(self, k: int, steps: int, batch_size: int,
+                       rng: np.random.Generator) -> np.ndarray:
+        """(steps, min(batch_size, n_k)) row positions drawn with replacement
+        from client k's n_k samples; row i is step i's minibatch."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError("non-finite iterate")
-        pool = self.partition[k]
-        idx = pool[rng.integers(0, len(pool), size=min(batch_size, len(pool)))]
-        return self._loss_grad(w, self.x_train[idx], self.y_train[idx])[1]
+        n_k = len(self.partition[k])
+        return rng.integers(0, n_k, size=(steps, min(batch_size, n_k)))
+
+    def stochastic_gradient(self, k: int, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        x, y = self._rows[k]
+        return self._grad(w, x[batch], y[batch])
 
     def evaluate(self, w: np.ndarray, split: str = "test"):
         if split == "train":
@@ -311,10 +326,8 @@ class ClassifyObjective:
         else:
             x, y = self.x_test, self.y_test
         logits, _ = self._forward(w, x)
-        probs = _softmax(logits)
-        loss = float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
         acc = float(np.mean(np.argmax(logits, axis=1) == y))
-        return loss, acc
+        return self._nll(_softmax(logits), y), acc
 
     def init_point(self) -> np.ndarray:
         return self._w0.copy()
@@ -346,8 +359,8 @@ def heterogeneity_stats(objective, probe_points, rng: np.random.Generator,
     for w in probes:
         for k in range(objective.num_clients):
             gk = objective.client_gradient(k, w)
-            for _ in range(draws_per_probe):
-                g = objective.stochastic_gradient(k, w, batch_size, rng)
+            for batch in objective.sample_batches(k, draws_per_probe, batch_size, rng):
+                g = objective.stochastic_gradient(k, w, batch)
                 sq_dev.append(float(np.sum((g - gk) ** 2)))
     sigma_hat = math.sqrt(float(np.mean(sq_dev))) if sq_dev else 0.0
     l_hat = 0.0

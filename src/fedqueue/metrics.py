@@ -330,7 +330,8 @@ def staleness_bound_violation_rate(params: StalenessBoundParams, t_sync: float,
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    rng = substream(seed, "bound-mc", int(params.gamma * 1000), int(delta * 1000))
+    # keyed on the exact floats: nearby grid points get their own draws
+    rng = substream(seed, "bound-mc", float(params.gamma).hex(), float(delta).hex())
     tau_max = params.tau_max
     rho = np.broadcast_to(params.rho, (num_clients,)) if params.rho.size == 1 \
         else params.rho

@@ -176,7 +176,9 @@ def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
     """Run `step_budget` local SGD steps; the compute model prices them.
 
     Returns (delta, steps_done, elapsed_seconds).  Raises FloatingPointError
-    on a non-finite gradient so the engine can mark the run failed.
+    when a job of at least one step ends on a non-finite iterate, so the
+    engine can mark the run failed.  One check per job suffices: with
+    eta > 0, a coordinate that turns non-finite under w -= eta * g stays so.
     """
     if step_budget < 0:
         raise ValueError("step budget must be >= 0")
@@ -184,10 +186,9 @@ def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
         raise ValueError("eta must be > 0")
     steps = int(step_budget)
     w = w_start.copy()
-    for _ in range(steps):
-        g = objective.stochastic_gradient(k, w, batch_size, rng)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient on client {k}")
-        w -= eta * g
+    for batch in objective.sample_batches(k, steps, batch_size, rng):
+        w -= eta * objective.stochastic_gradient(k, w, batch)
+    if steps and not np.all(np.isfinite(w)):
+        raise FloatingPointError(f"non-finite iterate on client {k}")
     elapsed = queue_sim.compute_time(profile, k, steps)
     return w - w_start, steps, elapsed

@@ -1,13 +1,16 @@
 """Pinned run checksums: a refactor that keeps behaviour keeps these values.
 
-Each case is a small config (10 rounds, 400 training samples).  A change to
-any pinned value means the simulator's output changed; re-pin only on
-purpose and say why in CHANGES.md.
+Each case is a small config (10 rounds, 400 training samples, or 100 in
+the cases where every client holds fewer samples than a minibatch).  A
+change to any pinned value means the simulator's output changed; re-pin only
+on purpose and say why in CHANGES.md.
 """
 import pytest
 
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
+from fedqueue.learn import build_objective
+from fedqueue.streams import substream
 
 GOLDEN = {
     ("fedqueue", "synthetic", "linear", "next_round"):
@@ -26,6 +29,14 @@ GOLDEN = {
         "8b77cc927862a9b93017f724396f41ec3529812c5757933e855fa2b2dc4128d7",
     ("fedqueue", "synthetic", "linear", "immediate"):
         "429373a765702111ba470d2bd451e464117256d622fe2afccfb5cce2ed0d16a5",
+}
+
+
+# 100 training samples over 4 Dirichlet clients, batch_size 64: every
+# minibatch is min(batch_size, n_k) = n_k rows drawn with replacement
+SMALL_CLIENTS = {
+    "fedqueue": "27ff20fd4d84b091b9688cef17c051a362896cd669193658bbb4dd6e07c0b4ec",
+    "fedasync": "4be9e04802580e4176ffaa58c5208a60bcbc4da6260c51ca1278e85834627c4d",
 }
 
 
@@ -48,3 +59,15 @@ def test_golden_checksum(case):
     log = run_experiment(small_config(*case))
     assert not log.failed
     assert log.checksum() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("algo", sorted(SMALL_CLIENTS))
+def test_golden_checksum_clients_smaller_than_batch(algo):
+    cfg = small_config(algo, "synthetic", "linear", "next_round")
+    cfg.workload.train_size = 100
+    assert cfg.workload.partition == "non-iid" and cfg.protocol.batch_size == 64
+    objective = build_objective(cfg, substream(cfg.protocol.seed, "data"))
+    assert max(len(p) for p in objective.partition) < cfg.protocol.batch_size
+    log = run_experiment(cfg)
+    assert not log.failed
+    assert log.checksum() == SMALL_CLIENTS[algo]

@@ -87,8 +87,10 @@ def test_identity_quadratic_gradient():
 def test_zero_noise_gradient_deterministic():
     obj = QuadraticObjective(np.eye(2), np.ones((2, 2)))
     w = np.array([0.3, -0.2])
-    g1 = obj.stochastic_gradient(0, w, 4, substream(0, "g"))
-    g2 = obj.stochastic_gradient(0, w, 4, substream(0, "g"))
+    [b1] = obj.sample_batches(0, 1, 4, substream(0, "g"))
+    [b2] = obj.sample_batches(0, 1, 4, substream(0, "g"))
+    g1 = obj.stochastic_gradient(0, w, b1)
+    g2 = obj.stochastic_gradient(0, w, b2)
     assert np.array_equal(g1, g2)
 
 
@@ -97,7 +99,8 @@ def test_noisy_gradient_unbiased():
     w = np.array([1.0, -1.0])
     exact = obj.client_gradient(0, w)
     rng = substream(5, "mc")
-    draws = np.array([obj.stochastic_gradient(0, w, 1, rng) for _ in range(10_000)])
+    draws = np.array([obj.stochastic_gradient(0, w, batch)
+                      for batch in obj.sample_batches(0, 10_000, 1, rng)])
     tol = 3 * 0.8 / math.sqrt(2) / math.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * tol + 1e-3)
 
@@ -148,8 +151,8 @@ def test_training_improves_over_init():
     obj = small_classify(n=1200)
     w = obj.init_point()
     rng = substream(0, "sgd")
-    for _ in range(400):
-        g = obj.stochastic_gradient(0, w, 32, rng)
+    for batch in obj.sample_batches(0, 400, 32, rng):
+        g = obj.stochastic_gradient(0, w, batch)
         w -= 0.05 * g
     # trained on client 0 only; still beats chance on the shared test set
     assert obj.evaluate(w)[1] > 0.3

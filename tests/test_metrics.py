@@ -12,6 +12,7 @@ from fedqueue.metrics import (ArrivalRecord, DispatchRecord, MetricsLog,
                               delay_statistics, delta_threshold,
                               movement_ratio, prediction_error_stats,
                               staleness_bound_violation_rate, time_to_target)
+from fedqueue.streams import substream
 
 
 def empty_log(**kw):
@@ -216,6 +217,24 @@ def test_undersized_buffer_at_tight_tau_violates_often():
     rate = staleness_bound_violation_rate(p, 10.0, 0.0, 4, 50, trials=500,
                                           seed=4)
     assert rate > 0.5
+
+
+@pytest.mark.parametrize("gammas, deltas", [((0.0011, 0.0014), (0.5, 0.5)),
+                                             ((0.2, 0.2), (1.0011, 1.0014))])
+def test_nearby_grid_points_draw_from_distinct_streams(monkeypatch, gammas, deltas):
+    keys = []
+
+    def recording_substream(seed, *key):
+        keys.append((seed, *key))
+        return substream(seed, *key)
+
+    monkeypatch.setattr(metrics, "substream", recording_substream)
+    for gamma, delta in zip(gammas, deltas):
+        staleness_bound_violation_rate(params(rho=0.9, gamma=gamma), 10.0, delta,
+                                       4, 5, trials=100)
+    assert len(keys) == 2
+    first, second = (substream(*key).standard_normal(8) for key in keys)
+    assert not np.array_equal(first, second)
 
 
 # ---------------------------------------------------------------------------

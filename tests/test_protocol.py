@@ -274,11 +274,12 @@ def test_matches_straight_line_sgd_oracle_bitwise():
     delta, steps, _ = client_local_update(
         obj, 0, w0, 0.05, 60, unit_profile(), 1, substream(9, "sgd", 0, 0))
     assert steps == 60
-    # independent reference loop over the same substream
+    # independent reference loop over the same substream, one draw per step
     rng = substream(9, "sgd", 0, 0)
     w = w0.copy()
     for _ in range(60):
-        w -= 0.05 * obj.stochastic_gradient(0, w, 1, rng)
+        w -= 0.05 * (obj.A @ (w - obj.b[0])
+                     + 0.5 / math.sqrt(2) * rng.standard_normal(2))
     assert np.array_equal(delta, w - w0)
 
 
@@ -287,6 +288,109 @@ def test_nonfinite_gradient_surfaces_as_numerical_error():
     with pytest.raises(FloatingPointError):
         client_local_update(obj, 0, np.array([np.inf, 0.0]), 0.1, 5,
                             unit_profile(), 1, substream(0, "t"))
+
+
+def small_classify(model, n=120, clients=3, seed=0):
+    rng = substream(seed, "data")
+    x, y, _ = learn.make_mixture_data(n + 40, 5, 3, rng)
+    parts = learn.dirichlet_partition(y[:n], clients, 0.5, rng)
+    return learn.ClassifyObjective(x[:n], y[:n], x[n:], y[n:], parts,
+                                   classes=3, model=model, init_rng=rng)
+
+
+def reference_classify_grad(obj, w, x, y):
+    """Forward, loss and backward of one minibatch in a single call: the
+    per-step computation the kernel must match bit for bit."""
+    n = len(y)
+    d, c, h = obj.feature_dim, obj.classes, obj.hidden
+    if obj.model == "linear":
+        logits = x @ w[: c * d].reshape(c, d).T + w[c * d:]
+    else:
+        w1 = w[: h * d].reshape(h, d)
+        b1 = w[h * d: h * d + h]
+        w2 = w[h * d + h: h * d + h + c * h].reshape(c, h)
+        b2 = w[h * d + h + c * h:]
+        a1 = np.tanh(x @ w1.T + b1)
+        logits = a1 @ w2.T + b2
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    float(-np.mean(np.log(probs[np.arange(n), y] + 1e-300)))  # loss, unused
+    dlogits = probs
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    g = np.empty_like(w)
+    if obj.model == "linear":
+        g[: c * d] = (dlogits.T @ x).ravel()
+        g[c * d:] = dlogits.sum(axis=0)
+    else:
+        dz1 = (dlogits @ w2) * (1.0 - a1 * a1)
+        g[: h * d] = (dz1.T @ x).ravel()
+        g[h * d: h * d + h] = dz1.sum(axis=0)
+        g[h * d + h: h * d + h + c * h] = (dlogits.T @ a1).ravel()
+        g[h * d + h + c * h:] = dlogits.sum(axis=0)
+    return g
+
+
+def reference_local_update(obj, k, w_start, eta, steps, batch_size, rng):
+    """Per-step draws and gradients: the loop the kernel must reproduce."""
+    w = w_start.copy()
+    for _ in range(steps):
+        if isinstance(obj, learn.QuadraticObjective):
+            p = obj.dimension
+            g = obj.A @ (w - obj.b[k]) \
+                + float(obj.noise_sigma[k]) / math.sqrt(p) * rng.standard_normal(p)
+        else:
+            pool = obj.partition[k]
+            idx = pool[rng.integers(0, len(pool), size=min(batch_size, len(pool)))]
+            g = reference_classify_grad(obj, w, obj.x_train[idx], obj.y_train[idx])
+        w -= eta * g
+    return w - w_start
+
+
+@pytest.mark.parametrize("case", ["linear", "mlp", "linear-small-client",
+                                  "quadratic-noisy"])
+def test_local_update_matches_per_step_reference_bitwise(case):
+    if case == "quadratic-noisy":
+        obj = learn.QuadraticObjective.diagonal(5, 3, substream(1, "q"),
+                                                noise_sigma=0.7)
+        batch_size = 8
+    else:
+        obj = small_classify(case.split("-")[0])
+        sizes = [len(p) for p in obj.partition]
+        # a batch larger than every client's data, or smaller than any
+        batch_size = max(sizes) + 1 if case.endswith("small-client") else min(sizes) - 1
+    w0 = obj.init_point() + 0.1
+    for k in range(obj.num_clients):
+        delta, steps, _ = client_local_update(
+            obj, k, w0, 0.05, 37, unit_profile(obj.num_clients), batch_size,
+            substream(2, "sgd", k))
+        assert steps == 37
+        ref = reference_local_update(obj, k, w0, 0.05, 37, batch_size,
+                                     substream(2, "sgd", k))
+        assert np.array_equal(delta, ref)
+
+
+@pytest.mark.parametrize("case", ["linear", "mlp", "quadratic"])
+def test_nonfinite_start_fails_the_job_and_names_the_client(case):
+    if case == "quadratic":
+        obj = learn.QuadraticObjective.diagonal(4, 3, substream(1, "q"),
+                                                noise_sigma=0.3)
+    else:
+        obj = small_classify(case)
+    w_start = obj.init_point()
+    w_start[1] = np.nan
+    for steps in (1, 5):
+        with pytest.raises(FloatingPointError, match="non-finite.*client 2"), \
+                np.errstate(invalid="ignore"):
+            client_local_update(obj, 2, w_start, 0.1, steps, unit_profile(3),
+                                8, substream(0, "t"))
+    delta, steps, elapsed = client_local_update(
+        obj, 2, w_start, 0.1, 0, unit_profile(3), 8, substream(0, "t"))
+    assert steps == 0 and elapsed == 0.0
+    finite = np.isfinite(w_start)
+    assert np.array_equal(delta[finite], np.zeros(finite.sum()))
+    assert np.isnan(delta[1])     # w_start - w_start, as before any step
 
 
 def test_first_order_displacement_equalization_on_constant_gradient():
@@ -299,7 +403,10 @@ def test_first_order_displacement_equalization_on_constant_gradient():
         num_clients = 1
         dimension = 2
 
-        def stochastic_gradient(self, k, w, batch, rng):
+        def sample_batches(self, k, steps, batch_size, rng):
+            return [None] * steps
+
+        def stochastic_gradient(self, k, w, batch):
             return g.copy()
 
     eta_base, e_min = 0.003, 20
