@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import metrics, protocol
+from . import protocol
 from .engine import Simulation, _TIME_EPS
 
 __all__ = ["ORCHESTRATORS", "staleness_factor", "BufferPolicy",
@@ -76,14 +76,14 @@ def compass_assignments(speeds: np.ndarray, min_steps: int, max_steps: int,
 
 
 class _BaselineBase:
-    """Shared bookkeeping: dispatch, evals, per-aggregation round rows,
-    arrival records.  Subclasses set the step count through `_steps`."""
+    """Shared dispatch; subclasses set the step count through `_steps`.
+    Each aggregation makes one model version, so a job's round is the
+    version it starts from."""
 
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.cfg = sim.cfg
         self.w = sim.objective.init_point()
-        self.agg_index = 0
 
     def start(self) -> None:
         self.sim.evaluate(self.w)
@@ -103,27 +103,12 @@ class _BaselineBase:
         return self.cfg.fedasync.num_local_steps
 
     def _dispatch(self, k: int) -> None:
-        self.sim.submit_job(k, self.w, self.agg_index, self.cfg.fedqueue.lr_base,
+        self.sim.submit_job(k, self.w, self.sim.version, self.cfg.fedqueue.lr_base,
                             self._steps(k))
 
     def _dispatch_all(self) -> None:
         for k in range(self.sim.num_clients):
             self._dispatch(k)
-
-    def _record_aggregation(self, contributions, taus) -> None:
-        """One round row + arrival records for the updates just applied."""
-        sim = self.sim
-        cols = {}
-        for msg, tau in zip(contributions, taus):
-            sim.log.arrivals.append(metrics.ArrivalRecord.of(msg, self.agg_index, tau))
-            cols[msg.client] = {"q": msg.observed_q, "steps_done": msg.steps_done}
-        evaluation = sim.evaluate(self.w)
-        sim.log.event(sim.now, "aggregate", round=self.agg_index,
-                      clients=[m.client for m in contributions], taus=list(taus))
-        sim.log.rounds.append(metrics.RoundRecord.of(
-            self.agg_index, sim.now, evaluation, taus, cols, sim.num_clients,
-            deferred=sum(1 for t in taus if t >= 1)))
-        self.agg_index += 1
 
 
 class _CohortBase(_BaselineBase):
@@ -147,8 +132,7 @@ class _CohortBase(_BaselineBase):
         weights = self.sim.objective.weights
         entries = [(float(weights[m.client]), 0, m.delta) for m in batch]
         self.w = protocol.aggregate(self.w, entries, protocol.StalenessDecay.flat())
-        self.sim.version += 1
-        self._record_aggregation(batch, [0] * len(batch))
+        self.sim.aggregated(self.w, self.sim.version, batch, [0] * len(batch))
         if self._can_dispatch():
             self._dispatch_all()
 
@@ -187,8 +171,7 @@ class FedAsyncOrchestrator(_BaselineBase):
         a = az.alpha * s
         w_client = self.dispatched_from[msg.client] + msg.delta
         self.w = (1.0 - a) * self.w + a * w_client
-        self.sim.version += 1
-        self._record_aggregation([msg], [tau])
+        self.sim.aggregated(self.w, self.sim.version, [msg], [tau])
         if self._can_dispatch():
             self._dispatch(msg.client)
 
@@ -210,8 +193,7 @@ class FedBuffOrchestrator(_BaselineBase):
                 s = staleness_factor(az.staleness_fn, az.staleness_fn_kwargs, tau)
                 mixed += s * m.delta
             self.w = self.w + az.alpha * mixed / len(flushed)
-            self.sim.version += 1
-            self._record_aggregation(flushed, taus)
+            self.sim.aggregated(self.w, self.sim.version, flushed, taus)
         if self._can_dispatch():
             self._dispatch(msg.client)
 

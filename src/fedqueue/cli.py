@@ -75,7 +75,7 @@ def cmd_run(args) -> int:
     _prepare_dir(out, args.force)
     try:
         log = run_experiment(cfg)
-        metrics.write_outputs(log, out)
+        s = metrics.write_outputs(log, out)["summary"]
         save_config(cfg, out / "config.ini")
     except Exception:
         for name in OUTPUT_FILES + ("config.ini",):
@@ -84,7 +84,6 @@ def cmd_run(args) -> int:
     if log.failed:
         print(f"run FAILED ({log.failure_reason}); outputs in {out}")
         return 1
-    s = log.summary()
     print(f"{log.algo} seed={log.seed}: final_loss={s['final_loss']:.4f} "
           f"final_acc={s['final_accuracy']} p_late={s['p_late']:.3f} -> {out}")
     return 0
@@ -104,8 +103,7 @@ def cmd_sweep(args) -> int:
     for res in results:
         log = res["log"]
         run_dir = out / f"{args.axis.replace('.', '_')}={res['value']}" / f"trial{res['trial']}"
-        metrics.write_outputs(log, run_dir)
-        s = log.summary()
+        s = metrics.write_outputs(log, run_dir)["summary"]
         rows.append({
             "axis": args.axis, "value": res["value"], "trial": res["trial"],
             "seed": res["seed"], "algo": log.algo,

@@ -87,7 +87,7 @@ class Simulation:
 
     def submit_job(self, k: int, w: np.ndarray, submit_round: int, eta: float,
                    step_budget: int,
-                   q_hat_used: float = float("nan")) -> protocol.ClientUpdate:
+                   q_hat_used: float = float("nan")) -> None:
         """Broadcast + job submission: draws the admission delay, runs the
         local update, and schedules start/arrival events."""
         j = int(self._submissions[k])
@@ -107,18 +107,26 @@ class Simulation:
                       SimEvent(self.now + q, "job_start", k))
         self.schedule(arrival, RANK_ARRIVAL, k, SimEvent(arrival, "arrival", msg))
         self.log.total_local_steps += steps_done
-        self.log.dispatches.append(metrics.DispatchRecord(
-            time=self.now, client=k, round=submit_round,
-            steps_budget=step_budget, eta=eta))
-        self.log.event(self.now, "dispatch", client=k, round=submit_round,
-                       steps=step_budget, eta=eta, q_hat=q_hat_used)
-        return msg
+        # the drawn delay rides along: fedqueue's round rows show it for
+        # jobs still in flight at the horizon
+        self.log.event(self.now, "dispatch", data=q, client=k,
+                       round=submit_round, steps=step_budget, eta=eta,
+                       q_hat=q_hat_used)
 
-    def evaluate(self, w: np.ndarray) -> tuple[float, float | None]:
+    def evaluate(self, w: np.ndarray) -> None:
         loss, acc = self.objective.evaluate(w, "test")
-        self.log.evals.append((self.now, loss, acc))
         self.log.event(self.now, "eval", loss=loss, accuracy=acc)
-        return loss, acc
+
+    def aggregated(self, w: np.ndarray, round: int, updates, taus) -> None:
+        """A new global model `w`: count the version, evaluate it, and log
+        the aggregate with the arrival records of the updates it applied."""
+        self.version += 1
+        self.evaluate(w)
+        self.log.event(
+            self.now, "aggregate",
+            data=[metrics.ArrivalRecord.of(m, round, tau)
+                  for m, tau in zip(updates, taus)],
+            round=round, clients=[m.client for m in updates], taus=list(taus))
 
     # ---- main loop -------------------------------------------------------
     def run(self, orchestrator) -> None:
@@ -176,8 +184,6 @@ class FedQueueOrchestrator:
         self.buffer: list[protocol.ClientUpdate] = []
         self.pool = set(range(sim.num_clients))
         self.e_min_ref: int | None = None
-        self._round_cols = {}     # submit round -> client -> dispatch columns
-        self._last_eval = (float("nan"), None)
 
     # ---- lifecycle -------------------------------------------------------
     def start(self) -> None:
@@ -190,7 +196,7 @@ class FedQueueOrchestrator:
                 self.predictor.seed(k, q)
                 sim.log.total_local_steps += cfg.fedqueue.warmup_steps
                 sim.log.event(0.0, "warmup_probe", client=k, q=q)
-        self._last_eval = sim.evaluate(self.w)
+        sim.evaluate(self.w)
         sim.schedule_round_boundaries(cfg.protocol.num_rounds)
         self.dispatch_round(0)
 
@@ -213,10 +219,7 @@ class FedQueueOrchestrator:
         else:
             eta = fq.lr_base
         # the floor may exceed what fits in J; the job runs it anyway
-        msg = sim.submit_job(k, self.w, r, eta, budget.steps, q_hat_used=q_hat)
-        self._round_cols.setdefault(r, {})[k] = {
-            "q": msg.observed_q, "q_hat": q_hat, "steps_budget": budget.steps,
-            "eta": eta, "steps_done": msg.steps_done}
+        sim.submit_job(k, self.w, r, eta, budget.steps, q_hat_used=q_hat)
 
     def dispatch_round(self, r: int) -> None:
         cohort = sorted(self.pool)
@@ -245,9 +248,8 @@ class FedQueueOrchestrator:
         cutoff = boundary * fq.t_sync
         closing = boundary - 1
         admitted, self.buffer = protocol.partition_admissions(self.buffer, cutoff)
-        taus = []
         if admitted:
-            entries = []
+            entries, taus = [], []
             for m in admitted:
                 r_formula, tau_formula = protocol.assign_aggregation_round(
                     m.submit_round, m.arrival, fq.t_sync)
@@ -259,22 +261,12 @@ class FedQueueOrchestrator:
                         cutoff, m.client, m.submit_round)
                 taus.append(tau)
                 entries.append((float(sim.objective.weights[m.client]), tau, m.delta))
-                sim.log.arrivals.append(metrics.ArrivalRecord.of(m, closing, tau))
-                if tau >= 1:      # its submit round is closed and recorded
-                    sim.log.rounds[m.submit_round].deferred += 1
             self.w = protocol.aggregate(self.w, entries, self.decay)
-            sim.version += 1
-            self._last_eval = sim.evaluate(self.w)
-            sim.log.event(cutoff, "aggregate", round=closing,
-                          clients=[m.client for m in admitted], taus=taus)
+            sim.aggregated(self.w, closing, admitted, taus)
             if fq.broadcast_when == "next_round":
                 self.pool.update(m.client for m in admitted)
         else:
-            sim.log.skipped_rounds += 1
             sim.log.event(cutoff, "skipped_round", round=closing)
-        sim.log.rounds.append(metrics.RoundRecord.of(
-            closing, cutoff, self._last_eval, taus,
-            self._round_cols.pop(closing, {}), sim.num_clients, deferred=0))
         if boundary < self.cfg.protocol.num_rounds:
             self.dispatch_round(boundary)
 

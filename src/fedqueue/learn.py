@@ -23,7 +23,6 @@ same generator.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "heterogeneity_stats",
     "make_mixture_data",
     "build_objective",
-    "export_dataset_csv",
 ]
 
 
@@ -406,17 +404,3 @@ def build_objective(cfg, rng: np.random.Generator):
                              weight_mode=cfg.fedqueue.client_weight_mode,
                              init_rng=rng)
 
-
-def export_dataset_csv(objective: ClassifyObjective, path) -> None:
-    """Dump the generated dataset with split/client annotations."""
-    owner = np.full(len(objective.y_train), -1)
-    for k, idx in enumerate(objective.partition):
-        owner[idx] = k
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "client", "label"]
-                        + [f"x{i}" for i in range(objective.feature_dim)])
-        for i, (xi, yi) in enumerate(zip(objective.x_train, objective.y_train)):
-            writer.writerow(["train", int(owner[i]), int(yi)] + list(xi))
-        for xi, yi in zip(objective.x_test, objective.y_test):
-            writer.writerow(["test", -1, int(yi)] + list(xi))

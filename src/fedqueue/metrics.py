@@ -1,11 +1,12 @@
 """Run logs, reported metrics, and numerical checks of the staleness bound.
 
-A MetricsLog collects per-round records, per-arrival delay records, model
-evaluations, and dispatch events from one experiment; every reported
-quantity (staleness distribution, admission statistics, normalized delays,
-time-to-quality, movement ratio, prediction-error statistics) is a pure
-function over the finished log.  The bound checks live here too: the closed
-form for the required safety buffer and its Monte Carlo verification.
+A MetricsLog records one experiment as one stream of events; its round
+rows, arrival records, dispatches and evaluations are views of that stream,
+and every reported quantity (staleness distribution, admission statistics,
+normalized delays, time-to-quality, movement ratio, prediction-error
+statistics) is a pure function over the finished log.  The bound checks
+live here too: the closed form for the required safety buffer and its Monte
+Carlo verification.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,12 +23,23 @@ from . import protocol
 from .streams import substream
 
 __all__ = [
-    "RoundRecord", "ArrivalRecord", "DispatchRecord", "MetricsLog",
+    "Event", "RoundRecord", "ArrivalRecord", "MetricsLog",
     "StalenessBoundParams", "time_to_target", "delay_statistics",
     "admission_summary", "movement_ratio", "delta_threshold",
     "staleness_bound_violation_rate", "prediction_error_stats",
     "delayed_quadratic_descent", "write_outputs",
 ]
+
+
+@dataclass(slots=True)
+class Event:
+    """One entry of a run's record: `fields` are what events.jsonl writes
+    after the time and kind, `data` what the derived tables need beyond
+    them (a dispatch's drawn delay, an aggregate's ArrivalRecords)."""
+    t: float                       # virtual time, unrounded
+    kind: str
+    fields: dict
+    data: object = None
 
 
 @dataclass
@@ -36,7 +49,7 @@ class RoundRecord:
     loss: float
     accuracy: float | None
     admitted: int                  # updates aggregated this round
-    deferred: int                  # this round's submissions that missed its cutoff
+    deferred: int                  # see MetricsLog.rounds
     mean_tau: float
     max_tau: int
     q: list                        # per-client observed delay (nan if no dispatch)
@@ -44,26 +57,6 @@ class RoundRecord:
     steps_budget: list             # per-client E
     eta: list
     steps_done: list
-
-    @classmethod
-    def of(cls, round: int, time: float, evaluation, taus, cols: dict,
-           num_clients: int, deferred: int) -> "RoundRecord":
-        """Row for one round; `cols` maps client -> {column: value}, and a
-        column a client has no entry for reads nan."""
-        nan = float("nan")
-        rows = [cols.get(k, {}) for k in range(num_clients)]
-
-        def col(name):
-            return [row.get(name, nan) for row in rows]
-
-        loss, accuracy = evaluation
-        return cls(round=round, time=time, loss=loss, accuracy=accuracy,
-                   admitted=len(taus), deferred=deferred,
-                   mean_tau=float(np.mean(taus)) if taus else 0.0,
-                   max_tau=int(max(taus)) if taus else 0,
-                   q=col("q"), q_hat=col("q_hat"),
-                   steps_budget=col("steps_budget"), eta=col("eta"),
-                   steps_done=col("steps_done"))
 
 
 @dataclass
@@ -94,15 +87,6 @@ class ArrivalRecord:
 
 
 @dataclass
-class DispatchRecord:
-    time: float
-    client: int
-    round: int
-    steps_budget: int
-    eta: float
-
-
-@dataclass
 class MetricsLog:
     algo: str
     seed: int
@@ -110,40 +94,85 @@ class MetricsLog:
     t_sync: float
     horizon: float
     config: dict = field(default_factory=dict)
-    rounds: list = field(default_factory=list)       # RoundRecord
-    arrivals: list = field(default_factory=list)     # ArrivalRecord
-    dispatches: list = field(default_factory=list)   # DispatchRecord
-    evals: list = field(default_factory=list)        # (time, loss, accuracy)
-    events: list = field(default_factory=list)       # raw jsonl-able dicts
+    events: list = field(default_factory=list)       # Event: the run's record
     total_local_steps: int = 0
-    skipped_rounds: int = 0
     failed: bool = False
     failure_reason: str = ""
     final_model: object = None   # ending global parameter vector
 
-    def event(self, t: float, kind: str, **fields) -> None:
-        rec = {"t": round(float(t), 9), "kind": kind}
-        rec.update(fields)
-        self.events.append(rec)
+    def event(self, t: float, kind: str, data=None, **fields) -> None:
+        self.events.append(Event(t, kind, fields, data))
+
+    @property
+    def evals(self) -> list:
+        """(time, loss, accuracy) of every evaluation, in order."""
+        return [(e.t, e.fields["loss"], e.fields["accuracy"])
+                for e in self.events if e.kind == "eval"]
+
+    @property
+    def dispatches(self) -> list:
+        return [e for e in self.events if e.kind == "dispatch"]
+
+    @property
+    def arrivals(self) -> list:
+        """ArrivalRecords of the applied updates, in order of application."""
+        return [a for e in self.events if e.kind == "aggregate" for a in e.data]
+
+    @property
+    def skipped_rounds(self) -> int:
+        return sum(1 for e in self.events if e.kind == "skipped_round")
+
+    @property
+    def rounds(self) -> list:
+        """One RoundRecord per aggregation or skipped round, in order.
+
+        Fedqueue keys a row by submit round: the dispatch columns of the jobs
+        submitted in it (a client's last one wins), and `deferred` counts
+        those admitted to a later round.  A baseline's row is one
+        aggregation: the applied updates' q and steps, and `deferred` counts
+        the stale ones among them.
+        """
+        # one row meaning for both families changes the pinned outputs; the
+        # deliberate re-pin that does it (ROADMAP.md) removes this branch
+        by_submit = self.algo == "fedqueue"
+        nan = float("nan")
+        if by_submit:
+            stale = Counter(a.submit_round for a in self.arrivals if a.tau >= 1)
+        rows, cols, loss, accuracy = [], {}, nan, None
+        for e in self.events:
+            f = e.fields
+            if e.kind == "eval":
+                loss, accuracy = f["loss"], f["accuracy"]
+            elif e.kind == "dispatch" and by_submit:
+                # (q, q_hat, steps_budget, eta, steps_done)
+                cols.setdefault(f["round"], {})[f["client"]] = (
+                    e.data, f["q_hat"], f["steps"], f["eta"], f["steps"])
+            elif e.kind in ("aggregate", "skipped_round"):
+                r, taus = f["round"], f.get("taus", [])
+                if by_submit:
+                    mine, deferred = cols.pop(r, {}), stale[r]
+                else:
+                    mine = {a.client: (a.q, nan, nan, nan, a.steps_done)
+                            for a in e.data}
+                    deferred = sum(1 for tau in taus if tau >= 1)
+                cells = [mine.get(k, (nan,) * 5) for k in range(self.num_clients)]
+                rows.append(RoundRecord(
+                    r, e.t, loss, accuracy, len(taus), deferred,
+                    sum(taus) / len(taus) if taus else 0.0,
+                    max(taus) if taus else 0,
+                    *(list(column) for column in zip(*cells))))
+        return rows
 
     @property
     def final_accuracy(self) -> float | None:
         accs = [a for _, _, a in self.evals if a is not None]
         return accs[-1] if accs else None
 
-    @property
-    def max_accuracy(self) -> float | None:
-        accs = [a for _, _, a in self.evals if a is not None]
-        return max(accs) if accs else None
-
-    @property
-    def final_loss(self) -> float | None:
-        return self.evals[-1][1] if self.evals else None
-
     def checksum(self) -> str:
+        # the rows are derived afresh, so vars() needs no defensive copy
         payload = {
-            "rounds": [asdict(r) for r in self.rounds],
-            "arrivals": [asdict(a) for a in self.arrivals],
+            "rounds": [vars(r) for r in self.rounds],
+            "arrivals": [vars(a) for a in self.arrivals],
             "evals": self.evals,
         }
         blob = json.dumps(payload, sort_keys=True, default=float).encode()
@@ -153,17 +182,20 @@ class MetricsLog:
         p_late, e_hat_d, r_d = delay_statistics(self)
         per_client = admission_summary(self)
         taus = [a.tau for a in self.arrivals]
+        dispatches = len(self.dispatches)
+        evals = self.evals
+        accs = [a for _, _, a in evals if a is not None]
         return {
             "algo": self.algo,
             "seed": self.seed,
             "failed": self.failed,
             "failure_reason": self.failure_reason,
-            "max_accuracy": self.max_accuracy,
-            "final_accuracy": self.final_accuracy,
-            "final_loss": self.final_loss,
+            "max_accuracy": max(accs) if accs else None,
+            "final_accuracy": accs[-1] if accs else None,
+            "final_loss": evals[-1][1] if evals else None,
             "time_to_target": {str(t): time_to_target(self, t) for t in targets},
-            "dispatches": len(self.dispatches),
-            "transfers": 2 * len(self.dispatches),
+            "dispatches": dispatches,
+            "transfers": 2 * dispatches,
             "total_local_steps": self.total_local_steps,
             "p_late": p_late,
             "late_mean_ratio": e_hat_d,
@@ -201,9 +233,10 @@ def delay_statistics(log: MetricsLog):
     Ratios are (arrival - submit time) / T_sync; an arrival is late when its
     ratio exceeds 1.  The conditional mean is None when nothing was late.
     """
-    if not log.arrivals:
+    arrivals = log.arrivals
+    if not arrivals:
         return 0.0, None, 0.0
-    ratios = np.array([a.ratio(log.t_sync) for a in log.arrivals])
+    ratios = np.array([a.ratio(log.t_sync) for a in arrivals])
     late = ratios[ratios > 1.0]
     p_late = float(len(late) / len(ratios))
     e_hat_d = float(late.mean()) if len(late) else None
@@ -216,9 +249,10 @@ def admission_summary(log: MetricsLog):
     Counts cover resolved updates: submitted = admitted (tau = 0) + deferred
     (tau >= 1); jobs still in flight at the horizon are not counted.
     """
+    arrivals = log.arrivals
     rows = []
     for k in range(log.num_clients):
-        mine = [a for a in log.arrivals if a.client == k]
+        mine = [a for a in arrivals if a.client == k]
         admitted = sum(1 for a in mine if a.tau == 0)
         deferred = sum(1 for a in mine if a.tau >= 1)
         ratio = max((a.ratio(log.t_sync) for a in mine), default=0.0)
@@ -250,7 +284,7 @@ def movement_ratio(logs: dict, target: float, reference: str = "fedqueue",
 
 
 def _transfers_until(log: MetricsLog, t: float) -> int:
-    return 2 * sum(1 for d in log.dispatches if d.time <= t)
+    return 2 * sum(1 for d in log.dispatches if d.t <= t)
 
 
 def prediction_error_stats(log: MetricsLog, outlier_mult: float | None = None):
@@ -260,9 +294,10 @@ def prediction_error_stats(log: MetricsLog, outlier_mult: float | None = None):
     mean are dropped once before recomputing.  Clients with fewer than two
     observations report None statistics.
     """
+    arrivals = log.arrivals
     rows = []
     for k in range(log.num_clients):
-        errs = np.array([a.q - a.q_hat for a in log.arrivals
+        errs = np.array([a.q - a.q_hat for a in arrivals
                          if a.client == k and not math.isnan(a.q_hat)])
         if len(errs) < 2:
             rows.append({"client": k, "mean": None, "std": None, "count": int(len(errs))})
@@ -389,7 +424,8 @@ def rounds_header(num_clients: int):
 
 
 def write_outputs(log: MetricsLog, out_dir, targets=(0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)):
-    """Write summary.json, rounds.csv, and events.jsonl into out_dir."""
+    """Write summary.json, rounds.csv, and events.jsonl into out_dir, and
+    return the summary document written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "algo": log.algo,
@@ -414,5 +450,8 @@ def write_outputs(log: MetricsLog, out_dir, targets=(0.5, 0.6, 0.7, 0.8, 0.85, 0
                         for v in vec]
             writer.writerow(row)
     with open(out_dir / "events.jsonl", "w") as fh:
-        for rec in log.events:
+        for e in log.events:
+            rec = {"t": round(float(e.t), 9), "kind": e.kind}
+            rec.update(e.fields)
             fh.write(json.dumps(rec, default=float) + "\n")
+    return summary

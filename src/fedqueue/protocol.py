@@ -186,8 +186,10 @@ def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
         raise ValueError("eta must be > 0")
     steps = int(step_budget)
     w = w_start.copy()
-    for batch in objective.sample_batches(k, steps, batch_size, rng):
-        w -= eta * objective.stochastic_gradient(k, w, batch)
+    # a diverging job runs on to the check below without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in objective.sample_batches(k, steps, batch_size, rng):
+            w -= eta * objective.stochastic_gradient(k, w, batch)
     if steps and not np.all(np.isfinite(w)):
         raise FloatingPointError(f"non-finite iterate on client {k}")
     elapsed = queue_sim.compute_time(profile, k, steps)

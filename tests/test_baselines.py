@@ -92,7 +92,7 @@ def test_fedavg_aggregate_matches_protocol_core():
 
 def test_fedasync_aggregates_every_arrival():
     log = run_experiment(quick_config("fedasync"))
-    aggregates = sum(1 for e in log.events if e["kind"] == "aggregate")
+    aggregates = sum(1 for e in log.events if e.kind == "aggregate")
     assert aggregates == len(log.arrivals)
     assert all(r.admitted == 1 for r in log.rounds)
 
@@ -140,7 +140,7 @@ def test_full_buffer_with_synchronous_arrivals_reduces_to_fedavg_average():
 def test_fedbuff_aggregation_count():
     cfg = quick_config("fedbuff", fedbuff__k=3, fedqueue__queue_rho=0.9)
     log = run_experiment(cfg)
-    aggregates = sum(1 for e in log.events if e["kind"] == "aggregate")
+    aggregates = sum(1 for e in log.events if e.kind == "aggregate")
     assert aggregates == len(log.arrivals) // 3
 
 
@@ -171,7 +171,7 @@ def test_compass_speed_momentum_update():
     orch = baselines.FedCompassOrchestrator(sim)
     orch.start()
     assert orch.speeds.tolist() == [10.0] * 4
-    assert [d.steps_budget for d in log.dispatches] == [200] * 4
+    assert [d.fields["steps"] for d in log.dispatches] == [200] * 4
 
     def update(k, steps, q, arrival):
         return protocol.ClientUpdate(
@@ -193,14 +193,14 @@ def test_compass_speed_momentum_update():
     assert [r.admitted for r in log.rounds] == [4]
     expected = compass_assignments(orch.speeds, 20, 200, 1.1).tolist()
     assert expected == [200, 189, 189, 189]
-    assert [d.steps_budget for d in log.dispatches[4:]] == expected
+    assert [d.fields["steps"] for d in log.dispatches[4:]] == expected
 
 
 def test_compass_assignment_bounds_hold_in_run():
     cfg = quick_config("fedcompass", fedqueue__queue_rho=0.9)
     log = run_experiment(cfg)
     for d in log.dispatches:
-        assert 20 <= d.steps_budget <= 200
+        assert 20 <= d.fields["steps"] <= 200
 
 
 # ---------------------------------------------------------------------------

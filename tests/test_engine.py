@@ -82,8 +82,8 @@ def test_causality_arrival_decomposition():
 def test_event_conservation():
     cfg = quick_config(fedqueue__queue_rho=0.9)
     log = run_experiment(cfg)
-    dispatches = sum(1 for e in log.events if e["kind"] == "dispatch")
-    arrivals_seen = sum(1 for e in log.events if e["kind"] == "arrival")
+    dispatches = sum(1 for e in log.events if e.kind == "dispatch")
+    arrivals_seen = sum(1 for e in log.events if e.kind == "arrival")
     # every dispatched job arrives unless its arrival falls past the horizon
     assert arrivals_seen <= dispatches
     assert dispatches - arrivals_seen <= cfg.protocol.num_clients
@@ -100,7 +100,7 @@ def test_staleness_ledger_conservation():
 def test_eval_after_each_aggregation():
     cfg = quick_config()
     log = run_experiment(cfg)
-    aggregations = sum(1 for e in log.events if e["kind"] == "aggregate")
+    aggregations = sum(1 for e in log.events if e.kind == "aggregate")
     assert len(log.evals) == aggregations + 1  # + initial evaluation
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fedqueue import learn
 from fedqueue.learn import (ClassifyObjective, QuadraticObjective,
                             dirichlet_partition, heterogeneity_stats,
                             iid_partition, make_mixture_data)
@@ -226,11 +225,3 @@ def test_dissimilarity_matches_closed_form():
     g_hat, _, _ = heterogeneity_stats(obj, probe_points(3, seed=4), substream(4, "h"))
     assert g_hat == pytest.approx(obj.dissimilarity_bound(), rel=1e-9)
 
-
-def test_dataset_export_roundtrip(tmp_path):
-    obj = small_classify(n=100)
-    path = tmp_path / "data.csv"
-    learn.export_dataset_csv(obj, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 100 + 200
-    assert lines[0].startswith("split,client,label")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,16 @@ def test_nonfinite_gradient_surfaces_as_numerical_error():
     with pytest.raises(FloatingPointError):
         client_local_update(obj, 0, np.array([np.inf, 0.0]), 0.1, 5,
                             unit_profile(), 1, substream(0, "t"))
+
+
+def test_diverging_job_fails_without_numpy_warnings():
+    # w <- (1 - eta) w overflows at step 3, then inf - inf is nan
+    obj = quadratic_identity(clients=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite.*client 2"):
+            client_local_update(obj, 2, np.array([1e300, 1.0]), 1e3, 5,
+                                unit_profile(3), 1, substream(0, "t"))
 
 
 def small_classify(model, n=120, clients=3, seed=0):
