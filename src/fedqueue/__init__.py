@@ -5,7 +5,7 @@ from .engine import run_experiment, run_sweep
 from .metrics import (MetricsLog, StalenessBoundParams, delta_threshold,
                       staleness_bound_violation_rate, time_to_target,
                       delay_statistics, admission_summary, movement_ratio)
-from .protocol import (StalenessDecay, RoundBudget, ClientUpdate, compute_budget,
+from .protocol import (StalenessDecay, ClientUpdate, compute_budget,
                        scale_learning_rate, staleness_weight,
                        assign_aggregation_round, partition_admissions, aggregate)
 from .predictor import DelayPredictor
@@ -16,7 +16,7 @@ __all__ = [
     "save_config", "run_experiment", "run_sweep", "MetricsLog",
     "StalenessBoundParams", "delta_threshold", "staleness_bound_violation_rate",
     "time_to_target", "delay_statistics", "admission_summary", "movement_ratio",
-    "StalenessDecay", "RoundBudget", "ClientUpdate", "compute_budget",
+    "StalenessDecay", "ClientUpdate", "compute_budget",
     "scale_learning_rate", "staleness_weight", "assign_aggregation_round",
     "partition_admissions", "aggregate", "DelayPredictor", "QueueModel",
     "ComputeProfile", "sample_queue_delay", "compute_time",

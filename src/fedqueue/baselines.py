@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import protocol
-from .engine import Simulation, _TIME_EPS
+from .engine import FedQueueOrchestrator, Orchestrator, Simulation
 
 __all__ = ["ORCHESTRATORS", "staleness_factor", "BufferPolicy",
            "compass_assignments"]
@@ -75,15 +75,11 @@ def compass_assignments(speeds: np.ndarray, min_steps: int, max_steps: int,
     return np.clip(steps, min_steps, max_steps)
 
 
-class _BaselineBase:
+class _BaselineBase(Orchestrator):
     """Shared dispatch; subclasses set the step count through `_steps`.
     Each aggregation makes one model version, so a job's round is the
-    version it starts from."""
-
-    def __init__(self, sim: Simulation):
-        self.sim = sim
-        self.cfg = sim.cfg
-        self.w = sim.objective.init_point()
+    version it starts from, and its staleness at the server is
+    `sim.version - msg.submit_round`."""
 
     def start(self) -> None:
         self.sim.evaluate(self.w)
@@ -91,12 +87,6 @@ class _BaselineBase:
 
     def on_round_boundary(self, boundary: int) -> None:  # no fixed cadence
         pass
-
-    def finish(self) -> None:
-        self.sim.log.final_model = self.w.copy()
-
-    def _can_dispatch(self) -> bool:
-        return self.sim.now < self.sim.horizon - _TIME_EPS
 
     def _steps(self, k: int) -> int:
         """Local steps for client k's next job; the async pair's fixed count."""
@@ -138,8 +128,6 @@ class _CohortBase(_BaselineBase):
 
 
 class FedAvgOrchestrator(_CohortBase):
-    name = "fedavg"
-
     def _steps(self, k: int) -> int:
         return int(self.cfg.fedavg.num_local_steps[k])
 
@@ -154,11 +142,9 @@ class FedAsyncOrchestrator(_BaselineBase):
     asynchronous aggregation under queue spikes.
     """
 
-    name = "fedasync"
-
     def __init__(self, sim: Simulation):
         super().__init__(sim)
-        self.dispatched_from = {}     # client -> model snapshot it trains on
+        self.dispatched_from = {}     # client -> model it was dispatched with
 
     def _dispatch(self, k: int) -> None:
         self.dispatched_from[k] = self.w.copy()
@@ -166,7 +152,7 @@ class FedAsyncOrchestrator(_BaselineBase):
 
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
         az = self.cfg.fedasync
-        tau = self.sim.version - msg.version
+        tau = self.sim.version - msg.submit_round
         s = staleness_factor(az.staleness_fn, az.staleness_fn_kwargs, tau)
         a = az.alpha * s
         w_client = self.dispatched_from[msg.client] + msg.delta
@@ -177,8 +163,6 @@ class FedAsyncOrchestrator(_BaselineBase):
 
 
 class FedBuffOrchestrator(_BaselineBase):
-    name = "fedbuff"
-
     def __init__(self, sim: Simulation):
         super().__init__(sim)
         self.buffer = BufferPolicy(sim.cfg.fedbuff.k)
@@ -187,7 +171,7 @@ class FedBuffOrchestrator(_BaselineBase):
         flushed = self.buffer.add(msg)
         if flushed is not None:
             az = self.cfg.fedasync
-            taus = [self.sim.version - m.version for m in flushed]
+            taus = [self.sim.version - m.submit_round for m in flushed]
             mixed = np.zeros_like(self.w)
             for m, tau in zip(flushed, taus):
                 s = staleness_factor(az.staleness_fn, az.staleness_fn_kwargs, tau)
@@ -200,8 +184,6 @@ class FedBuffOrchestrator(_BaselineBase):
 
 class FedCompassOrchestrator(_CohortBase):
     """Throughput-profiling cohort scheduler (no queue-delay modeling)."""
-
-    name = "fedcompass"
 
     def __init__(self, sim: Simulation):
         super().__init__(sim)
@@ -228,6 +210,7 @@ class FedCompassOrchestrator(_CohortBase):
 
 
 ORCHESTRATORS = {
+    "fedqueue": FedQueueOrchestrator,
     "fedavg": FedAvgOrchestrator,
     "fedasync": FedAsyncOrchestrator,
     "fedbuff": FedBuffOrchestrator,

@@ -62,6 +62,14 @@ def _load(args) -> "ExperimentConfig":
     return cfg
 
 
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """One CSV row per dict; the first row's keys are the header."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _median(values):
     finite = [v for v in values if v is not None]
     if not finite:
@@ -116,10 +124,7 @@ def cmd_sweep(args) -> int:
             "transfers": s["transfers"],
             "total_local_steps": s["total_local_steps"],
         })
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", rows)
     for value in dict.fromkeys(r["value"] for r in rows):
         group = [r for r in rows if r["value"] == value]
         tta = _median([r["time_to_target"] for r in group])
@@ -153,10 +158,7 @@ def cmd_ablate(args) -> int:
                 "late_mean_ratio": s["late_mean_ratio"],
                 "max_delay_ratio": s["max_delay_ratio"],
             })
-    with open(out / "ablate.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "ablate.csv", rows)
     header = (f"{'variant':<22}{'final_acc':>10}{'tta@' + str(args.target):>12}"
               f"{'P_late':>9}{'E_d':>7}{'R_d':>7}")
     print(header)
@@ -202,10 +204,7 @@ def cmd_check_bound(args) -> int:
     if args.out:
         out = _out_path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "bound_grid.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out / "bound_grid.csv", rows)
         print(f"wrote {out / 'bound_grid.csv'}")
     if bad:
         print(f"{len(bad)} grid point(s) exceed epsilon={args.epsilon}")

@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import Literal, get_args, get_origin
 
 __all__ = ["ConfigError", "ExperimentConfig", "default_config", "load_config",
-           "loads_config", "save_config", "dumps_config", "set_key", "get_key",
-           "ALGOS"]
+           "loads_config", "save_config", "dumps_config", "set_key", "get_key"]
 
 StalenessFn = Literal["constant", "polynomial", "hinge"]
 
@@ -145,7 +144,7 @@ class ExperimentConfig:
     def flat(self) -> dict:
         out = {}
         for section, key, spec in _iter_keys():
-            out[f"{section}.{key}"] = _render(spec.kind, get_key(self, f"{section}.{key}"))
+            out[f"{section}.{key}"] = _render(spec.kind, get_key(self, spec.attr))
         return out
 
 
@@ -176,7 +175,6 @@ def _schema() -> dict[str, dict[str, _KeySpec]]:
 
 
 _SCHEMA = _schema()
-ALGOS = _SCHEMA["protocol"]["algo.name"].choices
 
 # unqualified sweep-axis keys resolve through these sections, in order
 _AXIS_SECTIONS = ("fedqueue", "protocol", "workload", "ablation")
@@ -232,11 +230,8 @@ def _render(kind: str, value) -> str:
     return str(value)
 
 
-def get_key(cfg: ExperimentConfig, dotted_attr_or_key: str):
-    """Fetch by attr path ('fedqueue.t_sync') or file key ('fedqueue.Tsync')."""
-    section, _, rest = dotted_attr_or_key.partition(".")
-    spec = _SCHEMA.get(section, {}).get(rest)
-    attr = spec.attr if spec else dotted_attr_or_key
+def get_key(cfg: ExperimentConfig, attr: str):
+    """Fetch a field by its attribute path ('fedqueue.t_sync')."""
     obj = cfg
     for part in attr.split("."):
         obj = getattr(obj, part)
@@ -294,7 +289,7 @@ def _find_line(text: str, needle: str) -> int | None:
     return None
 
 
-def loads_config(text: str, validate: bool = True) -> ExperimentConfig:
+def loads_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
@@ -314,14 +309,11 @@ def loads_config(text: str, validate: bool = True) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]"
                                   + (f" (line {line})" if line else ""))
             _set_attr(cfg, spec.attr, _parse(spec.kind, raw, f"[{section}] {key}"))
-    if validate:
-        validate_config(cfg)
-    return cfg
+    return validate_config(cfg)
 
 
-def load_config(path, validate: bool = True) -> ExperimentConfig:
-    text = Path(path).read_text()
-    return loads_config(text, validate=validate)
+def load_config(path) -> ExperimentConfig:
+    return loads_config(Path(path).read_text())
 
 
 def dumps_config(cfg: ExperimentConfig) -> str:

@@ -12,22 +12,24 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import learn, metrics, protocol, queue_sim
-from .config import ExperimentConfig, set_key, validate_config
+from .config import ExperimentConfig, resolve_axis, set_key, validate_config
 from .predictor import DelayPredictor
 from .streams import spawn_seed, substream
 
-__all__ = ["Simulation", "FedQueueOrchestrator", "InvariantError",
-           "run_experiment", "run_sweep"]
+__all__ = ["Simulation", "Orchestrator", "FedQueueOrchestrator",
+           "InvariantError", "run_experiment", "run_sweep"]
 
-# event ranks: arrivals strictly before round boundaries at equal times
+# event ranks: arrivals strictly before round boundaries at equal times.  A
+# heap entry's rank names its kind; its payload is the client index (job
+# start), the ClientUpdate (arrival) or the boundary index (round).
 RANK_JOB_START = 0
 RANK_ARRIVAL = 1
 RANK_ROUND = 2
+_KINDS = ("job_start", "arrival", "round")
 
 _TIME_EPS = 1e-9
 
@@ -39,13 +41,6 @@ class InvariantError(RuntimeError):
                  round: int | None):
         super().__init__(f"{what} (t={time}, client={client}, round={round})")
         self.time, self.client, self.round = time, client, round
-
-
-@dataclass
-class SimEvent:
-    time: float
-    kind: str            # "job_start" | "arrival" | "round"
-    payload: object      # client index, ClientUpdate, or round index
 
 
 class Simulation:
@@ -69,17 +64,16 @@ class Simulation:
         self._submissions = np.zeros(self.num_clients, dtype=int)
 
     # ---- scheduling ------------------------------------------------------
-    def schedule(self, time: float, rank: int, key: int, event: SimEvent) -> None:
+    def schedule(self, time: float, rank: int, key: int, payload) -> None:
         if time < self.now - _TIME_EPS:
             raise RuntimeError(f"event scheduled in the past: {time} < {self.now}")
-        heapq.heappush(self._heap, (time, rank, key, self._seq, event))
+        heapq.heappush(self._heap, (time, rank, key, self._seq, payload))
         self._seq += 1
 
     def schedule_round_boundaries(self, num_rounds: int) -> None:
         # boundary r closes round r-1; times are r * T_sync exactly, never summed
         for r in range(1, num_rounds + 1):
-            self.schedule(r * self.t_sync, RANK_ROUND, r,
-                          SimEvent(r * self.t_sync, "round", r))
+            self.schedule(r * self.t_sync, RANK_ROUND, r, r)
 
     # ---- client jobs -----------------------------------------------------
     def effective_rate(self, k: int) -> float:
@@ -102,10 +96,9 @@ class Simulation:
         msg = protocol.ClientUpdate(
             client=k, submit_round=submit_round, delta=delta, observed_q=q,
             arrival=arrival, steps_done=steps_done, q_hat_used=q_hat_used,
-            submit_time=self.now, version=self.version)
-        self.schedule(self.now + q, RANK_JOB_START, k,
-                      SimEvent(self.now + q, "job_start", k))
-        self.schedule(arrival, RANK_ARRIVAL, k, SimEvent(arrival, "arrival", msg))
+            submit_time=self.now)
+        self.schedule(self.now + q, RANK_JOB_START, k, k)
+        self.schedule(arrival, RANK_ARRIVAL, k, msg)
         self.log.total_local_steps += steps_done
         # the drawn delay rides along: fedqueue's round rows show it for
         # jobs still in flight at the horizon
@@ -114,7 +107,10 @@ class Simulation:
                        q_hat=q_hat_used)
 
     def evaluate(self, w: np.ndarray) -> None:
-        loss, acc = self.objective.evaluate(w, "test")
+        # a diverging model can be finite while its loss overflows: the loss
+        # reads inf, and the next job's finiteness check fails the run
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, acc = self.objective.evaluate(w)
         self.log.event(self.now, "eval", loss=loss, accuracy=acc)
 
     def aggregated(self, w: np.ndarray, round: int, updates, taus) -> None:
@@ -132,18 +128,18 @@ class Simulation:
     def run(self, orchestrator) -> None:
         orchestrator.start()
         while self._heap:
-            time, rank, key, _, event = heapq.heappop(self._heap)
+            time, rank, key, _, payload = heapq.heappop(self._heap)
             if time > self.horizon + _TIME_EPS:
                 break
             if time < self.now - _TIME_EPS:
-                client, r = (None, key) if event.kind == "round" else (key, None)
-                raise InvariantError(f"{event.kind} event precedes the clock "
+                client, r = (None, key) if rank == RANK_ROUND else (key, None)
+                raise InvariantError(f"{_KINDS[rank]} event precedes the clock "
                                      f"{self.now}", time, client, r)
             self.now = time
-            if event.kind == "job_start":
-                self.log.event(time, "job_start", client=event.payload)
-            elif event.kind == "arrival":
-                msg = event.payload
+            if rank == RANK_JOB_START:
+                self.log.event(time, "job_start", client=payload)
+            elif rank == RANK_ARRIVAL:
+                msg = payload
                 # causality: arrival = submit + queue wait + compute, exactly
                 if msg.arrival < msg.submit_time - _TIME_EPS:
                     raise InvariantError(
@@ -154,22 +150,35 @@ class Simulation:
                                steps=msg.steps_done)
                 orchestrator.on_arrival(msg)
             else:
-                orchestrator.on_round_boundary(event.payload)
+                orchestrator.on_round_boundary(payload)
         orchestrator.finish()
 
 
-class FedQueueOrchestrator:
-    """Queue-aware server: budgets from online delay predictions, deadline
-    admission with buffering, staleness-weighted aggregation."""
-
-    name = "fedqueue"
+class Orchestrator:
+    """Server side of one algorithm: the global model `w` and the hooks
+    `Simulation.run` calls (`start`, `on_arrival(msg)`,
+    `on_round_boundary(boundary)`, `finish`)."""
 
     def __init__(self, sim: Simulation):
         self.sim = sim
-        cfg = sim.cfg
-        self.cfg = cfg
-        fq = cfg.fedqueue
+        self.cfg = sim.cfg
         self.w = sim.objective.init_point()
+
+    def finish(self) -> None:
+        self.sim.log.final_model = self.w.copy()
+
+    def _can_dispatch(self) -> bool:
+        return self.sim.now < self.sim.horizon - _TIME_EPS
+
+
+class FedQueueOrchestrator(Orchestrator):
+    """Queue-aware server: budgets from online delay predictions, deadline
+    admission with buffering, staleness-weighted aggregation."""
+
+    def __init__(self, sim: Simulation):
+        super().__init__(sim)
+        cfg = self.cfg
+        fq = cfg.fedqueue
         if cfg.ablation.use_staleness_decay:
             self.decay = protocol.StalenessDecay(fq.staleness_mode, fq.staleness_beta)
         else:
@@ -200,32 +209,32 @@ class FedQueueOrchestrator:
         sim.schedule_round_boundaries(cfg.protocol.num_rounds)
         self.dispatch_round(0)
 
-    def _budget(self, k: int) -> tuple[float, protocol.RoundBudget]:
+    def _budget(self, k: int) -> tuple[float, int]:
+        """(q_hat, E) for client k's next job."""
         fq = self.cfg.fedqueue
         q_hat = self.predictor.predict(k)
         return q_hat, protocol.compute_budget(
             fq.t_sync, q_hat, self.delta_eff, self.sim.effective_rate(k), fq.e_floor)
 
-    def _submit(self, k: int, r: int, q_hat: float,
-                budget: protocol.RoundBudget) -> None:
-        sim, fq = self.sim, self.cfg.fedqueue
-        if budget.steps == 0:
+    def _submit(self, k: int, r: int, q_hat: float, steps: int) -> None:
+        fq = self.cfg.fedqueue
+        if steps == 0:
             self.pool.add(k)      # nothing dispatchable this round
             return
         if self.cfg.ablation.use_inverse_lr:
             # E_min of the last cohort; dispatch_round sets it <= every E_k
-            e_ref = min(self.e_min_ref or budget.steps, budget.steps)
-            eta = protocol.scale_learning_rate(fq.lr_base, e_ref, budget.steps)
+            e_ref = min(self.e_min_ref or steps, steps)
+            eta = protocol.scale_learning_rate(fq.lr_base, e_ref, steps)
         else:
             eta = fq.lr_base
         # the floor may exceed what fits in J; the job runs it anyway
-        sim.submit_job(k, self.w, r, eta, budget.steps, q_hat_used=q_hat)
+        self.sim.submit_job(k, self.w, r, eta, steps, q_hat_used=q_hat)
 
     def dispatch_round(self, r: int) -> None:
         cohort = sorted(self.pool)
         self.pool = set()
         budgets = {k: self._budget(k) for k in cohort}
-        live = [b.steps for _, b in budgets.values() if b.steps > 0]
+        live = [steps for _, steps in budgets.values() if steps > 0]
         if not live:
             self.pool.update(cohort)
             return
@@ -235,10 +244,10 @@ class FedQueueOrchestrator:
 
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
         sim, fq = self.sim, self.cfg.fedqueue
-        # delay observations carry information even when the update buffers
+        # an observed delay is information even when the update buffers
         self.predictor.observe(msg.client, msg.observed_q)
         self.buffer.append(msg)
-        if fq.broadcast_when == "immediate" and sim.now < sim.horizon - _TIME_EPS:
+        if fq.broadcast_when == "immediate" and self._can_dispatch():
             s = min(int(math.floor(sim.now / fq.t_sync + _TIME_EPS)),
                     self.cfg.protocol.num_rounds - 1)
             self._submit(msg.client, s, *self._budget(msg.client))
@@ -269,9 +278,6 @@ class FedQueueOrchestrator:
             sim.log.event(cutoff, "skipped_round", round=closing)
         if boundary < self.cfg.protocol.num_rounds:
             self.dispatch_round(boundary)
-
-    def finish(self) -> None:
-        self.sim.log.final_model = self.w.copy()
 
 
 def _build_queue_model(cfg: ExperimentConfig) -> queue_sim.QueueModel:
@@ -309,10 +315,7 @@ def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
         config=cfg.flat())
     sim = Simulation(cfg, objective, _build_queue_model(cfg),
                      _build_profile(cfg), log)
-    if algo == "fedqueue":
-        orchestrator = FedQueueOrchestrator(sim)
-    else:
-        orchestrator = ORCHESTRATORS[algo](sim)
+    orchestrator = ORCHESTRATORS[algo](sim)
     try:
         sim.run(orchestrator)
     except FloatingPointError as exc:
@@ -330,8 +333,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, trials: int = 1,
     so results do not depend on execution order and each grid point can be
     reproduced standalone by running its config directly.
     """
-    from .config import resolve_axis
-
     resolve_axis(axis)  # fail fast on unknown keys
     master = cfg.protocol.seed
     runs = []

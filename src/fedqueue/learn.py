@@ -45,7 +45,7 @@ __all__ = [
 
 class QuadraticObjective:
     def __init__(self, a_matrix: np.ndarray, offsets: np.ndarray,
-                 noise_sigma=0.0, weights=None):
+                 noise_sigma=0.0):
         self.A = np.asarray(a_matrix, dtype=float)
         self.b = np.asarray(offsets, dtype=float)          # (K, p)
         if self.b.ndim != 2 or self.A.shape != (self.b.shape[1], self.b.shape[1]):
@@ -55,9 +55,7 @@ class QuadraticObjective:
         self.num_clients, self.dimension = self.b.shape
         sig = np.asarray(noise_sigma, dtype=float)
         self.noise_sigma = np.full(self.num_clients, float(sig)) if sig.ndim == 0 else sig
-        if weights is None:
-            weights = np.full(self.num_clients, 1.0 / self.num_clients)
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights = np.full(self.num_clients, 1.0 / self.num_clients)
         self.b_bar = self.weights @ self.b
 
     @classmethod
@@ -116,7 +114,7 @@ class QuadraticObjective:
             g = g + batch
         return g
 
-    def evaluate(self, w: np.ndarray, split: str = "test"):
+    def evaluate(self, w: np.ndarray):
         return self.loss(w), None
 
     def init_point(self) -> np.ndarray:
@@ -139,11 +137,11 @@ def make_mixture_data(n: int, dim: int, classes: int, rng: np.random.Generator,
 
 
 def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha_dir: float,
-                        rng: np.random.Generator, max_retries: int = 100):
+                        rng: np.random.Generator):
     """Class-skewed split: per-class proportions drawn Dirichlet(alpha_dir).
 
-    Degenerate draws leaving a client empty are resampled.  Partitions are
-    disjoint and cover every sample.
+    Degenerate draws leaving a client empty are resampled, up to 100 draws
+    in all.  Partitions are disjoint and cover every sample.
     """
     if alpha_dir <= 0:
         raise ValueError("alpha_dir must be > 0")
@@ -153,7 +151,7 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha_dir: float,
     if len(labels) < num_clients:
         raise ValueError("fewer samples than clients")
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for _ in range(100):
         parts = [[] for _ in range(num_clients)]
         for c in classes:
             idx = np.flatnonzero(labels == c)
@@ -187,14 +185,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class ClassifyObjective:
     """Multiclass cross-entropy on a fixed generated dataset.
 
-    model="linear": logits = W x + c.  model="mlp": one tanh hidden layer.
+    model="linear": logits = W x + c.  model="mlp": one tanh hidden layer
+    of width 32.
     Parameters live in a flat float64 vector so the protocol layer can treat
     updates as plain dense deltas.
     """
 
     def __init__(self, x_train, y_train, x_test, y_test, partition,
-                 classes: int, model: str = "linear", hidden: int = 32,
-                 weight_mode: str = "equal", init_rng: np.random.Generator | None = None):
+                 classes: int, model: str = "linear", weight_mode: str = "equal",
+                 init_rng: np.random.Generator | None = None):
         self.x_train = np.asarray(x_train, dtype=float)
         self.y_train = np.asarray(y_train, dtype=int)
         self.x_test = np.asarray(x_test, dtype=float)
@@ -204,13 +203,14 @@ class ClassifyObjective:
         self._rows = [(self.x_train[p], self.y_train[p]) for p in self.partition]
         self.classes = classes
         self.model = model
-        self.hidden = hidden
+        self.hidden = 32
         self.feature_dim = self.x_train.shape[1]
         self.num_clients = len(self.partition)
         if model == "linear":
             self.dimension = classes * (self.feature_dim + 1)
         elif model == "mlp":
-            self.dimension = hidden * (self.feature_dim + 1) + classes * (hidden + 1)
+            h = self.hidden
+            self.dimension = h * (self.feature_dim + 1) + classes * (h + 1)
         else:
             raise ValueError(f"unknown model: {model!r}")
         sizes = np.array([len(p) for p in self.partition], dtype=float)
@@ -318,14 +318,11 @@ class ClassifyObjective:
         x, y = self._rows[k]
         return self._grad(w, x[batch], y[batch])
 
-    def evaluate(self, w: np.ndarray, split: str = "test"):
-        if split == "train":
-            x, y = self.x_train, self.y_train
-        else:
-            x, y = self.x_test, self.y_test
-        logits, _ = self._forward(w, x)
-        acc = float(np.mean(np.argmax(logits, axis=1) == y))
-        return self._nll(_softmax(logits), y), acc
+    def evaluate(self, w: np.ndarray):
+        """(loss, accuracy) on the test split."""
+        logits, _ = self._forward(w, self.x_test)
+        acc = float(np.mean(np.argmax(logits, axis=1) == self.y_test))
+        return self._nll(_softmax(logits), self.y_test), acc
 
     def init_point(self) -> np.ndarray:
         return self._w0.copy()

@@ -30,6 +30,9 @@ __all__ = [
     "delayed_quadratic_descent", "write_outputs",
 ]
 
+# accuracy targets of summary()'s time_to_target table
+TARGETS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)
+
 
 @dataclass(slots=True)
 class Event:
@@ -178,7 +181,7 @@ class MetricsLog:
         blob = json.dumps(payload, sort_keys=True, default=float).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def summary(self, targets=(0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)) -> dict:
+    def summary(self) -> dict:
         p_late, e_hat_d, r_d = delay_statistics(self)
         per_client = admission_summary(self)
         taus = [a.tau for a in self.arrivals]
@@ -193,7 +196,7 @@ class MetricsLog:
             "max_accuracy": max(accs) if accs else None,
             "final_accuracy": accs[-1] if accs else None,
             "final_loss": evals[-1][1] if evals else None,
-            "time_to_target": {str(t): time_to_target(self, t) for t in targets},
+            "time_to_target": {str(t): time_to_target(self, t) for t in TARGETS},
             "dispatches": dispatches,
             "transfers": 2 * dispatches,
             "total_local_steps": self.total_local_steps,
@@ -212,17 +215,13 @@ class MetricsLog:
 # reported metrics
 # ---------------------------------------------------------------------------
 
-def time_to_target(log: MetricsLog, target: float, metric: str = "accuracy"):
-    """First virtual time the quality metric reaches the target (loss uses <=).
+def time_to_target(log: MetricsLog, target: float):
+    """First virtual time the accuracy reaches the target.
 
-    Returns None when the run never got there.
+    Returns None when the run never got there (or has no accuracy).
     """
-    for t, loss, acc in log.evals:
-        value = loss if metric == "loss" else acc
-        if value is None:
-            continue
-        if (metric == "loss" and value <= target) or \
-           (metric != "loss" and value >= target):
+    for t, _, acc in log.evals:
+        if acc is not None and acc >= target:
             return t
     return None
 
@@ -262,23 +261,22 @@ def admission_summary(log: MetricsLog):
     return rows
 
 
-def movement_ratio(logs: dict, target: float, reference: str = "fedqueue",
-                   metric: str = "accuracy"):
-    """Model-transfer ratio to target, normalized by the reference method.
+def movement_ratio(logs: dict, target: float):
+    """Model-transfer ratio to the accuracy target, normalized by fedqueue's.
 
     Transfers are counted as 2 per dispatch (broadcast down + update up),
     over dispatches issued up to the target-crossing evaluation.  Methods
     that never reach the target map to None.
     """
-    if reference not in logs:
-        raise ValueError(f"reference method {reference!r} missing")
-    ref_t = time_to_target(logs[reference], target, metric)
+    if "fedqueue" not in logs:
+        raise ValueError("reference method 'fedqueue' missing")
+    ref_t = time_to_target(logs["fedqueue"], target)
     if ref_t is None:
         raise ValueError("reference method never reached the target")
-    ref_transfers = _transfers_until(logs[reference], ref_t)
+    ref_transfers = _transfers_until(logs["fedqueue"], ref_t)
     out = {}
     for name, log in logs.items():
-        t = time_to_target(log, target, metric)
+        t = time_to_target(log, target)
         out[name] = None if t is None else _transfers_until(log, t) / ref_transfers
     return out
 
@@ -287,25 +285,16 @@ def _transfers_until(log: MetricsLog, t: float) -> int:
     return 2 * sum(1 for d in log.dispatches if d.t <= t)
 
 
-def prediction_error_stats(log: MetricsLog, outlier_mult: float | None = None):
+def prediction_error_stats(log: MetricsLog):
     """Per-client sample mean/std of e = q - q_hat over recorded arrivals.
 
-    With outlier_mult set, points beyond outlier_mult * std of the client
-    mean are dropped once before recomputing.  Clients with fewer than two
-    observations report None statistics.
+    Clients with fewer than two recorded arrivals report None statistics.
     """
     arrivals = log.arrivals
     rows = []
     for k in range(log.num_clients):
         errs = np.array([a.q - a.q_hat for a in arrivals
                          if a.client == k and not math.isnan(a.q_hat)])
-        if len(errs) < 2:
-            rows.append({"client": k, "mean": None, "std": None, "count": int(len(errs))})
-            continue
-        if outlier_mult is not None:
-            mu, sd = errs.mean(), errs.std(ddof=1)
-            if sd > 0:
-                errs = errs[np.abs(errs - mu) <= outlier_mult * sd]
         if len(errs) < 2:
             rows.append({"client": k, "mean": None, "std": None, "count": int(len(errs))})
             continue
@@ -423,7 +412,7 @@ def rounds_header(num_clients: int):
     return cols
 
 
-def write_outputs(log: MetricsLog, out_dir, targets=(0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)):
+def write_outputs(log: MetricsLog, out_dir):
     """Write summary.json, rounds.csv, and events.jsonl into out_dir, and
     return the summary document written."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -433,7 +422,7 @@ def write_outputs(log: MetricsLog, out_dir, targets=(0.5, 0.6, 0.7, 0.8, 0.85, 0
         "num_clients": log.num_clients,
         "horizon": log.horizon,
         "config": log.config,
-        "summary": log.summary(targets),
+        "summary": log.summary(),
         "checksum": log.checksum(),
     }
     (out_dir / "summary.json").write_text(

@@ -7,7 +7,7 @@ The interface is deliberately small so smarter predictors can be dropped in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class DelayPredictor:
     kind: str                       # "ewma" | "static"
     q_hat: np.ndarray               # current per-client predictions, seconds
     alpha: float = 0.5              # EWMA rate in (0, 1]
-    observations: np.ndarray = field(default=None)  # per-client update counts
 
     def __post_init__(self):
         self.q_hat = np.asarray(self.q_hat, dtype=float).copy()
@@ -32,8 +31,6 @@ class DelayPredictor:
             raise ValueError(f"unknown predictor kind: {self.kind!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must be in (0, 1]")
-        if self.observations is None:
-            self.observations = np.zeros(len(self.q_hat), dtype=int)
 
     @classmethod
     def ewma(cls, num_clients: int, alpha: float, q_init: float) -> "DelayPredictor":
@@ -52,15 +49,10 @@ class DelayPredictor:
             raise ValueError("observed delay must be >= 0")
         if self.kind == EWMA:
             self.q_hat[k] = float(observed_q)
-        self.observations[k] += 1
 
     def observe(self, k: int, observed_q: float) -> None:
-        """q_hat[k] <- (1 - alpha) q_hat[k] + alpha q; static kind only counts."""
+        """q_hat[k] <- (1 - alpha) q_hat[k] + alpha q (the EWMA kind only)."""
         if observed_q < 0:
             raise ValueError("observed delay must be >= 0")
         if self.kind == EWMA:
             self.q_hat[k] = (1.0 - self.alpha) * self.q_hat[k] + self.alpha * float(observed_q)
-        self.observations[k] += 1
-
-    def snapshot(self) -> np.ndarray:
-        return self.q_hat.copy()

@@ -1,6 +1,6 @@
 """Queue-aware protocol mechanisms as pure functions.
 
-Server side: per-round job-time and step budgets from the current delay
+Server side: per-round step budgets from the current delay
 prediction, inverse learning-rate scaling across heterogeneous step budgets,
 deadline admission with buffering of late arrivals, and staleness-weighted
 delta aggregation.  Client side: local SGD over a step budget, returning a
@@ -17,7 +17,6 @@ from . import queue_sim
 
 __all__ = [
     "StalenessDecay",
-    "RoundBudget",
     "ClientUpdate",
     "compute_budget",
     "effective_safety_buffer",
@@ -52,14 +51,6 @@ class StalenessDecay:
         return cls(mode=HARMONIC, beta=0.0)
 
 
-@dataclass(frozen=True)
-class RoundBudget:
-    """Per-client dispatch budget for one round."""
-
-    job_seconds: float     # J: wall seconds allotted to the job (clamped >= 0)
-    steps: int             # E: local SGD step budget
-
-
 @dataclass
 class ClientUpdate:
     """The message a client returns: (k, submit round, delta, observed q)."""
@@ -72,7 +63,6 @@ class ClientUpdate:
     steps_done: int
     q_hat_used: float = float("nan")  # prediction the dispatch was budgeted with
     submit_time: float = float("nan")
-    version: int = 0            # server model version at dispatch (async baselines)
 
     def __post_init__(self):
         if not math.isnan(self.submit_time) and self.arrival < self.submit_time - 1e-9:
@@ -80,8 +70,9 @@ class ClientUpdate:
 
 
 def compute_budget(t_sync: float, q_hat: float, delta: float, c_k: float,
-                   e_floor: int) -> RoundBudget:
-    """J = T_sync - q_hat - delta, clamped at 0; E = max(E_floor, floor(c_k J)).
+                   e_floor: int) -> int:
+    """The step budget E = max(E_floor, floor(c_k J)), where the job time is
+    J = T_sync - q_hat - delta, clamped at 0.
 
     A fully queued-out client (q_hat + delta >= T_sync) still receives the
     floor budget so it returns a minimal update instead of vanishing.
@@ -93,18 +84,17 @@ def compute_budget(t_sync: float, q_hat: float, delta: float, c_k: float,
     if c_k <= 0:
         raise ValueError("throughput must be > 0")
     j = max(0.0, t_sync - q_hat - delta)
-    steps = max(int(e_floor), int(math.floor(c_k * j)))
-    return RoundBudget(job_seconds=j, steps=steps)
+    return max(int(e_floor), int(math.floor(c_k * j)))
 
 
-def effective_safety_buffer(delta: float, gamma: float, gamma_ref: float = 0.2) -> float:
+def effective_safety_buffer(delta: float, gamma: float) -> float:
     """Planning slack actually used when budgeting a round.
 
-    At the calibrated default (gamma == gamma_ref) this is exactly `delta`.
+    At the calibrated default gamma = 0.2 this is exactly `delta`.
     Sweeping gamma above the default stiffens the buffer proportionally,
     trading local progress for earlier arrivals.
     """
-    return delta * (1.0 + 0.5 * max(0.0, gamma - gamma_ref))
+    return delta * (1.0 + 0.5 * max(0.0, gamma - 0.2))
 
 
 def scale_learning_rate(eta_base: float, e_min: int, e_k: int) -> float:

@@ -61,11 +61,6 @@ class QueueModel:
         if self.mean_mode not in ("median", "arithmetic"):
             raise ValueError(f"unknown mean_mode: {self.mean_mode!r}")
 
-    @property
-    def num_clients(self) -> int:
-        vec = self.fixed_delays if self.kind == FIXED else self.means
-        return len(vec)
-
 
 @dataclass(frozen=True)
 class ComputeProfile:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -189,6 +190,19 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+# sha256 of the CSV each subcommand test below writes: a change to how the
+# CLI writes its tables must keep every byte
+CSV_PINS = {
+    "sweep.csv": "266e9ac4ae9a278c7f86b857441e2d0a3ddfd632a89a20e6fc47f7b65cfa83b2",
+    "ablate.csv": "2b1c78fb6331b85643b4a32ce34f8a15eebdf174405396e5364887fd781dbf59",
+    "bound_grid.csv": "692e5b7fb926d977ca686fdff0de87d3ef5b27bf567a235b9ade39b75b732e4d",
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_cmd_run_writes_all_outputs(tmp_path, capsys):
     cfg = tiny_config(tmp_path)
     out = tmp_path / "run1"
@@ -240,6 +254,7 @@ def test_cmd_sweep_produces_groups_and_combined_csv(tmp_path):
     assert groups == ["queue_rho=0.1", "queue_rho=0.5", "queue_rho=0.9"]
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 6
+    assert sha256_of(out / "sweep.csv") == CSV_PINS["sweep.csv"]
     for group in groups:
         trials = sorted(p.name for p in (out / group).iterdir())
         assert trials == ["trial0", "trial1"]
@@ -260,6 +275,7 @@ def test_cmd_ablate_emits_four_variants(tmp_path, capsys):
                    "--trials", "1") == 0
     lines = (out / "ablate.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 4  # header + 4 variants x 1 trial
+    assert sha256_of(out / "ablate.csv") == CSV_PINS["ablate.csv"]
     printed = capsys.readouterr().out
     for variant in ("baseline", "wo_inverse_lr", "wo_ewma", "wo_staleness_decay"):
         assert variant in printed
@@ -280,6 +296,7 @@ def test_check_bound_writes_grid_csv(tmp_path):
                    "--trials", "300", "--out", str(out)) == 0
     lines = (out / "bound_grid.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2
+    assert sha256_of(out / "bound_grid.csv") == CSV_PINS["bound_grid.csv"]
 
 
 def test_cli_entrypoint_runs_as_subprocess(tmp_path):

@@ -118,9 +118,27 @@ def diverging_config(algo, lr_base):
     return cfg
 
 
-def static_predictor_config():
+def ablation_config(toggle):
     cfg = small_config("fedqueue", "synthetic", "linear", "next_round")
-    cfg.ablation.use_ewma = False
+    setattr(cfg.ablation, toggle, False)
+    return cfg
+
+
+def zero_floor_config(queue_fixed):
+    # E_floor = 0: a client whose fixed wait fills the round gets no steps
+    # and is not dispatched
+    cfg = small_config("fedqueue", "synthetic", "linear", "next_round")
+    cfg.fedqueue.e_floor = 0
+    cfg.fedqueue.sim_queue = "fixed"
+    cfg.fedqueue.queue_fixed = queue_fixed
+    return cfg
+
+
+def fedbuff_hinge_config():
+    # max staleness is 2 here, so b = 1 puts the hinge's decay to use
+    cfg = small_config("fedbuff", "synthetic", "linear", "next_round")
+    cfg.fedasync.staleness_fn = "hinge"
+    cfg.fedasync.staleness_fn_kwargs = {"a": 10.0, "b": 1.0}
     return cfg
 
 
@@ -143,19 +161,42 @@ EDGE_CASES = {
         ("8f476ae23a7c0c62eace09e072fda05d3ff2c0e1a1875e6fc441d3526c81e5cc",
          "ea5bed6144b9aeaa76cb70c77c946f8e4f20826a3077eac0064fceef3f5552b9")),
     "static-predictor": (
-        static_predictor_config, False, 10, 0,
+        lambda: ablation_config("use_ewma"), False, 10, 0,
         ("e8d7e1fcedd4ae28d6f8a3b5251880e47ca0a51312c5c0bad8d9a7f63b5a0bd3",
          "e08c954f0c243844257a9b795e7dda8835e63adae704d23df5fb122e0d07518a")),
+    "no-inverse-lr": (
+        lambda: ablation_config("use_inverse_lr"), False, 10, 0,
+        ("fc57f65d3a64c9b90b34afdaa5d81bda058536748ddfcc40090138cfdf51bda2",
+         "1f34fac1877841a3c65933fd88f083eeb4af9b7f078087f3c4fcf711d2270b7e")),
+    "no-staleness-decay": (
+        lambda: ablation_config("use_staleness_decay"), False, 10, 0,
+        ("8b4cb77ec8f27f1fde9cbd1919fa7006c7effe338ed81d7b81794fc3e88798b4",
+         "6949251f2897d256add32369539e9e0512bb11ed7a8bcdd14ae9eac04286f752")),
+    # clients 2 and 3 wait 12 and 25 s: never dispatched, 20 dispatches
+    "zero-floor-partial-cohort": (
+        lambda: zero_floor_config((0.5, 1.5, 12.0, 25.0)), False, 10, 0,
+        ("06b6b1592ddac865e9c9a4672fe8df59de285460c8ae924f4c7c06606ac5d7cc",
+         "15800e4440459e670e13e5b926f6eebc59b596b27bdd4f997011ffae3d0bde00")),
+    # every client waits out the round: nothing is dispatched
+    "zero-floor-empty-cohort": (
+        lambda: zero_floor_config((25.0, 25.0, 25.0, 25.0)), False, 10, 10,
+        ("d68799a52e38eb5b4630629d681875b84c6f2dc342775f2df1b01c8454a2f29b",
+         "4c8373f766600ea6f18b3c081fc0e0bff1a5494da6a551820131e2c4a1e99597")),
+    "fedbuff-hinge": (
+        fedbuff_hinge_config, False, 6, 0,
+        ("64c4a9e170d8072e88bab21c067aceec7eb07e0da318f7f6326e04ad905a7c18",
+         "eb00a944741aab427654bb84aac38e0594f865d778f0ee75db120435e4753233")),
 }
 
+DISPATCHES = {"zero-floor-partial-cohort": 20, "zero-floor-empty-cohort": 0}
 
-# the global model of a diverging run is evaluated before the next job
-# fails, and its loss overflows to inf
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_golden_edge_cases(name, tmp_path):
     make, failed, rows, skipped, pins = EDGE_CASES[name]
     log = run_experiment(make())
     assert log.failed == failed
     assert len(log.rounds) == rows and log.skipped_rounds == skipped
+    if name in DISPATCHES:
+        assert len(log.dispatches) == DISPATCHES[name]
     assert (log.checksum(), output_digest(log, tmp_path)) == pins

@@ -66,12 +66,6 @@ def test_zero_target_hits_first_evaluation():
     assert time_to_target(log, 0.0) == 3.0
 
 
-def test_loss_metric_uses_lower_is_better():
-    log = empty_log()
-    add_evals(log, [(1.0, 2.0, None), (2.0, 0.4, None)])
-    assert time_to_target(log, 0.5, metric="loss") == 2.0
-
-
 def test_time_to_target_monotone_in_target():
     log = empty_log()
     add_evals(log, [(t, 1.0, a) for t, a in
@@ -293,17 +287,6 @@ def test_too_few_observations_marked_undefined():
     assert rows[0]["mean"] is None and rows[1]["mean"] is None
 
 
-def test_outlier_exclusion_pass():
-    log = empty_log(num_clients=1)
-    qs = [2.0, 2.1, 1.9, 2.05, 1.95, 60.0]
-    add_arrivals(log, [arrival(0, r, r * 10 + 3, q=q, q_hat=2.0)
-                       for r, q in enumerate(qs)])
-    raw = prediction_error_stats(log)[0]
-    cleaned = prediction_error_stats(log, outlier_mult=2.0)[0]
-    assert cleaned["count"] == 5
-    assert cleaned["std"] < raw["std"]
-
-
 # ---------------------------------------------------------------------------
 # delayed descent probe
 # ---------------------------------------------------------------------------
@@ -337,8 +320,6 @@ def small_run(algo, broadcast_when="next_round", dataset="synthetic",
     return run_experiment(cfg)
 
 
-# the diverging run evaluates a model whose loss overflows to inf
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("algo, broadcast_when, dataset, lr_base, failed", [
     ("fedqueue", "next_round", "synthetic", None, False),
     ("fedqueue", "immediate", "synthetic", None, False),
