@@ -46,7 +46,7 @@ def main() -> None:
             if e_d is not None:
                 e_ds.append(e_d)
             r_ds.append(r_d)
-            t = fq.time_to_target(log, args.target)
+            t = fq.time_to_target(log.evals, args.target)
             if t is not None:
                 ttas.append(t)
         rows.append({

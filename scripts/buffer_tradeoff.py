@@ -39,7 +39,7 @@ def main() -> None:
     rows = []
     for value in values:
         group = [r["log"] for r in results if r["value"] == value]
-        ttas = [fq.time_to_target(log, args.target) for log in group]
+        ttas = [fq.time_to_target(log.evals, args.target) for log in group]
         finite = [t for t in ttas if t is not None]
         rows.append({
             "delta": value,

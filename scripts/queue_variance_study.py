@@ -51,12 +51,12 @@ def main() -> None:
                 logs.append(fq.run_experiment(cfg))
             logs_by_method[method] = logs
         for method, logs in logs_by_method.items():
-            ttas = [fq.time_to_target(log, args.target) for log in logs]
+            ttas = [fq.time_to_target(log.evals, args.target) for log in logs]
             finite = [t for t in ttas if t is not None]
             ratios = []
             for i, log in enumerate(logs):
                 per_trial = {m: logs_by_method[m][i] for m in METHODS}
-                if fq.time_to_target(per_trial["fedqueue"], args.target) is None:
+                if fq.time_to_target(per_trial["fedqueue"].evals, args.target) is None:
                     continue
                 ratios.append(fq.movement_ratio(per_trial, args.target)[method])
             finite_ratios = [r for r in ratios if r is not None]

@@ -51,7 +51,7 @@ def main() -> None:
                 cfg.protocol.num_rounds = 120
                 cfg.protocol.seed = spawn_seed(42, "scal", k, trial)
                 log = fq.run_experiment(cfg)
-                t = fq.time_to_target(log, args.target)
+                t = fq.time_to_target(log.evals, args.target)
                 if t is not None:
                     ttas.append(t)
                 steps.append(log.total_local_steps)

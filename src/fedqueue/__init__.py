@@ -1,7 +1,7 @@
 """Queue-aware federated learning: deterministic simulator and protocol library."""
 
 from .config import ExperimentConfig, ConfigError, default_config, load_config, save_config
-from .engine import run_experiment, run_sweep
+from .engine import run_experiment, run_many, run_sweep
 from .metrics import (MetricsLog, StalenessBoundParams, delta_threshold,
                       staleness_bound_violation_rate, time_to_target,
                       delay_statistics, admission_summary, movement_ratio)
@@ -13,7 +13,7 @@ from .queue_sim import QueueModel, ComputeProfile, sample_queue_delay, compute_t
 
 __all__ = [
     "ExperimentConfig", "ConfigError", "default_config", "load_config",
-    "save_config", "run_experiment", "run_sweep", "MetricsLog",
+    "save_config", "run_experiment", "run_many", "run_sweep", "MetricsLog",
     "StalenessBoundParams", "delta_threshold", "staleness_bound_violation_rate",
     "time_to_target", "delay_statistics", "admission_summary", "movement_ratio",
     "StalenessDecay", "ClientUpdate", "compute_budget",

@@ -118,7 +118,7 @@ def cmd_sweep(args) -> int:
             "max_accuracy": s["max_accuracy"],
             "final_accuracy": s["final_accuracy"],
             "final_loss": s["final_loss"],
-            "time_to_target": metrics.time_to_target(log, args.target),
+            "time_to_target": metrics.time_to_target(log.evals, args.target),
             "p_late": s["p_late"], "late_mean_ratio": s["late_mean_ratio"],
             "max_delay_ratio": s["max_delay_ratio"],
             "transfers": s["transfers"],
@@ -153,7 +153,7 @@ def cmd_ablate(args) -> int:
                 "variant": name, "trial": trial, "seed": variant.protocol.seed,
                 "final_accuracy": s["final_accuracy"],
                 "max_accuracy": s["max_accuracy"],
-                "time_to_target": metrics.time_to_target(log, args.target),
+                "time_to_target": metrics.time_to_target(log.evals, args.target),
                 "p_late": s["p_late"],
                 "late_mean_ratio": s["late_mean_ratio"],
                 "max_delay_ratio": s["max_delay_ratio"],
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=1,
                          help="seeds per grid point")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel experiment processes")
+                         help="worker processes, forked, one BLAS thread each")
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--algo")
     p_sweep.add_argument("--target", type=float, default=0.85,

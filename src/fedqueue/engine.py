@@ -10,8 +10,10 @@ rerun reproduces the log bit for bit.
 """
 from __future__ import annotations
 
+import ctypes
 import heapq
 import math
+import os
 
 import numpy as np
 
@@ -21,17 +23,25 @@ from .predictor import DelayPredictor
 from .streams import spawn_seed, substream
 
 __all__ = ["Simulation", "Orchestrator", "FedQueueOrchestrator",
-           "InvariantError", "run_experiment", "run_sweep"]
+           "InvariantError", "run_experiment", "run_many", "run_sweep"]
 
 # event ranks: arrivals strictly before round boundaries at equal times.  A
-# heap entry's rank names its kind; its payload is the client index (job
-# start), the ClientUpdate (arrival) or the boundary index (round).
+# heap entry's rank names its kind; its key is the client (job start,
+# arrival) or the boundary index (round), and its payload the submit round
+# (job start), the ClientUpdate (arrival) or the boundary index (round).
 RANK_JOB_START = 0
 RANK_ARRIVAL = 1
 RANK_ROUND = 2
 _KINDS = ("job_start", "arrival", "round")
 
 _TIME_EPS = 1e-9
+
+# A run fails as stalled once this many events per client fall within
+# _TIME_EPS of one instant.  A working run has at most a job start, an
+# arrival and a re-dispatched start per client there, plus one boundary; a
+# run whose clock creeps by less (zero delays, near-zero compute times)
+# would never reach its horizon.
+_STALL_EVENTS_PER_CLIENT = 100
 
 
 class InvariantError(RuntimeError):
@@ -40,7 +50,11 @@ class InvariantError(RuntimeError):
     def __init__(self, what: str, time: float, client: int | None,
                  round: int | None):
         super().__init__(f"{what} (t={time}, client={client}, round={round})")
-        self.time, self.client, self.round = time, client, round
+        self.what, self.time, self.client, self.round = what, time, client, round
+
+    def __reduce__(self):
+        # raised in a pool worker, it is rebuilt whole in the parent
+        return type(self), (self.what, self.time, self.client, self.round)
 
 
 class Simulation:
@@ -65,8 +79,16 @@ class Simulation:
 
     # ---- scheduling ------------------------------------------------------
     def schedule(self, time: float, rank: int, key: int, payload) -> None:
+        # causality: no event precedes the clock, so no job starts or
+        # arrives before its submission, and the heap pops in time order
         if time < self.now - _TIME_EPS:
-            raise RuntimeError(f"event scheduled in the past: {time} < {self.now}")
+            if rank == RANK_ROUND:
+                client, r = None, key
+            else:
+                client = key
+                r = payload.submit_round if rank == RANK_ARRIVAL else payload
+            raise InvariantError(f"{_KINDS[rank]} event scheduled before the "
+                                 f"clock {self.now}", time, client, r)
         heapq.heappush(self._heap, (time, rank, key, self._seq, payload))
         self._seq += 1
 
@@ -97,7 +119,7 @@ class Simulation:
             client=k, submit_round=submit_round, delta=delta, observed_q=q,
             arrival=arrival, steps_done=steps_done, q_hat_used=q_hat_used,
             submit_time=self.now)
-        self.schedule(self.now + q, RANK_JOB_START, k, k)
+        self.schedule(self.now + q, RANK_JOB_START, k, submit_round)
         self.schedule(arrival, RANK_ARRIVAL, k, msg)
         self.log.total_local_steps += steps_done
         # the drawn delay rides along: fedqueue's round rows show it for
@@ -126,25 +148,30 @@ class Simulation:
 
     # ---- main loop -------------------------------------------------------
     def run(self, orchestrator) -> None:
+        """Process events up to the horizon; a run whose clock stops
+        advancing is marked failed as stalled."""
         orchestrator.start()
+        stall_limit = _STALL_EVENTS_PER_CLIENT * self.num_clients
+        instant, same = -math.inf, 0
         while self._heap:
             time, rank, key, _, payload = heapq.heappop(self._heap)
             if time > self.horizon + _TIME_EPS:
                 break
-            if time < self.now - _TIME_EPS:
-                client, r = (None, key) if rank == RANK_ROUND else (key, None)
-                raise InvariantError(f"{_KINDS[rank]} event precedes the clock "
-                                     f"{self.now}", time, client, r)
+            if time > instant + _TIME_EPS:
+                instant, same = time, 1
+            else:
+                same += 1
+                if same > stall_limit:
+                    self.log.failed = True
+                    self.log.failure_reason = (
+                        f"stalled: {same} events within {_TIME_EPS} s of "
+                        f"t={instant}, the clock stopped advancing")
+                    break
             self.now = time
             if rank == RANK_JOB_START:
-                self.log.event(time, "job_start", client=payload)
+                self.log.event(time, "job_start", client=key)
             elif rank == RANK_ARRIVAL:
                 msg = payload
-                # causality: arrival = submit + queue wait + compute, exactly
-                if msg.arrival < msg.submit_time - _TIME_EPS:
-                    raise InvariantError(
-                        f"arrival precedes its submission at {msg.submit_time}",
-                        time, msg.client, msg.submit_round)
                 self.log.event(time, "arrival", client=msg.client,
                                round=msg.submit_round, q=msg.observed_q,
                                steps=msg.steps_done)
@@ -325,9 +352,77 @@ def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
     return log
 
 
+def _openblas_threads():
+    """(set, get) of the thread count of the OpenBLAS this process loaded,
+    or None when it loaded none.
+
+    The library is found among the process's mapped files, as threadpoolctl
+    does.  numpy's wheels bundle scipy-openblas, whose symbols carry a
+    prefix and, in its 64-bit-integer build, a suffix; distribution builds
+    export the bare names.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = [line.split(maxsplit=5)[5:] for line in fh]
+    except OSError:
+        return None
+    paths = dict.fromkeys(f[0].strip() for f in mapped
+                          if f and "openblas" in os.path.basename(f[0]).lower())
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:     # e.g. a mapping whose file was since deleted
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "")):
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: cap this worker's OpenBLAS at one thread.  The
+    workers already fill the cores, and by default each worker's OpenBLAS
+    starts a thread per core, which oversubscribes them; one run's matrices
+    are too small for BLAS threads to pay."""
+    control = _openblas_threads()
+    if control is not None:
+        control[0](1)
+
+
+def run_many(cfgs, jobs: int = 1) -> list[metrics.MetricsLog]:
+    """Run independent experiments; the logs come back in the order of
+    `cfgs`, each bit-identical to `run_experiment` of its config.
+
+    With `jobs` > 1 the runs are spread over min(jobs, len(cfgs)) worker
+    processes forked from this one, each with one OpenBLAS thread; this
+    process's own threads are left as they are.  Every worker has exited
+    when this returns.
+    """
+    cfgs = list(cfgs)
+    workers = min(jobs, len(cfgs))
+    if workers <= 1:
+        return [run_experiment(cfg) for cfg in cfgs]
+    # imported here: only a pool needs them, and every run pays for imports
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a spawn or forkserver pool leaves multiprocessing's resource
+    # tracker (and the fork server) running after it shuts down.  The pool
+    # forks all its workers before it starts its own thread.
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        return list(pool.map(run_experiment, cfgs))
+
+
 def run_sweep(cfg: ExperimentConfig, axis: str, values, trials: int = 1,
               jobs: int = 1):
-    """Grid of independent experiments over one config axis.
+    """Grid of independent experiments over one config axis, run through
+    `run_many` with `jobs` workers.
 
     Per-experiment seeds derive from (master seed, value index, trial index),
     so results do not depend on execution order and each grid point can be
@@ -341,12 +436,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, trials: int = 1,
             point = cfg.copy()
             set_key(point, axis, value)
             point.protocol.seed = spawn_seed(master, vi, ti)
-            runs.append((vi, value, ti, point))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            logs = list(pool.map(run_experiment, [p for *_, p in runs]))
-    else:
-        logs = [run_experiment(p) for *_, p in runs]
+            runs.append((value, ti, point))
+    logs = run_many([point for *_, point in runs], jobs)
     return [{"value": value, "trial": ti, "seed": point.protocol.seed, "log": log}
-            for (vi, value, ti, point), log in zip(runs, logs)]
+            for (value, ti, point), log in zip(runs, logs)]

@@ -171,10 +171,12 @@ class MetricsLog:
         accs = [a for _, _, a in self.evals if a is not None]
         return accs[-1] if accs else None
 
-    def checksum(self) -> str:
+    def checksum(self, rounds: list | None = None) -> str:
+        """sha256 of the round rows, arrival records and evals; `rounds`,
+        if given, is this log's `rounds` view, already derived."""
         # the rows are derived afresh, so vars() needs no defensive copy
         payload = {
-            "rounds": [vars(r) for r in self.rounds],
+            "rounds": [vars(r) for r in (self.rounds if rounds is None else rounds)],
             "arrivals": [vars(a) for a in self.arrivals],
             "evals": self.evals,
         }
@@ -182,11 +184,10 @@ class MetricsLog:
         return hashlib.sha256(blob).hexdigest()
 
     def summary(self) -> dict:
-        p_late, e_hat_d, r_d = delay_statistics(self)
-        per_client = admission_summary(self)
-        taus = [a.tau for a in self.arrivals]
+        arrivals, evals = self.arrivals, self.evals
+        p_late, e_hat_d, r_d = delay_statistics(self, arrivals)
+        taus = [a.tau for a in arrivals]
         dispatches = len(self.dispatches)
-        evals = self.evals
         accs = [a for _, _, a in evals if a is not None]
         return {
             "algo": self.algo,
@@ -196,7 +197,7 @@ class MetricsLog:
             "max_accuracy": max(accs) if accs else None,
             "final_accuracy": accs[-1] if accs else None,
             "final_loss": evals[-1][1] if evals else None,
-            "time_to_target": {str(t): time_to_target(self, t) for t in TARGETS},
+            "time_to_target": {str(t): time_to_target(evals, t) for t in TARGETS},
             "dispatches": dispatches,
             "transfers": 2 * dispatches,
             "total_local_steps": self.total_local_steps,
@@ -206,8 +207,8 @@ class MetricsLog:
             "mean_tau": float(np.mean(taus)) if taus else 0.0,
             "max_tau": int(max(taus)) if taus else 0,
             "skipped_rounds": self.skipped_rounds,
-            "per_client": per_client,
-            "prediction_error": prediction_error_stats(self),
+            "per_client": admission_summary(self, arrivals),
+            "prediction_error": prediction_error_stats(self, arrivals),
         }
 
 
@@ -215,24 +216,27 @@ class MetricsLog:
 # reported metrics
 # ---------------------------------------------------------------------------
 
-def time_to_target(log: MetricsLog, target: float):
-    """First virtual time the accuracy reaches the target.
+def time_to_target(evals: list, target: float):
+    """First virtual time the accuracy reaches the target, over a log's
+    `evals` (time, loss, accuracy).
 
     Returns None when the run never got there (or has no accuracy).
     """
-    for t, _, acc in log.evals:
+    for t, _, acc in evals:
         if acc is not None and acc >= target:
             return t
     return None
 
 
-def delay_statistics(log: MetricsLog):
-    """(P_late, conditional mean late ratio, max ratio) over all arrivals.
+def delay_statistics(log: MetricsLog, arrivals: list | None = None):
+    """(P_late, conditional mean late ratio, max ratio) over all arrivals;
+    `arrivals`, if given, is the log's `arrivals` view, already derived.
 
     Ratios are (arrival - submit time) / T_sync; an arrival is late when its
     ratio exceeds 1.  The conditional mean is None when nothing was late.
     """
-    arrivals = log.arrivals
+    if arrivals is None:
+        arrivals = log.arrivals
     if not arrivals:
         return 0.0, None, 0.0
     ratios = np.array([a.ratio(log.t_sync) for a in arrivals])
@@ -242,13 +246,15 @@ def delay_statistics(log: MetricsLog):
     return p_late, e_hat_d, float(ratios.max())
 
 
-def admission_summary(log: MetricsLog):
-    """Per-client (submitted, admitted in-round, deferred, max delay ratio).
+def admission_summary(log: MetricsLog, arrivals: list | None = None):
+    """Per-client (submitted, admitted in-round, deferred, max delay ratio);
+    `arrivals` as in `delay_statistics`.
 
     Counts cover resolved updates: submitted = admitted (tau = 0) + deferred
     (tau >= 1); jobs still in flight at the horizon are not counted.
     """
-    arrivals = log.arrivals
+    if arrivals is None:
+        arrivals = log.arrivals
     rows = []
     for k in range(log.num_clients):
         mine = [a for a in arrivals if a.client == k]
@@ -270,13 +276,13 @@ def movement_ratio(logs: dict, target: float):
     """
     if "fedqueue" not in logs:
         raise ValueError("reference method 'fedqueue' missing")
-    ref_t = time_to_target(logs["fedqueue"], target)
+    ref_t = time_to_target(logs["fedqueue"].evals, target)
     if ref_t is None:
         raise ValueError("reference method never reached the target")
     ref_transfers = _transfers_until(logs["fedqueue"], ref_t)
     out = {}
     for name, log in logs.items():
-        t = time_to_target(log, target)
+        t = time_to_target(log.evals, target)
         out[name] = None if t is None else _transfers_until(log, t) / ref_transfers
     return out
 
@@ -285,12 +291,14 @@ def _transfers_until(log: MetricsLog, t: float) -> int:
     return 2 * sum(1 for d in log.dispatches if d.t <= t)
 
 
-def prediction_error_stats(log: MetricsLog):
-    """Per-client sample mean/std of e = q - q_hat over recorded arrivals.
+def prediction_error_stats(log: MetricsLog, arrivals: list | None = None):
+    """Per-client sample mean/std of e = q - q_hat over recorded arrivals;
+    `arrivals` as in `delay_statistics`.
 
     Clients with fewer than two recorded arrivals report None statistics.
     """
-    arrivals = log.arrivals
+    if arrivals is None:
+        arrivals = log.arrivals
     rows = []
     for k in range(log.num_clients):
         errs = np.array([a.q - a.q_hat for a in arrivals
@@ -416,6 +424,7 @@ def write_outputs(log: MetricsLog, out_dir):
     """Write summary.json, rounds.csv, and events.jsonl into out_dir, and
     return the summary document written."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    rounds = log.rounds
     summary = {
         "algo": log.algo,
         "seed": log.seed,
@@ -423,14 +432,14 @@ def write_outputs(log: MetricsLog, out_dir):
         "horizon": log.horizon,
         "config": log.config,
         "summary": log.summary(),
-        "checksum": log.checksum(),
+        "checksum": log.checksum(rounds),
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, default=float) + "\n")
     with open(out_dir / "rounds.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(rounds_header(log.num_clients))
-        for r in log.rounds:
+        for r in rounds:
             row = [r.round, f"{r.time:.6f}", f"{r.loss:.8f}",
                    "" if r.accuracy is None else f"{r.accuracy:.6f}",
                    r.admitted, r.deferred, f"{r.mean_tau:.4f}", r.max_tau]

@@ -64,10 +64,6 @@ class ClientUpdate:
     q_hat_used: float = float("nan")  # prediction the dispatch was budgeted with
     submit_time: float = float("nan")
 
-    def __post_init__(self):
-        if not math.isnan(self.submit_time) and self.arrival < self.submit_time - 1e-9:
-            raise ValueError("update cannot arrive before its job was submitted")
-
 
 def compute_budget(t_sync: float, q_hat: float, delta: float, c_k: float,
                    e_floor: int) -> int:

@@ -10,6 +10,7 @@ exact values from any external study are explicitly not reproduction targets.
 from __future__ import annotations
 
 import math
+import os
 import statistics
 import time
 
@@ -18,11 +19,12 @@ import pytest
 
 import fedqueue as fq
 from fedqueue import learn, metrics, protocol
-from fedqueue.engine import run_experiment, run_sweep
+from fedqueue.engine import run_experiment, run_many, run_sweep
 from fedqueue.streams import spawn_seed, substream
 
 EPS = 0.05
 TARGET = 0.84
+JOBS = len(os.sched_getaffinity(0))   # run_many workers for the study grids
 
 
 def controlled_config(seed: int, algo: str = "fedqueue") -> fq.ExperimentConfig:
@@ -41,7 +43,7 @@ def controlled_config(seed: int, algo: str = "fedqueue") -> fq.ExperimentConfig:
 
 
 def tta_or_inf(log, target=TARGET) -> float:
-    t = fq.time_to_target(log, target)
+    t = fq.time_to_target(log.evals, target)
     return math.inf if t is None else t
 
 
@@ -81,7 +83,7 @@ def test_criterion_2_delay_ratio_grid_shape():
     cfg = fq.default_config()   # full table defaults
 
     def median_p_late(axis, values):
-        results = run_sweep(cfg, axis, values, trials=5)
+        results = run_sweep(cfg, axis, values, trials=5, jobs=JOBS)
         return [statistics.median(
             fq.delay_statistics(res["log"])[0]
             for res in results if res["value"] == v) for v in values]
@@ -102,14 +104,16 @@ def test_criterion_2_delay_ratio_grid_shape():
 
 def test_criterion_3_time_to_quality_ordering():
     start = time.time()
-    medians = {}
-    for algo in ("fedqueue", "fedavg", "fedasync", "fedbuff"):
-        ttas = []
+    algos = ("fedqueue", "fedavg", "fedasync", "fedbuff")
+    cfgs = []
+    for algo in algos:
         for trial in range(7):
             cfg = controlled_config(spawn_seed(42, "fin", trial), algo)
             cfg.fedqueue.queue_means = (1.0, 2.0, 4.0, 8.0)  # heavy-tail profile
-            ttas.append(tta_or_inf(run_experiment(cfg)))
-        medians[algo] = statistics.median(ttas)
+            cfgs.append(cfg)
+    logs = run_many(cfgs, JOBS)
+    medians = {algo: statistics.median(map(tta_or_inf, logs[7 * i:7 * i + 7]))
+               for i, algo in enumerate(algos)}
     assert medians["fedqueue"] < medians["fedavg"], medians
     assert medians["fedqueue"] < medians["fedasync"], medians
     assert medians["fedasync"] > medians["fedavg"], medians
@@ -125,34 +129,34 @@ def test_criterion_3_time_to_quality_ordering():
 # 4. ablation directionality
 # ---------------------------------------------------------------------------
 
-def _ablation_runs(toggle: str | None, trials: int = 7):
-    logs = []
+def _ablation_configs(toggle: str | None, trials: int = 7):
+    cfgs = []
     for trial in range(trials):
         cfg = controlled_config(spawn_seed(42, "abl2", trial))
         if toggle is not None:
             setattr(cfg.ablation, toggle, False)
-        logs.append(run_experiment(cfg))
-    return logs
+        cfgs.append(cfg)
+    return cfgs
 
 
 def test_criterion_4_ablation_directionality():
     start = time.time()
-    base_logs = _ablation_runs(None)
+    toggles = (None, "use_ewma", "use_staleness_decay", "use_inverse_lr")
+    logs = run_many([cfg for toggle in toggles for cfg in _ablation_configs(toggle)],
+                    JOBS)
+    base_logs, ewma_logs, decay_logs, lr_logs = (logs[i:i + 7] for i in range(0, 28, 7))
     base_tta = statistics.median(tta_or_inf(log) for log in base_logs)
     base_final = statistics.median(log.final_accuracy for log in base_logs)
 
-    ewma_logs = _ablation_runs("use_ewma")
     ewma_tta = statistics.median(tta_or_inf(log) for log in ewma_logs)
     assert ewma_tta > base_tta, \
         f"(a) static prediction should slow time-to-target: {ewma_tta} vs {base_tta}"
 
-    decay_logs = _ablation_runs("use_staleness_decay")
     decay_final = statistics.median(log.final_accuracy for log in decay_logs)
     assert decay_final < base_final, \
         f"(b) flat staleness weights should cut final accuracy: " \
         f"{decay_final} vs {base_final}"
 
-    lr_logs = _ablation_runs("use_inverse_lr")
     lr_final = statistics.median(log.final_accuracy for log in lr_logs)
     assert lr_final < base_final, \
         f"(c) unscaled learning rates should cut final accuracy: " \
@@ -169,17 +173,18 @@ def test_criterion_4_ablation_directionality():
 
 def test_criterion_5_safety_buffer_tradeoff():
     start = time.time()
-    p_lates, ttas = [], []
+    cfgs = []
     for delta in (1.0, 2.0, 4.0):   # 0.5 delta0, delta0, 2 delta0
-        ps, ts = [], []
         for trial in range(7):
             cfg = controlled_config(spawn_seed(42, "dlt2", trial))
             cfg.fedqueue.delta = delta
-            log = run_experiment(cfg)
-            ps.append(fq.delay_statistics(log)[0])
-            ts.append(tta_or_inf(log))
-        p_lates.append(statistics.median(ps))
-        ttas.append(statistics.median(ts))
+            cfgs.append(cfg)
+    logs = run_many(cfgs, JOBS)
+    p_lates, ttas = [], []
+    for i in range(0, 21, 7):
+        p_lates.append(statistics.median(fq.delay_statistics(log)[0]
+                                         for log in logs[i:i + 7]))
+        ttas.append(statistics.median(tta_or_inf(log) for log in logs[i:i + 7]))
     assert p_lates[0] >= p_lates[1] >= p_lates[2], f"P_late not nonincreasing: {p_lates}"
     assert ttas[0] <= ttas[1] <= ttas[2], f"tta not nondecreasing: {ttas}"
     report(5, "safety-buffer trade-off",

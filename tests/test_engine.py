@@ -1,15 +1,18 @@
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedqueue
-from fedqueue import engine, metrics, protocol
+from fedqueue import engine, metrics, protocol, queue_sim
 from fedqueue.config import default_config, ConfigError
-from fedqueue.engine import InvariantError, run_experiment, run_sweep
+from fedqueue.engine import InvariantError, run_experiment, run_many, run_sweep
 
 
 def quick_config(**over):
@@ -173,6 +176,24 @@ def test_admission_disagreement_raises_invariant_error(monkeypatch):
     assert err.value.client in range(4)
 
 
+def _run_script(script: str, *flags: str, timeout: float = 120):
+    """Run `script` in a fresh interpreter on this checkout's sources, in its
+    own session, so that on timeout it is killed with every process it
+    forked."""
+    src = str(Path(fedqueue.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, *flags, "-c", script],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env={**os.environ, "PYTHONPATH": src},
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"script still running after {timeout} s")
+    return proc.returncode, out, err
+
+
 def test_invariant_checks_survive_optimized_mode():
     script = """
 import sys
@@ -189,12 +210,69 @@ except engine.InvariantError as exc:
     print(exc.time, exc.client, exc.round)
     sys.exit(3)
 """
-    src = str(Path(fedqueue.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src},
-                          timeout=120)
-    assert proc.returncode == 3, proc.stdout + proc.stderr
-    assert proc.stdout.split()[:3:2] == ["10.0", "0"]
+    code, out, err = _run_script(script, "-O")
+    assert code == 3, out + err
+    assert out.split()[:3:2] == ["10.0", "0"]
+
+
+def _negative_delay(model, k, rng):
+    return -50.0
+
+
+@pytest.mark.parametrize("algo", ["fedqueue", "fedasync"])
+def test_job_starting_before_its_submission_raises_invariant_error(monkeypatch, algo):
+    monkeypatch.setattr(queue_sim, "sample_queue_delay", _negative_delay)
+    cfg = quick_config(protocol__algo=algo, fedqueue__warmup_steps=0)
+    with pytest.raises(InvariantError, match="before the clock") as err:
+        run_experiment(cfg)
+    # client 0's round-0 job would start at 0 - 50
+    assert (err.value.time, err.value.client, err.value.round) == (-50.0, 0, 0)
+    # raised in a pool worker, it reaches the caller whole
+    with pytest.raises(InvariantError, match="before the clock") as err:
+        run_many([cfg, cfg], 2)
+    assert (err.value.time, err.value.client, err.value.round) == (-50.0, 0, 0)
+
+
+def test_causality_checks_survive_optimized_mode():
+    script = """
+from fedqueue import engine, queue_sim
+from fedqueue.config import default_config
+assert not __debug__
+queue_sim.sample_queue_delay = lambda model, k, rng: -50.0
+for algo in ("fedqueue", "fedasync"):
+    cfg = default_config()
+    cfg.protocol.algo = algo
+    cfg.fedqueue.warmup_steps = 0
+    try:
+        engine.run_experiment(cfg)
+    except engine.InvariantError as exc:
+        print(exc.time, exc.client, exc.round)
+"""
+    code, out, err = _run_script(script, "-O")
+    assert code == 0, out + err
+    assert out.split("\n") == ["-50.0 0 0", "-50.0 0 0", ""]
+
+
+def test_stalled_clock_fails_the_run_in_bounded_time():
+    # zero delays and 1e-20 s jobs: the clock stays within 1e-9 s of 0
+    script = """
+from fedqueue import engine
+from fedqueue.config import default_config
+cfg = default_config()
+cfg.protocol.algo = "fedasync"
+cfg.protocol.num_rounds = 3
+cfg.fedqueue.sim_queue = "fixed"
+cfg.fedqueue.queue_fixed = (0.0,) * 4
+cfg.fedqueue.throughput = (1e20,) * 4
+cfg.fedasync.num_local_steps = 1
+for log in [engine.run_experiment(cfg)] + engine.run_many([cfg, cfg], 2):
+    print(log.failed, log.failure_reason.split(":")[0], len(log.events))
+"""
+    code, out, err = _run_script(script, timeout=60)
+    assert code == 0, out + err
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 3 and all(row[:2] == ["True", "stalled"] for row in rows)
+    assert len({row[2] for row in rows}) == 1   # the same partial log each way
 
 
 def test_divergence_marks_run_failed():
@@ -234,6 +312,33 @@ def test_degenerate_sweep_reproduces_single_run():
 def test_sweep_unknown_axis_rejected():
     with pytest.raises(ConfigError):
         run_sweep(quick_config(), "no_such_knob", [1], trials=1)
+
+
+def test_run_many_pool_matches_in_process_and_leaves_nothing_running():
+    cfgs = [quick_config(protocol__algo=algo, protocol__seed=seed,
+                         fedqueue__queue_rho=0.9)
+            for algo in ("fedqueue", "fedbuff") for seed in (1, 2)]
+    tracker = resource_tracker._resource_tracker._pid
+    pooled = [log.checksum() for log in run_many(cfgs, 2)]
+    assert pooled == [log.checksum() for log in run_many(cfgs, 1)]
+    assert len(set(pooled)) == len(cfgs)
+    assert multiprocessing.active_children() == []
+    assert resource_tracker._resource_tracker._pid == tracker   # none started
+
+
+def _blas_threads(cfg):
+    """Stands in for run_experiment in a pool worker."""
+    return engine._openblas_threads()[1]()
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    control = engine._openblas_threads()
+    if control is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    parent = control[1]()
+    monkeypatch.setattr(engine, "run_experiment", _blas_threads)
+    assert run_many([quick_config()] * 3, 2) == [1, 1, 1]
+    assert control[1]() == parent     # the caller's own threads are left alone
 
 
 def test_sweep_values_independent_of_order():

@@ -51,26 +51,26 @@ def add_arrivals(log, arrivals):
 def test_first_crossing_of_monotone_series():
     log = empty_log()
     add_evals(log, [(10.0, 1.0, 0.5), (20.0, 0.5, 0.96)])
-    assert time_to_target(log, 0.95) == 20.0
+    assert time_to_target(log.evals, 0.95) == 20.0
 
 
 def test_unreached_target_returns_marker():
     log = empty_log()
     add_evals(log, [(10.0, 1.0, 0.5)])
-    assert time_to_target(log, 0.99) is None
+    assert time_to_target(log.evals, 0.99) is None
 
 
 def test_zero_target_hits_first_evaluation():
     log = empty_log()
     add_evals(log, [(3.0, 1.0, 0.1), (6.0, 0.9, 0.2)])
-    assert time_to_target(log, 0.0) == 3.0
+    assert time_to_target(log.evals, 0.0) == 3.0
 
 
 def test_time_to_target_monotone_in_target():
     log = empty_log()
     add_evals(log, [(t, 1.0, a) for t, a in
                     [(0, 0.1), (10, 0.4), (20, 0.7), (30, 0.9)]])
-    times = [time_to_target(log, v) for v in (0.1, 0.4, 0.7, 0.9)]
+    times = [time_to_target(log.evals, v) for v in (0.1, 0.4, 0.7, 0.9)]
     assert times == sorted(times)
 
 
