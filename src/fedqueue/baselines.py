@@ -25,8 +25,7 @@ import numpy as np
 from . import protocol
 from .engine import FedQueueOrchestrator, Orchestrator, Simulation
 
-__all__ = ["ORCHESTRATORS", "staleness_factor", "BufferPolicy",
-           "compass_assignments"]
+__all__ = ["ORCHESTRATORS", "staleness_factor", "compass_assignments"]
 
 
 def staleness_factor(fn: str, kwargs: dict, tau: int) -> float:
@@ -43,23 +42,6 @@ def staleness_factor(fn: str, kwargs: dict, tau: int) -> float:
         b = float(kwargs.get("b", 4.0))
         return 1.0 if tau <= b else 1.0 / (a * (tau - b) + 1.0)
     raise ValueError(f"unknown staleness_fn: {fn!r}")
-
-
-class BufferPolicy:
-    """Size-triggered aggregation buffer: flushes every `size` updates."""
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("buffer size must be >= 1")
-        self.size = size
-        self.pending = []
-
-    def add(self, item) -> list | None:
-        self.pending.append(item)
-        if len(self.pending) >= self.size:
-            flushed, self.pending = self.pending, []
-            return flushed
-        return None
 
 
 def compass_assignments(speeds: np.ndarray, min_steps: int, max_steps: int,
@@ -165,11 +147,12 @@ class FedAsyncOrchestrator(_BaselineBase):
 class FedBuffOrchestrator(_BaselineBase):
     def __init__(self, sim: Simulation):
         super().__init__(sim)
-        self.buffer = BufferPolicy(sim.cfg.fedbuff.k)
+        self.pending: list[protocol.ClientUpdate] = []
 
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
-        flushed = self.buffer.add(msg)
-        if flushed is not None:
+        self.pending.append(msg)
+        if len(self.pending) == self.cfg.fedbuff.k:
+            flushed, self.pending = self.pending, []
             az = self.cfg.fedasync
             taus = [self.sim.version - m.submit_round for m in flushed]
             mixed = np.zeros_like(self.w)

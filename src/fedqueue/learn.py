@@ -186,9 +186,10 @@ class ClassifyObjective:
     """Multiclass cross-entropy on a fixed generated dataset.
 
     model="linear": logits = W x + c.  model="mlp": one tanh hidden layer
-    of width 32.
-    Parameters live in a flat float64 vector so the protocol layer can treat
-    updates as plain dense deltas.
+    of width 32.  Both are one stack of affine layers with tanh between
+    them; the model only sets the layer shapes (outputs, inputs).
+    Parameters live in a flat float64 vector, each layer's weights then its
+    bias, so the protocol layer can treat updates as plain dense deltas.
     """
 
     def __init__(self, x_train, y_train, x_test, y_test, partition,
@@ -206,53 +207,43 @@ class ClassifyObjective:
         self.hidden = 32
         self.feature_dim = self.x_train.shape[1]
         self.num_clients = len(self.partition)
+        d, h = self.feature_dim, self.hidden
         if model == "linear":
-            self.dimension = classes * (self.feature_dim + 1)
+            shapes = [(classes, d)]
         elif model == "mlp":
-            h = self.hidden
-            self.dimension = h * (self.feature_dim + 1) + classes * (h + 1)
+            shapes = [(h, d), (classes, h)]
         else:
             raise ValueError(f"unknown model: {model!r}")
+        # per layer: the slices of its weights and bias in the flat vector
+        self._layers, i = [], 0
+        for out, fan_in in shapes:
+            n = out * fan_in
+            self._layers.append((slice(i, i + n), slice(i + n, i + n + out),
+                                 (out, fan_in)))
+            i += n + out
+        self.dimension = i
         sizes = np.array([len(p) for p in self.partition], dtype=float)
         if weight_mode == "data_size":
             self.weights = sizes / sizes.sum()
         else:
             self.weights = np.full(self.num_clients, 1.0 / self.num_clients)
-        if self.model == "mlp":
+        self._w0 = np.zeros(self.dimension)
+        if model == "mlp":
             # symmetry-breaking init; fixed at construction so every method
             # starts a given seed's experiment from the same point
             rng = init_rng if init_rng is not None else np.random.default_rng(0)
-            h, d, c = self.hidden, self.feature_dim, self.classes
-            w0 = np.zeros(self.dimension)
-            w0[: h * d] = rng.standard_normal(h * d) / math.sqrt(d)
-            i = h * d + h
-            w0[i: i + c * h] = rng.standard_normal(c * h) / math.sqrt(h)
-            self._w0 = w0
-        else:
-            self._w0 = np.zeros(self.dimension)
-
-    # ---- parameter (un)packing ------------------------------------------
-    def _unpack(self, w: np.ndarray):
-        d, c = self.feature_dim, self.classes
-        if self.model == "linear":
-            mat = w[: c * d].reshape(c, d)
-            bias = w[c * d:]
-            return mat, bias
-        h = self.hidden
-        i = 0
-        w1 = w[i: i + h * d].reshape(h, d); i += h * d
-        b1 = w[i: i + h]; i += h
-        w2 = w[i: i + c * h].reshape(c, h); i += c * h
-        b2 = w[i:]
-        return w1, b1, w2, b2
+            for ws, _, (out, fan_in) in self._layers:
+                self._w0[ws] = rng.standard_normal(out * fan_in) / math.sqrt(fan_in)
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
-        if self.model == "linear":
-            mat, bias = self._unpack(w)
-            return x @ mat.T + bias, None
-        w1, b1, w2, b2 = self._unpack(w)
-        a1 = np.tanh(x @ w1.T + b1)
-        return a1 @ w2.T + b2, a1
+        """Logits of the rows x, and each layer's input: x, then the tanh
+        of each hidden layer's output."""
+        inputs = []
+        for i, (ws, bs, shape) in enumerate(self._layers):
+            a = np.tanh(z) if i else x
+            inputs.append(a)
+            z = a @ w[ws].reshape(shape).T + w[bs]
+        return z, inputs
 
     @staticmethod
     def _nll(probs: np.ndarray, y: np.ndarray) -> float:
@@ -262,29 +253,18 @@ class ClassifyObjective:
         """Mean cross-entropy gradient over the rows (x, y): the one backward
         pass behind both full-client and minibatch gradients."""
         n = len(y)
-        logits, a1 = self._forward(w, x)
-        dlogits = _softmax(logits)
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
+        logits, inputs = self._forward(w, x)
+        dz = _softmax(logits)
+        dz[np.arange(n), y] -= 1.0
+        dz /= n
         g = np.empty_like(w)
-        if self.model == "linear":
-            c, d = self.classes, self.feature_dim
-            g[: c * d] = (dlogits.T @ x).ravel()
-            g[c * d:] = dlogits.sum(axis=0)
-        else:
-            w1, b1, w2, b2 = self._unpack(w)
-            h, d = self.hidden, self.feature_dim
-            gw2 = dlogits.T @ a1
-            gb2 = dlogits.sum(axis=0)
-            da1 = dlogits @ w2
-            dz1 = da1 * (1.0 - a1 * a1)
-            gw1 = dz1.T @ x
-            gb1 = dz1.sum(axis=0)
-            i = 0
-            g[i: i + h * d] = gw1.ravel(); i += h * d
-            g[i: i + h] = gb1; i += h
-            g[i: i + self.classes * h] = gw2.ravel(); i += self.classes * h
-            g[i:] = gb2
+        for i in reversed(range(len(self._layers))):
+            ws, bs, shape = self._layers[i]
+            a = inputs[i]
+            g[ws] = (dz.T @ a).ravel()
+            g[bs] = dz.sum(axis=0)
+            if i:
+                dz = (dz @ w[ws].reshape(shape)) * (1.0 - a * a)
         return g
 
     # ---- objective interface --------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedqueue import baselines, engine, learn, metrics, protocol
-from fedqueue.baselines import BufferPolicy, compass_assignments, staleness_factor
+from fedqueue.baselines import compass_assignments, staleness_factor
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 from fedqueue.streams import substream
@@ -108,13 +108,20 @@ def test_fedasync_staleness_counted_in_versions():
 # fedbuff
 # ---------------------------------------------------------------------------
 
-def test_buffer_policy_flush_cadence():
-    policy = BufferPolicy(3)
-    flushes = [policy.add(i) for i in range(7)]
-    flushed = [f for f in flushes if f is not None]
-    assert len(flushed) == 2
-    assert flushed[0] == [0, 1, 2] and flushed[1] == [3, 4, 5]
-    assert policy.pending == [6]
+def test_fedbuff_flushes_each_run_of_k_arrivals_in_event_order():
+    # aggregate i applies the clients of arrivals 3i..3i+2, logged right
+    # after arrival 3i+2; a partial tail of 1 or 2 arrivals is never applied
+    log = run_experiment(quick_config("fedbuff", fedbuff__k=3,
+                                      fedqueue__queue_rho=0.9))
+    arrivals = [i for i, e in enumerate(log.events) if e.kind == "arrival"]
+    aggregates = [i for i, e in enumerate(log.events) if e.kind == "aggregate"]
+    clients = [log.events[i].fields["client"] for i in arrivals]
+    assert len(arrivals) % 3 != 0     # the run ends with a partial buffer
+    assert len(aggregates) == len(arrivals) // 3 > 0
+    for j, at in enumerate(aggregates):
+        assert log.events[at].fields["clients"] == clients[3 * j: 3 * j + 3]
+        assert arrivals[3 * j + 2] < at
+        assert 3 * j + 3 == len(arrivals) or at < arrivals[3 * j + 3]
 
 
 def test_buffer_of_one_behaves_like_fedasync_cadence():

@@ -254,25 +254,31 @@ for algo in ("fedqueue", "fedasync"):
 
 
 def test_stalled_clock_fails_the_run_in_bounded_time():
-    # zero delays and 1e-20 s jobs: the clock stays within 1e-9 s of 0
+    # zero delays and one-step jobs: at throughput 1e20 the clock stays
+    # within 1e-9 s of 0; at 1e8 it creeps by 1e-8 s per job and would need
+    # about 3e9 events to reach its 30 s horizon
     script = """
 from fedqueue import engine
 from fedqueue.config import default_config
-cfg = default_config()
-cfg.protocol.algo = "fedasync"
-cfg.protocol.num_rounds = 3
-cfg.fedqueue.sim_queue = "fixed"
-cfg.fedqueue.queue_fixed = (0.0,) * 4
-cfg.fedqueue.throughput = (1e20,) * 4
-cfg.fedasync.num_local_steps = 1
-for log in [engine.run_experiment(cfg)] + engine.run_many([cfg, cfg], 2):
-    print(log.failed, log.failure_reason.split(":")[0], len(log.events))
+for throughput in (1e20, 1e8):
+    cfg = default_config()
+    cfg.protocol.algo = "fedasync"
+    cfg.protocol.num_rounds = 3
+    cfg.fedqueue.sim_queue = "fixed"
+    cfg.fedqueue.queue_fixed = (0.0,) * 4
+    cfg.fedqueue.throughput = (throughput,) * 4
+    cfg.fedasync.num_local_steps = 1
+    for log in [engine.run_experiment(cfg)] + engine.run_many([cfg, cfg], 2):
+        print(f"{throughput:g}", log.failed, log.failure_reason.split(":")[0],
+              len(log.events))
 """
     code, out, err = _run_script(script, timeout=60)
     assert code == 0, out + err
     rows = [line.split() for line in out.splitlines()]
-    assert len(rows) == 3 and all(row[:2] == ["True", "stalled"] for row in rows)
-    assert len({row[2] for row in rows}) == 1   # the same partial log each way
+    assert len(rows) == 6 and all(row[1:3] == ["True", "stalled"] for row in rows)
+    for throughput in ("1e+20", "1e+08"):
+        # the same partial log each way
+        assert len({row[3] for row in rows if row[0] == throughput}) == 1
 
 
 def test_divergence_marks_run_failed():

@@ -38,6 +38,12 @@ GOLDEN = {
     ("fedqueue", "synthetic", "mlp", "next_round"): (
         "984fdbe23524575cbc7e44db1f3531fceb8567ea2ed8a4cacce5bcbf0f10544e",
         "e5aacddeaa4a010f1ed085498f6968b1d04809dc6f8c4247d9ce88e47e012bdd"),
+    ("fedasync", "synthetic", "mlp", "next_round"): (
+        "8fe67bbd3b36bfa989fbab1ce23733b66d204a8f0fe72814c5e15fc947135e2c",
+        "e99cb58ab098f89c4a9046a2609b9233fdf9f3080b64e83c4d49db03fc285b05"),
+    ("fedbuff", "synthetic", "mlp", "next_round"): (
+        "a69bf84123cfda5426f9996169c032c10f98b9682bec4c931466638412526afe",
+        "268a9a0f49c68dedf5b44518c2778243ac401b9a0950fe0836f1432dff3647cf"),
     ("fedqueue", "quadratic", "linear", "next_round"): (
         "8b77cc927862a9b93017f724396f41ec3529812c5757933e855fa2b2dc4128d7",
         "de3fa84ed5e12a0364d43df085a897e6d474d50d104a70078556f89ac2085cdf"),
@@ -134,6 +140,20 @@ def zero_floor_config(queue_fixed):
     return cfg
 
 
+def mlp_data_size_config():
+    # aggregation weights follow the clients' data sizes, not 1/K
+    cfg = small_config("fedqueue", "synthetic", "mlp", "next_round")
+    cfg.fedqueue.client_weight_mode = "data_size"
+    return cfg
+
+
+def static_fixed_config():
+    # the static predictor on fixed delays predicts each wait exactly
+    cfg = ablation_config("use_ewma")
+    cfg.fedqueue.sim_queue = "fixed"
+    return cfg
+
+
 def fedbuff_hinge_config():
     # max staleness is 2 here, so b = 1 puts the hinge's decay to use
     cfg = small_config("fedbuff", "synthetic", "linear", "next_round")
@@ -164,6 +184,10 @@ EDGE_CASES = {
         lambda: ablation_config("use_ewma"), False, 10, 0,
         ("e8d7e1fcedd4ae28d6f8a3b5251880e47ca0a51312c5c0bad8d9a7f63b5a0bd3",
          "e08c954f0c243844257a9b795e7dda8835e63adae704d23df5fb122e0d07518a")),
+    "static-predictor-fixed-queue": (
+        static_fixed_config, False, 10, 0,
+        ("59603686ea6dcd969401b65e87b64303b7605903815fd39647edffb037544b11",
+         "d52e4e21932f1734668a8d3b29ab66e8af6fab7b3059bb7eed5a23dbed4aecee")),
     "no-inverse-lr": (
         lambda: ablation_config("use_inverse_lr"), False, 10, 0,
         ("fc57f65d3a64c9b90b34afdaa5d81bda058536748ddfcc40090138cfdf51bda2",
@@ -182,6 +206,10 @@ EDGE_CASES = {
         lambda: zero_floor_config((25.0, 25.0, 25.0, 25.0)), False, 10, 10,
         ("d68799a52e38eb5b4630629d681875b84c6f2dc342775f2df1b01c8454a2f29b",
          "4c8373f766600ea6f18b3c081fc0e0bff1a5494da6a551820131e2c4a1e99597")),
+    "mlp-data-size-weights": (
+        mlp_data_size_config, False, 10, 0,
+        ("aee9826c2189f31019819cba04b0cfcd1a2b27528b99601a1e5107d7a1f4cb3d",
+         "c84430a0f89afde9a36ded17abfc6e38540040564c54fcd28e0536819d2a3077")),
     "fedbuff-hinge": (
         fedbuff_hinge_config, False, 6, 0,
         ("64c4a9e170d8072e88bab21c067aceec7eb07e0da318f7f6326e04ad905a7c18",
