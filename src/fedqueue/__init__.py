@@ -9,7 +9,7 @@ from .protocol import (StalenessDecay, ClientUpdate, compute_budget,
                        scale_learning_rate, staleness_weight,
                        assign_aggregation_round, partition_admissions, aggregate)
 from .predictor import DelayPredictor
-from .queue_sim import QueueModel, ComputeProfile, sample_queue_delay, compute_time
+from .queue_sim import sample_queue_delay, compute_time
 
 __all__ = [
     "ExperimentConfig", "ConfigError", "default_config", "load_config",
@@ -18,8 +18,8 @@ __all__ = [
     "time_to_target", "delay_statistics", "admission_summary", "movement_ratio",
     "StalenessDecay", "ClientUpdate", "compute_budget",
     "scale_learning_rate", "staleness_weight", "assign_aggregation_round",
-    "partition_admissions", "aggregate", "DelayPredictor", "QueueModel",
-    "ComputeProfile", "sample_queue_delay", "compute_time",
+    "partition_admissions", "aggregate", "DelayPredictor",
+    "sample_queue_delay", "compute_time",
 ]
 
 __version__ = "0.1.0"

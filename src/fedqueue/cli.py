@@ -16,6 +16,7 @@ import os
 import shutil
 import statistics
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,23 @@ ABLATION_VARIANTS = (
 )
 
 
+@contextmanager
+def _flag(name: str):
+    """Report a ValueError raised in the block against the flag `name`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, f"{name}: {exc}") from None
+
+
 def _out_path(raw: str) -> Path:
     path = Path(raw)
     if not path.is_absolute():
         root = os.environ.get("FEDQUEUE_OUTPUT_ROOT")
         if root:
             path = Path(root) / path
+    if path.exists() and not path.is_dir():
+        raise argparse.ArgumentError(None, f"--out: {path} is not a directory")
     return path
 
 
@@ -104,6 +116,10 @@ def cmd_sweep(args) -> int:
     except ConfigError as exc:
         raise SystemExit(str(exc))
     values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentError(None, f"--values: no value in {args.values!r}")
+    if args.trials < 1:
+        raise argparse.ArgumentError(None, f"--trials must be >= 1, got {args.trials}")
     out = _out_path(args.out)
     _prepare_dir(out, args.force)
     results = run_sweep(cfg, args.axis, values, trials=args.trials, jobs=args.jobs)
@@ -137,6 +153,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
+    if args.trials < 1:
+        raise argparse.ArgumentError(None, f"--trials must be >= 1, got {args.trials}")
     out = _out_path(args.out)
     _prepare_dir(out, args.force)
     master = cfg.protocol.seed
@@ -179,9 +197,20 @@ def cmd_ablate(args) -> int:
 
 def cmd_check_bound(args) -> int:
     cfg = _load(args)
-    rhos = [float(v) for v in args.rhos.split(",")]
-    gammas = [float(v) for v in args.gammas.split(",")]
     t_sync = cfg.fedqueue.t_sync
+    # each flag alone against the bounds the library raises, before any output
+    with _flag("--rhos"):
+        rhos = [float(v) for v in args.rhos.split(",")]
+        metrics.StalenessBoundParams(rho=rhos, epsilon=0.5, gamma=0.0)
+    with _flag("--gammas"):
+        gammas = [float(v) for v in args.gammas.split(",")]
+        for gamma in gammas:
+            metrics.StalenessBoundParams(rho=0.0, epsilon=0.5, gamma=gamma)
+    with _flag("--epsilon"):
+        quiet = metrics.StalenessBoundParams(rho=0.0, epsilon=args.epsilon, gamma=0.0)
+    with _flag("--trials"):
+        metrics.staleness_bound_violation_rate(quiet, t_sync, 0.0, 1, 1, args.trials)
+    out = _out_path(args.out) if args.out else None
     k, r = cfg.protocol.num_clients, cfg.protocol.num_rounds
     alpha = cfg.fedqueue.alpha
     rows = []
@@ -201,8 +230,7 @@ def cmd_check_bound(args) -> int:
             print(f"{rho:>6.2f}{gamma:>7.2f}{alpha:>7.2f}{delta:>9.3f}"
                   f"{params.tau_max:>8d}{rate:>11.3f}{args.epsilon:>9.3f}")
     bad = [row for row in rows if row["violation_rate"] > args.epsilon]
-    if args.out:
-        out = _out_path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "bound_grid.csv", rows)
         print(f"wrote {out / 'bound_grid.csv'}")
@@ -272,6 +300,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except argparse.ArgumentError as exc:
+        print(f"fedqueue {args.command}: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -59,19 +59,18 @@ class InvariantError(RuntimeError):
 
 
 class Simulation:
-    """Clock, event heap, and shared dispatch machinery for one experiment."""
+    """Clock, event heap, and shared dispatch machinery for one experiment,
+    with its objective and log built from `cfg`."""
 
-    def __init__(self, cfg: ExperimentConfig, objective, queue_model,
-                 profile, log: metrics.MetricsLog):
+    def __init__(self, cfg: ExperimentConfig):
+        p, fq = cfg.protocol, cfg.fedqueue
         self.cfg = cfg
-        self.objective = objective
-        self.queue_model = queue_model
-        self.profile = profile
-        self.log = log
-        self.seed = cfg.protocol.seed
-        self.num_clients = cfg.protocol.num_clients
-        self.t_sync = cfg.fedqueue.t_sync
-        self.horizon = cfg.protocol.num_rounds * cfg.fedqueue.t_sync
+        self.objective = learn.build_objective(cfg, substream(p.seed, "data"))
+        self.num_clients = p.num_clients
+        self.horizon = p.num_rounds * fq.t_sync
+        self.log = metrics.MetricsLog(
+            algo=p.algo, seed=p.seed, num_clients=p.num_clients,
+            t_sync=fq.t_sync, horizon=self.horizon, config=cfg.flat())
         self.now = 0.0
         self.version = 0                      # server model versions applied
         self._heap = []
@@ -96,25 +95,25 @@ class Simulation:
     def schedule_round_boundaries(self, num_rounds: int) -> None:
         # boundary r closes round r-1; times are r * T_sync exactly, never summed
         for r in range(1, num_rounds + 1):
-            self.schedule(r * self.t_sync, RANK_ROUND, r, r)
+            self.schedule(r * self.cfg.fedqueue.t_sync, RANK_ROUND, r, r)
 
     # ---- client jobs -----------------------------------------------------
     def effective_rate(self, k: int) -> float:
-        return float(self.profile.throughput[k]) / float(self.profile.slowdown[k])
+        fq = self.cfg.fedqueue
+        return float(fq.throughput[k]) / float(fq.slowdown[k])
 
     def submit_job(self, k: int, w: np.ndarray, submit_round: int, eta: float,
                    step_budget: int,
                    q_hat_used: float = float("nan")) -> None:
         """Broadcast + job submission: draws the admission delay, runs the
         local update, and schedules start/arrival events."""
+        p, fq = self.cfg.protocol, self.cfg.fedqueue
         j = int(self._submissions[k])
         self._submissions[k] += 1
-        q = queue_sim.sample_queue_delay(self.queue_model, k,
-                                         substream(self.seed, "queue", k, j))
-        sgd_rng = substream(self.seed, "sgd", k, j)
+        q = queue_sim.sample_queue_delay(fq, k, substream(p.seed, "queue", k, j))
+        sgd_rng = substream(p.seed, "sgd", k, j)
         delta, steps_done, elapsed = protocol.client_local_update(
-            self.objective, k, w, eta, step_budget, self.profile,
-            self.cfg.protocol.batch_size, sgd_rng)
+            self.objective, k, w, eta, step_budget, fq, p.batch_size, sgd_rng)
         arrival = self.now + q + elapsed
         msg = protocol.ClientUpdate(
             client=k, submit_round=submit_round, delta=delta, observed_q=q,
@@ -153,7 +152,7 @@ class Simulation:
         crawls is marked failed as stalled."""
         orchestrator.start()
         stall_limit = _STALL_EVENTS_PER_CLIENT_ROUND * self.num_clients
-        t_sync, window, count = self.t_sync, 0.0, 0
+        t_sync, window, count = self.cfg.fedqueue.t_sync, 0.0, 0
         while self._heap:
             time, rank, key, _, payload = heapq.heappop(self._heap)
             if time > self.horizon + _TIME_EPS:
@@ -230,7 +229,7 @@ class FedQueueOrchestrator(Orchestrator):
             # pure delay probes before round 0: seed predictions, no aggregation
             for k in range(sim.num_clients):
                 q = queue_sim.sample_queue_delay(
-                    sim.queue_model, k, substream(sim.seed, "warmup", k))
+                    cfg.fedqueue, k, substream(cfg.protocol.seed, "warmup", k))
                 self.predictor.seed(k, q)
                 sim.log.total_local_steps += cfg.fedqueue.warmup_steps
                 sim.log.event(0.0, "warmup_probe", client=k, q=q)
@@ -309,23 +308,6 @@ class FedQueueOrchestrator(Orchestrator):
             self.dispatch_round(boundary)
 
 
-def _build_queue_model(cfg: ExperimentConfig) -> queue_sim.QueueModel:
-    fq = cfg.fedqueue
-    return queue_sim.QueueModel(
-        kind=fq.sim_queue,
-        fixed_delays=np.asarray(fq.queue_fixed, dtype=float),
-        means=np.asarray(fq.queue_means, dtype=float),
-        rho=fq.queue_rho,
-        mean_mode=fq.queue_mean_mode)
-
-
-def _build_profile(cfg: ExperimentConfig) -> queue_sim.ComputeProfile:
-    fq = cfg.fedqueue
-    return queue_sim.ComputeProfile(
-        throughput=np.asarray(fq.throughput, dtype=float),
-        slowdown=np.asarray(fq.slowdown, dtype=float))
-
-
 def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
     """Warm-up plus the configured horizon under the configured orchestrator.
 
@@ -335,23 +317,15 @@ def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
     from .baselines import ORCHESTRATORS  # late import; baselines build on engine
 
     validate_config(cfg)
-    algo = cfg.protocol.algo
-    objective = learn.build_objective(cfg, substream(cfg.protocol.seed, "data"))
-    log = metrics.MetricsLog(
-        algo=algo, seed=cfg.protocol.seed, num_clients=cfg.protocol.num_clients,
-        t_sync=cfg.fedqueue.t_sync,
-        horizon=cfg.protocol.num_rounds * cfg.fedqueue.t_sync,
-        config=cfg.flat())
-    sim = Simulation(cfg, objective, _build_queue_model(cfg),
-                     _build_profile(cfg), log)
-    orchestrator = ORCHESTRATORS[algo](sim)
+    sim = Simulation(cfg)
+    orchestrator = ORCHESTRATORS[cfg.protocol.algo](sim)
     try:
         sim.run(orchestrator)
     except FloatingPointError as exc:
-        log.failed = True
-        log.failure_reason = str(exc)
+        sim.log.failed = True
+        sim.log.failure_reason = str(exc)
         orchestrator.finish()
-    return log
+    return sim.log
 
 
 def _openblas_threads():

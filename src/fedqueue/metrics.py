@@ -327,9 +327,9 @@ class StalenessBoundParams:
         object.__setattr__(self, "rho", np.atleast_1d(np.asarray(self.rho, dtype=float)))
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0, 1)")
-        if self.gamma < 0:
+        if not self.gamma >= 0:         # NaN fails too
             raise ValueError("gamma must be >= 0")
-        if np.any(self.rho < 0):
+        if not np.all(self.rho >= 0):
             raise ValueError("rho must be >= 0")
 
     @property

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import queue_sim
+from .config import FedQueueConfig
 
 __all__ = [
     "StalenessDecay",
@@ -157,9 +158,9 @@ def aggregate(w: np.ndarray, admitted, decay: StalenessDecay) -> np.ndarray:
 
 
 def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
-                        step_budget: int, profile: queue_sim.ComputeProfile,
+                        step_budget: int, fq: FedQueueConfig,
                         batch_size: int, rng: np.random.Generator):
-    """Run `step_budget` local SGD steps; the compute model prices them.
+    """Run `step_budget` local SGD steps; the compute model of `fq` prices them.
 
     Returns (delta, steps_done, elapsed_seconds).  Raises FloatingPointError
     when a job of at least one step ends on a non-finite iterate, so the
@@ -178,5 +179,5 @@ def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
             w -= eta * objective.stochastic_gradient(k, w, batch)
     if steps and not np.all(np.isfinite(w)):
         raise FloatingPointError(f"non-finite iterate on client {k}")
-    elapsed = queue_sim.compute_time(profile, k, steps)
+    elapsed = queue_sim.compute_time(fq, k, steps)
     return w - w_start, steps, elapsed

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from fedqueue import baselines, engine, learn, metrics, protocol
+from fedqueue import baselines, engine, protocol
 from fedqueue.baselines import compass_assignments, staleness_factor
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
-from fedqueue.streams import substream
 
 
 def quick_config(algo, **over):
@@ -169,12 +168,8 @@ def test_compass_assignments_respect_bounds():
 
 
 def test_compass_speed_momentum_update():
-    cfg = quick_config("fedcompass")
-    log = metrics.MetricsLog(algo="fedcompass", seed=cfg.protocol.seed,
-                             num_clients=4, t_sync=10.0, horizon=100.0)
-    sim = engine.Simulation(
-        cfg, learn.build_objective(cfg, substream(cfg.protocol.seed, "data")),
-        engine._build_queue_model(cfg), engine._build_profile(cfg), log)
+    sim = engine.Simulation(quick_config("fedcompass"))
+    log = sim.log
     orch = baselines.FedCompassOrchestrator(sim)
     orch.start()
     assert orch.speeds.tolist() == [10.0] * 4

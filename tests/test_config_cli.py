@@ -102,10 +102,20 @@ def test_readme_config_block_is_the_default_config():
     assert named == [(section, key) for section, key, _ in config._iter_keys()]
 
 
-def test_zero_slowdown_rejected():
-    # zero slowdown would give an unbounded compute rate and step budget
-    with pytest.raises(ConfigError, match="slowdown"):
-        loads_config("[fedqueue]\nslowdown = 0,1,1,1\n")
+# one out-of-range value per key the delay and compute models read unchecked
+OUT_OF_RANGE = {
+    "slowdown": "0,1,1,1",    # an unbounded compute rate and step budget
+    "throughput": "10,10,0,10",
+    "queue_rho": "-0.1",
+    "queue_fixed": "0.5,-1,2.4,6",
+    "queue_means": "1.5,0,3.5,4.5",
+}
+
+
+@pytest.mark.parametrize("key", OUT_OF_RANGE)
+def test_queue_and_compute_ranges_rejected(key):
+    with pytest.raises(ConfigError, match=rf"^{key} must be"):
+        loads_config(f"[fedqueue]\n{key} = {OUT_OF_RANGE[key]}\n")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -297,6 +307,37 @@ def test_check_bound_writes_grid_csv(tmp_path):
     lines = (out / "bound_grid.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2
     assert sha256_of(out / "bound_grid.csv") == CSV_PINS["bound_grid.csv"]
+
+
+# each bad argument exits 2 with one line naming its flag, before any output
+BAD_ARGUMENTS = {
+    "sweep-no-values": (["sweep", "--axis", "queue_rho", "--values", ","], "--values"),
+    "sweep-zero-trials": (["sweep", "--axis", "queue_rho", "--values", "0.1",
+                           "--trials", "0"], "--trials"),
+    "ablate-zero-trials": (["ablate", "--trials", "0"], "--trials"),
+    "check-lemma1-few-trials": (["check-lemma1", "--trials", "50"], "--trials"),
+    "check-lemma1-zero-epsilon": (["check-lemma1", "--epsilon", "0"], "--epsilon"),
+    "check-lemma1-no-rhos": (["check-lemma1", "--rhos", ","], "--rhos"),
+    "check-lemma1-nan-rho": (["check-lemma1", "--rhos", "0.1,nan"], "--rhos"),
+    "check-lemma1-nan-gamma": (["check-lemma1", "--gammas", "nan"], "--gammas"),
+    "run-out-is-a-file": (["run"], "--out"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_exits_2_naming_the_flag(case, tmp_path, capsys):
+    argv, flag = BAD_ARGUMENTS[case]
+    out = tmp_path / "out"
+    if case == "run-out-is-a-file":
+        out.write_text("")
+    if argv[0] != "check-lemma1":
+        argv = argv + ["--config", str(tiny_config(tmp_path)), "--out", str(out)]
+    assert run_cli(*argv) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"fedqueue {argv[0]}: error: {flag}")
+    assert printed.err.count("\n") == 1
+    assert out.exists() == (case == "run-out-is-a-file")
 
 
 def test_cli_entrypoint_runs_as_subprocess(tmp_path):

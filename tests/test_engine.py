@@ -215,7 +215,7 @@ except engine.InvariantError as exc:
     assert out.split()[:3:2] == ["10.0", "0"]
 
 
-def _negative_delay(model, k, rng):
+def _negative_delay(fq, k, rng):
     return -50.0
 
 
@@ -238,7 +238,7 @@ def test_causality_checks_survive_optimized_mode():
 from fedqueue import engine, queue_sim
 from fedqueue.config import default_config
 assert not __debug__
-queue_sim.sample_queue_delay = lambda model, k, rng: -50.0
+queue_sim.sample_queue_delay = lambda fq, k, rng: -50.0
 for algo in ("fedqueue", "fedasync"):
     cfg = default_config()
     cfg.protocol.algo = algo

@@ -154,6 +154,30 @@ def static_fixed_config():
     return cfg
 
 
+def arithmetic_mean_config():
+    # mu_k is each delay's mean, not its median: draws shift by -rho^2/2
+    cfg = small_config("fedqueue", "synthetic", "linear", "next_round")
+    cfg.fedqueue.queue_mean_mode = "arithmetic"
+    cfg.fedqueue.queue_rho = 0.9
+    return cfg
+
+
+def hetero_compute_config(algo):
+    # uneven throughput and slowdown: budgets, compute times and (fedcompass)
+    # speeds all differ per client
+    cfg = small_config(algo, "synthetic", "linear", "next_round")
+    cfg.fedqueue.throughput = (10.0, 20.0, 5.0, 40.0)
+    cfg.fedqueue.slowdown = (1.0, 2.0, 0.5, 3.0)
+    return cfg
+
+
+def fixed_slowdown_config():
+    cfg = small_config("fedqueue", "synthetic", "linear", "next_round")
+    cfg.fedqueue.sim_queue = "fixed"
+    cfg.fedqueue.slowdown = (1.5, 1.0, 2.5, 1.0)
+    return cfg
+
+
 def fedbuff_hinge_config():
     # max staleness is 2 here, so b = 1 puts the hinge's decay to use
     cfg = small_config("fedbuff", "synthetic", "linear", "next_round")
@@ -214,6 +238,22 @@ EDGE_CASES = {
         fedbuff_hinge_config, False, 6, 0,
         ("64c4a9e170d8072e88bab21c067aceec7eb07e0da318f7f6326e04ad905a7c18",
          "eb00a944741aab427654bb84aac38e0594f865d778f0ee75db120435e4753233")),
+    "arithmetic-mean-mode": (
+        arithmetic_mean_config, False, 10, 0,
+        ("4041266bfb60529ad4a68d60dc0c38e64bb4b62b232381515cf42d84e0041db3",
+         "baffa6d2b72a19c9abb826ee008bbf77e9de1950c50e7bc748b9b9e7e947d942")),
+    "hetero-compute": (
+        lambda: hetero_compute_config("fedqueue"), False, 10, 0,
+        ("11389c2d89ae81d3010ff701f4d21d6a4239c665457dc064854fe27e45b8b45b",
+         "1959818fed95e9812518c53ff7e387272530f7c7fdb564992d199467eca0eb29")),
+    "hetero-compute-fedcompass": (
+        lambda: hetero_compute_config("fedcompass"), False, 4, 0,
+        ("1e6bc28c13ea63eb0aaf1863bb4e3f3eaba801ee682ac396e56ccde9fc51778e",
+         "d34ebf694660d2fd97404f63662546bc7644ec97dc68378e2232fb017e36398d")),
+    "fixed-queue-slowdown": (
+        fixed_slowdown_config, False, 10, 0,
+        ("6ce627a4eb950c85a05eecf31be1b12326b9dec3a1613d36c4b9a0d4236081d4",
+         "7a3a97caa77ea313004b896e359e7a4849768896f8ac6c38b7382ea540d15526")),
 }
 
 DISPATCHES = {"zero-floor-partial-cohort": 20, "zero-floor-empty-cohort": 0}

@@ -11,7 +11,7 @@ from fedqueue.protocol import (StalenessDecay, aggregate,
                                assign_aggregation_round, client_local_update,
                                compute_budget, partition_admissions,
                                scale_learning_rate, staleness_weight)
-from fedqueue.queue_sim import ComputeProfile
+from fedqueue.config import FedQueueConfig
 from fedqueue.streams import substream
 
 
@@ -242,14 +242,15 @@ def quadratic_identity(dim=2, clients=1):
     return learn.QuadraticObjective(np.eye(dim), np.zeros((clients, dim)))
 
 
-def unit_profile(n=1):
-    return ComputeProfile(throughput=np.full(n, 10.0), slowdown=np.ones(n))
+def unit_compute(n=1):
+    """A [fedqueue] section whose n clients each run 10 steps per second."""
+    return FedQueueConfig(throughput=(10.0,) * n, slowdown=(1.0,) * n)
 
 
 def test_zero_budget_returns_zero_delta():
     delta, steps, elapsed = client_local_update(
         quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 0,
-        unit_profile(), 1, substream(0, "t"))
+        unit_compute(), 1, substream(0, "t"))
     assert steps == 0 and elapsed == 0.0
     assert np.array_equal(delta, np.zeros(2))
 
@@ -257,7 +258,7 @@ def test_zero_budget_returns_zero_delta():
 def test_single_explicit_gradient_step():
     delta, steps, _ = client_local_update(
         quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 1,
-        unit_profile(), 1, substream(0, "t"))
+        unit_compute(), 1, substream(0, "t"))
     assert steps == 1
     assert np.allclose(delta, [-0.1, 0.0])
 
@@ -267,7 +268,7 @@ def test_matches_straight_line_sgd_oracle_bitwise():
                                    np.array([[0.3, -0.7]]), noise_sigma=0.5)
     w0 = np.array([1.0, 2.0])
     delta, steps, _ = client_local_update(
-        obj, 0, w0, 0.05, 60, unit_profile(), 1, substream(9, "sgd", 0, 0))
+        obj, 0, w0, 0.05, 60, unit_compute(), 1, substream(9, "sgd", 0, 0))
     assert steps == 60
     # independent reference loop over the same substream, one draw per step
     rng = substream(9, "sgd", 0, 0)
@@ -282,7 +283,7 @@ def test_nonfinite_gradient_surfaces_as_numerical_error():
     obj = quadratic_identity()
     with pytest.raises(FloatingPointError):
         client_local_update(obj, 0, np.array([np.inf, 0.0]), 0.1, 5,
-                            unit_profile(), 1, substream(0, "t"))
+                            unit_compute(), 1, substream(0, "t"))
 
 
 def test_diverging_job_fails_without_numpy_warnings():
@@ -292,7 +293,7 @@ def test_diverging_job_fails_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite.*client 2"):
             client_local_update(obj, 2, np.array([1e300, 1.0]), 1e3, 5,
-                                unit_profile(3), 1, substream(0, "t"))
+                                unit_compute(3), 1, substream(0, "t"))
 
 
 def small_classify(model, n=120, clients=3, seed=0):
@@ -368,7 +369,7 @@ def test_local_update_matches_per_step_reference_bitwise(case):
     w0 = obj.init_point() + 0.1
     for k in range(obj.num_clients):
         delta, steps, _ = client_local_update(
-            obj, k, w0, 0.05, 37, unit_profile(obj.num_clients), batch_size,
+            obj, k, w0, 0.05, 37, unit_compute(obj.num_clients), batch_size,
             substream(2, "sgd", k))
         assert steps == 37
         ref = reference_local_update(obj, k, w0, 0.05, 37, batch_size,
@@ -388,10 +389,10 @@ def test_nonfinite_start_fails_the_job_and_names_the_client(case):
     for steps in (1, 5):
         with pytest.raises(FloatingPointError, match="non-finite.*client 2"), \
                 np.errstate(invalid="ignore"):
-            client_local_update(obj, 2, w_start, 0.1, steps, unit_profile(3),
+            client_local_update(obj, 2, w_start, 0.1, steps, unit_compute(3),
                                 8, substream(0, "t"))
     delta, steps, elapsed = client_local_update(
-        obj, 2, w_start, 0.1, 0, unit_profile(3), 8, substream(0, "t"))
+        obj, 2, w_start, 0.1, 0, unit_compute(3), 8, substream(0, "t"))
     assert steps == 0 and elapsed == 0.0
     finite = np.isfinite(w_start)
     assert np.array_equal(delta[finite], np.zeros(finite.sum()))
@@ -416,12 +417,12 @@ def test_first_order_displacement_equalization_on_constant_gradient():
 
     eta_base, e_min = 0.003, 20
     base_delta, _, _ = client_local_update(
-        Linearized(), 0, np.zeros(2), eta_base, e_min, unit_profile(),
+        Linearized(), 0, np.zeros(2), eta_base, e_min, unit_compute(),
         1, substream(0, "a"))
     for e_k in (40, 97, 176):
         eta = scale_learning_rate(eta_base, e_min, e_k)
         delta, _, _ = client_local_update(
-            Linearized(), 0, np.zeros(2), eta, e_k, unit_profile(),
+            Linearized(), 0, np.zeros(2), eta, e_k, unit_compute(),
             1, substream(0, "b"))
         rel = abs(np.linalg.norm(delta) - np.linalg.norm(base_delta)) \
             / np.linalg.norm(base_delta)

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedqueue import queue_sim
-from fedqueue.queue_sim import (ComputeProfile, QueueModel, compute_time,
-                                lognormal_delay, sample_queue_delay)
+from fedqueue.config import FedQueueConfig
+from fedqueue.queue_sim import compute_time, lognormal_delay, sample_queue_delay
 from fedqueue.streams import substream
 
 
 def fixed_model(delays=(0.5, 1.5, 2.4, 6.0)):
-    return QueueModel(kind="fixed", fixed_delays=np.array(delays))
+    return FedQueueConfig(sim_queue="fixed", queue_fixed=delays)
 
 
 def lognormal_model(means=(1.5, 2.5, 3.5, 4.5), rho=0.4, mean_mode="median"):
-    return QueueModel(kind="lognormal", means=np.array(means), rho=rho,
-                      mean_mode=mean_mode)
+    return FedQueueConfig(sim_queue="lognormal", queue_means=means,
+                          queue_rho=rho, queue_mean_mode=mean_mode)
 
 
 def test_fixed_kind_returns_configured_delay_exactly():
@@ -45,8 +44,11 @@ def test_arithmetic_mean_mode_matches_target_mean():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        QueueModel(kind="uniform", fixed_delays=np.ones(2))
+    # validate_config rejects it first; a section built around it does not
+    # fall through to the lognormal draw
+    with pytest.raises(ValueError, match="unknown sim_queue: 'uniform'"):
+        sample_queue_delay(FedQueueConfig(sim_queue="uniform"), 0,
+                           substream(0, "queue", 0, 0))
 
 
 def test_determinism_same_substream_same_delay():
@@ -80,8 +82,7 @@ def test_sampled_delays_nonnegative(k, seed):
 # ---------------------------------------------------------------------------
 
 def profile(throughput=(10.0, 10.0), slowdown=(1.0, 2.0)):
-    return ComputeProfile(throughput=np.array(throughput),
-                          slowdown=np.array(slowdown))
+    return FedQueueConfig(throughput=throughput, slowdown=slowdown)
 
 
 def test_compute_time_division():
@@ -95,7 +96,3 @@ def test_compute_time_zero_steps():
 def test_compute_time_slowdown_multiplier():
     assert compute_time(profile(), 1, 60) == pytest.approx(12.0)
 
-
-def test_zero_slowdown_profile_rejected():
-    with pytest.raises(ValueError, match="slowdown"):
-        profile(slowdown=(1.0, 0.0))
