@@ -9,10 +9,11 @@
                  re-dispatched.
 * fedbuff     -- arrivals accumulate until the buffer holds K_buf updates,
                  then the buffer is aggregated with staleness weights.
-* fedcompass  -- static throughput profiling: per-client step counts are
-                 chosen so predicted finish times align within a stretch
-                 factor of the fastest client's full-budget run; queue delay
-                 is not modeled in the prediction.
+* fedcompass  -- FedCompass with a single arrival group: per-client step
+                 counts are chosen from static throughput profiles so
+                 predicted finish times align within a stretch factor of the
+                 fastest client's full-budget run, and each round blocks on
+                 all K clients; queue delay is not modeled in the prediction.
 
 Staleness for the asynchronous pair is measured in server model versions
 between dispatch and application.  All methods draw the same per-(client,
@@ -166,7 +167,8 @@ class FedBuffOrchestrator(_BaselineBase):
 
 
 class FedCompassOrchestrator(_CohortBase):
-    """Throughput-profiling cohort scheduler (no queue-delay modeling)."""
+    """FedCompass with a single arrival group: throughput-profiled step
+    counts, one cohort of all K clients, no queue-delay modeling."""
 
     def __init__(self, sim: Simulation):
         super().__init__(sim)

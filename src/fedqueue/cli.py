@@ -118,6 +118,10 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise argparse.ArgumentError(None, f"--values: no value in {args.values!r}")
+    # each value names its own run directory, so a repeat would overwrite one
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise argparse.ArgumentError(None, f"--values: repeated {', '.join(repeated)}")
     if args.trials < 1:
         raise argparse.ArgumentError(None, f"--trials must be >= 1, got {args.trials}")
     out = _out_path(args.out)
@@ -198,10 +202,9 @@ def cmd_ablate(args) -> int:
 def cmd_check_bound(args) -> int:
     cfg = _load(args)
     t_sync = cfg.fedqueue.t_sync
-    # each flag alone against the bounds the library raises, before any output
-    with _flag("--rhos"):
-        rhos = [float(v) for v in args.rhos.split(",")]
-        metrics.StalenessBoundParams(rho=rhos, epsilon=0.5, gamma=0.0)
+    k, r = cfg.protocol.num_clients, cfg.protocol.num_rounds
+    # each flag against the bounds the library raises, before any output;
+    # --rhos last, since whether delta* overflows depends on epsilon too
     with _flag("--gammas"):
         gammas = [float(v) for v in args.gammas.split(",")]
         for gamma in gammas:
@@ -210,8 +213,11 @@ def cmd_check_bound(args) -> int:
         quiet = metrics.StalenessBoundParams(rho=0.0, epsilon=args.epsilon, gamma=0.0)
     with _flag("--trials"):
         metrics.staleness_bound_violation_rate(quiet, t_sync, 0.0, 1, 1, args.trials)
+    with _flag("--rhos"):
+        rhos = [float(v) for v in args.rhos.split(",")]
+        metrics.delta_threshold(metrics.StalenessBoundParams(
+            rho=rhos, epsilon=args.epsilon, gamma=0.0), t_sync, k, r)
     out = _out_path(args.out) if args.out else None
-    k, r = cfg.protocol.num_clients, cfg.protocol.num_rounds
     alpha = cfg.fedqueue.alpha
     rows = []
     print(f"{'rho':>6}{'gamma':>7}{'alpha':>7}{'delta*':>9}{'tau_max':>8}"

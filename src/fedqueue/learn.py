@@ -7,7 +7,8 @@ draws all the randomness of a ``steps``-step job on client k in one call and
 returns one batch per step, and ``stochastic_gradient(k, w, batch)`` computes
 the gradient on one such batch without touching an RNG.  A draw of shape
 (steps, ...) yields the same values as ``steps`` one-step draws from the
-same generator.
+same generator.  ``stochastic_gradient`` returns a fresh array that the
+caller may overwrite, as the local SGD step does.
 
 * ``QuadraticObjective`` -- F_k(w) = 0.5 (w - b_k)' A (w - b_k) with a shared
   PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
@@ -111,7 +112,7 @@ class QuadraticObjective:
     def stochastic_gradient(self, k: int, w: np.ndarray, batch) -> np.ndarray:
         g = self.client_gradient(k, w)
         if batch is not None:
-            g = g + batch
+            g += batch
         return g
 
     def evaluate(self, w: np.ndarray):
@@ -176,10 +177,12 @@ def iid_partition(n: int, num_clients: int, rng: np.random.Generator):
     return [np.sort(part) for part in np.array_split(idx, num_clients)]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the logits z, computed in place; returns z."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 class ClassifyObjective:
@@ -190,6 +193,11 @@ class ClassifyObjective:
     them; the model only sets the layer shapes (outputs, inputs).
     Parameters live in a flat float64 vector, each layer's weights then its
     bias, so the protocol layer can treat updates as plain dense deltas.
+
+    Each client's rows are staged once as ``[x | 1 | one-hot(y)]``, and the
+    test split as ``[x | 1]``: a minibatch is one gather of staged rows, the
+    labels are subtracted as rows, and the data layer's weight and bias
+    gradients come from one matmul against ``[x | 1]``.
     """
 
     def __init__(self, x_train, y_train, x_test, y_test, partition,
@@ -200,14 +208,21 @@ class ClassifyObjective:
         self.x_test = np.asarray(x_test, dtype=float)
         self.y_test = np.asarray(y_test, dtype=int)
         self.partition = [np.asarray(p, dtype=int) for p in partition]
-        # each client's rows, gathered once: batches index into these
-        self._rows = [(self.x_train[p], self.y_train[p]) for p in self.partition]
         self.classes = classes
         self.model = model
         self.hidden = 32
         self.feature_dim = self.x_train.shape[1]
         self.num_clients = len(self.partition)
         d, h = self.feature_dim, self.hidden
+        # each client's rows, staged once: batches index into these
+        self._rows = []
+        for p in self.partition:
+            rows = np.zeros((len(p), d + 1 + classes))
+            rows[:, :d] = self.x_train[p]
+            rows[:, d] = 1.0
+            rows[np.arange(len(p)), d + 1 + self.y_train[p]] = 1.0
+            self._rows.append(rows)
+        self._test_rows = np.hstack([self.x_test, np.ones((len(self.x_test), 1))])
         if model == "linear":
             shapes = [(classes, d)]
         elif model == "mlp":
@@ -235,45 +250,54 @@ class ClassifyObjective:
             for ws, _, (out, fan_in) in self._layers:
                 self._w0[ws] = rng.standard_normal(out * fan_in) / math.sqrt(fan_in)
 
-    def _forward(self, w: np.ndarray, x: np.ndarray):
-        """Logits of the rows x, and each layer's input: x, then the tanh
-        of each hidden layer's output."""
+    def _forward(self, w: np.ndarray, x1: np.ndarray):
+        """Logits of the rows x1 = [x | 1], and each layer's input: x1, then
+        the tanh of each hidden layer's output.  The bias is added after
+        the matmul: folding it in through the ones column would change the
+        last bit of the logits."""
         inputs = []
         for i, (ws, bs, shape) in enumerate(self._layers):
-            a = np.tanh(z) if i else x
+            a = np.tanh(z) if i else x1
             inputs.append(a)
-            z = a @ w[ws].reshape(shape).T + w[bs]
+            z = a[:, :shape[1]] @ w[ws].reshape(shape).T
+            z += w[bs]
         return z, inputs
 
     @staticmethod
     def _nll(probs: np.ndarray, y: np.ndarray) -> float:
         return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
 
-    def _grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy gradient over the rows (x, y): the one backward
-        pass behind both full-client and minibatch gradients."""
-        n = len(y)
-        logits, inputs = self._forward(w, x)
-        dz = _softmax(logits)
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
+    def _grad(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy gradient over staged rows [x | 1 | one-hot]:
+        the one backward pass behind both full-client and minibatch
+        gradients."""
+        d1 = self.feature_dim + 1
+        dz, inputs = self._forward(w, rows[:, :d1])
+        _softmax_inplace(dz)
+        dz -= rows[:, d1:]
+        dz /= len(rows)
         g = np.empty_like(w)
         for i in reversed(range(len(self._layers))):
             ws, bs, shape = self._layers[i]
             a = inputs[i]
-            g[ws] = (dz.T @ a).ravel()
-            g[bs] = dz.sum(axis=0)
             if i:
+                g[ws] = (dz.T @ a).ravel()
+                g[bs] = dz.sum(axis=0)
                 dz = (dz @ w[ws].reshape(shape)) * (1.0 - a * a)
+            else:
+                # the data layer: weights and bias from one dz' [x | 1]
+                wb = dz.T @ a
+                g[ws].reshape(shape)[...] = wb[:, :-1]
+                g[bs] = wb[:, -1]
         return g
 
     # ---- objective interface --------------------------------------------
     def client_loss(self, k: int, w: np.ndarray) -> float:
-        x, y = self._rows[k]
-        return self._nll(_softmax(self._forward(w, x)[0]), y)
+        logits, _ = self._forward(w, self._rows[k][:, :self.feature_dim + 1])
+        return self._nll(_softmax_inplace(logits), self.y_train[self.partition[k]])
 
     def client_gradient(self, k: int, w: np.ndarray) -> np.ndarray:
-        return self._grad(w, *self._rows[k])
+        return self._grad(w, self._rows[k])
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         g = np.zeros(self.dimension)
@@ -295,14 +319,14 @@ class ClassifyObjective:
         return rng.integers(0, n_k, size=(steps, min(batch_size, n_k)))
 
     def stochastic_gradient(self, k: int, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        x, y = self._rows[k]
-        return self._grad(w, x[batch], y[batch])
+        # take() is the same gather as rows[batch], at half the cost
+        return self._grad(w, self._rows[k].take(batch, axis=0))
 
     def evaluate(self, w: np.ndarray):
         """(loss, accuracy) on the test split."""
-        logits, _ = self._forward(w, self.x_test)
+        logits, _ = self._forward(w, self._test_rows)
         acc = float(np.mean(np.argmax(logits, axis=1) == self.y_test))
-        return self._nll(_softmax(logits), self.y_test), acc
+        return self._nll(_softmax_inplace(logits), self.y_test), acc
 
     def init_point(self) -> np.ndarray:
         return self._w0.copy()

@@ -327,10 +327,10 @@ class StalenessBoundParams:
         object.__setattr__(self, "rho", np.atleast_1d(np.asarray(self.rho, dtype=float)))
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0, 1)")
-        if not self.gamma >= 0:         # NaN fails too
-            raise ValueError("gamma must be >= 0")
-        if not np.all(self.rho >= 0):
-            raise ValueError("rho must be >= 0")
+        if not 0 <= self.gamma < math.inf:      # NaN fails too
+            raise ValueError("gamma must be finite and >= 0")
+        if not np.all((self.rho >= 0) & (self.rho < math.inf)):
+            raise ValueError("rho must be finite and >= 0")
 
     @property
     def tau_max(self) -> int:
@@ -342,11 +342,17 @@ def delta_threshold(params: StalenessBoundParams, t_sync: float, num_clients: in
     """Smallest safety buffer certifying the staleness bound:
 
     delta* = max(0, max_k sqrt(2 rho_k^2 ln(K R / eps)) - gamma T_sync).
+
+    Raises ValueError when the bound overflows float64 (a huge rho), so no
+    infinite buffer is ever certified.
     """
     if num_clients * num_rounds < 1:
         raise ValueError("need K * R >= 1")
     log_term = math.log(num_clients * num_rounds / params.epsilon)
-    need = float(np.max(np.sqrt(2.0 * params.rho ** 2 * log_term)))
+    with np.errstate(over="ignore"):
+        need = float(np.max(np.sqrt(2.0 * params.rho ** 2 * log_term)))
+    if need == math.inf:
+        raise ValueError(f"delta* overflows float64 at rho = {params.rho.max():g}")
     return max(0.0, need - params.gamma * t_sync)
 
 

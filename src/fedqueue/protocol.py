@@ -176,7 +176,9 @@ def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
     # a diverging job runs on to the check below without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in objective.sample_batches(k, steps, batch_size, rng):
-            w -= eta * objective.stochastic_gradient(k, w, batch)
+            g = objective.stochastic_gradient(k, w, batch)
+            g *= eta
+            w -= g
     if steps and not np.all(np.isfinite(w)):
         raise FloatingPointError(f"non-finite iterate on client {k}")
     elapsed = queue_sim.compute_time(fq, k, steps)

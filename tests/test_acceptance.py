@@ -74,6 +74,24 @@ def test_criterion_1_staleness_bound_grid():
            f"{worst:.4f} <= {threshold:.4f}, {time.time()-start:.1f}s")
 
 
+def test_criterion_1_power_check():
+    # On criterion 1's grid even delta = 0 holds the bound, so that grid
+    # passes whatever delta_threshold returns.  At rho = 10, delta = 0 must
+    # violate it and delta* must hold it.
+    k, r, trials = 4, 50, 2000
+    threshold = EPS + 3 * math.sqrt(EPS * (1 - EPS) / trials)
+    for gamma in (0.2, 1.0):
+        params = fq.StalenessBoundParams(rho=np.full(k, 10.0), epsilon=EPS,
+                                         gamma=gamma)
+        delta = fq.delta_threshold(params, 10.0, k, r)
+        unbuffered = fq.staleness_bound_violation_rate(
+            params, 10.0, 0.0, k, r, trials=trials, seed=42)
+        certified = fq.staleness_bound_violation_rate(
+            params, 10.0, delta, k, r, trials=trials, seed=42)
+        assert unbuffered > threshold, f"gamma={gamma}: delta = 0 holds ({unbuffered})"
+        assert certified <= threshold, f"gamma={gamma}: delta* fails ({certified})"
+
+
 # ---------------------------------------------------------------------------
 # 2. delay-ratio grid shape at table defaults
 # ---------------------------------------------------------------------------

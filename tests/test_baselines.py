@@ -227,3 +227,39 @@ def test_identical_delay_substreams_across_algorithms():
         assert n > 0
         for s in seqs[1:]:
             assert s[:n] == pytest.approx(seqs[0][:n])
+
+
+# ---------------------------------------------------------------------------
+# cross-baseline identities
+# ---------------------------------------------------------------------------
+
+def run_with_model(cfg):
+    """The run's log and the server's final model."""
+    sim = engine.Simulation(cfg)
+    orchestrator = baselines.ORCHESTRATORS[cfg.protocol.algo](sim)
+    sim.run(orchestrator)
+    return sim.log, orchestrator.w
+
+
+def assert_same_run(cfg_a, cfg_b):
+    (log_a, w_a), (log_b, w_b) = run_with_model(cfg_a), run_with_model(cfg_b)
+    assert not log_a.failed and len(log_a.evals) > 1
+    assert log_a.checksum() == log_b.checksum()
+    assert np.array_equal(w_a, w_b)
+
+
+def test_fedcompass_with_fixed_steps_equals_fedavg():
+    speeds = dict(fedqueue__throughput=(10.0, 20.0, 5.0, 40.0))
+    assert_same_run(
+        quick_config("fedcompass", compass__min_local_steps=30,
+                     compass__max_local_steps=30, **speeds),
+        quick_config("fedavg", fedavg__num_local_steps=(30,) * 4, **speeds))
+
+
+def test_single_client_fedasync_at_full_mixing_equals_fedbuff_of_one():
+    one = dict(protocol__num_clients=1, fedqueue__throughput=(10.0,),
+               fedqueue__slowdown=(1.0,), fedqueue__queue_fixed=(1.5,),
+               fedqueue__queue_means=(2.5,), fedavg__num_local_steps=(15,),
+               fedasync__num_local_steps=40, fedasync__staleness_fn="constant",
+               fedasync__alpha=1.0, fedbuff__k=1)
+    assert_same_run(quick_config("fedasync", **one), quick_config("fedbuff", **one))

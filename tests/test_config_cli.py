@@ -314,12 +314,17 @@ BAD_ARGUMENTS = {
     "sweep-no-values": (["sweep", "--axis", "queue_rho", "--values", ","], "--values"),
     "sweep-zero-trials": (["sweep", "--axis", "queue_rho", "--values", "0.1",
                            "--trials", "0"], "--trials"),
+    "sweep-repeated-value": (["sweep", "--axis", "queue_rho", "--values",
+                              "0.1,0.5,0.1"], "--values"),
     "ablate-zero-trials": (["ablate", "--trials", "0"], "--trials"),
     "check-lemma1-few-trials": (["check-lemma1", "--trials", "50"], "--trials"),
     "check-lemma1-zero-epsilon": (["check-lemma1", "--epsilon", "0"], "--epsilon"),
     "check-lemma1-no-rhos": (["check-lemma1", "--rhos", ","], "--rhos"),
     "check-lemma1-nan-rho": (["check-lemma1", "--rhos", "0.1,nan"], "--rhos"),
     "check-lemma1-nan-gamma": (["check-lemma1", "--gammas", "nan"], "--gammas"),
+    "check-lemma1-inf-rho": (["check-lemma1", "--rhos", "0.1,inf"], "--rhos"),
+    "check-lemma1-overflowing-rho": (["check-lemma1", "--rhos", "1e200"], "--rhos"),
+    "check-lemma1-inf-gamma": (["check-lemma1", "--gammas", "inf"], "--gammas"),
     "run-out-is-a-file": (["run"], "--out"),
 }
 

@@ -104,6 +104,30 @@ def test_noisy_gradient_unbiased():
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * tol + 1e-3)
 
 
+@pytest.mark.parametrize("family", ["quadratic", "quadratic-noisy",
+                                    "linear", "mlp"])
+def test_stochastic_gradient_returns_a_fresh_array(family):
+    # the local SGD step scales the returned gradient in place
+    if family.startswith("quadratic"):
+        sigma = 0.5 if family.endswith("noisy") else 0.0
+        obj = QuadraticObjective.diagonal(3, 2, substream(1, "q"), noise_sigma=sigma)
+    else:
+        obj = small_classify(family)
+    w = obj.init_point() + 0.1
+    [batch] = obj.sample_batches(1, 1, 16, substream(2, "b"))
+    inputs = (w.copy(), None if batch is None else batch.copy())
+    state = (obj.client_gradient(1, w), obj.evaluate(w))
+    g = obj.stochastic_gradient(1, w, batch)
+    expected = g.copy()
+    g *= 1e3
+    g[0] = np.nan
+    assert np.array_equal(obj.stochastic_gradient(1, w, batch), expected)
+    assert np.array_equal(obj.client_gradient(1, w), state[0])
+    assert obj.evaluate(w) == state[1]
+    assert np.array_equal(w, inputs[0])
+    assert batch is None or np.array_equal(batch, inputs[1])
+
+
 def test_loss_at_minimizer_equals_min_value():
     rng = substream(2, "quad")
     obj = QuadraticObjective.diagonal(4, 3, rng, lmax=4.0, spread=1.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,21 @@ def test_default_grid_point_already_covered_by_gamma():
 def test_threshold_without_gamma_slack():
     value = delta_threshold(params(gamma=0.0), 10.0, 4, 50)
     assert value == pytest.approx(1.6291396148988118, rel=1e-9)
+
+
+@pytest.mark.parametrize("rho, gamma", [(math.inf, 0.2), (math.nan, 0.2),
+                                        (0.4, math.inf), (0.4, math.nan)])
+def test_nonfinite_bound_constants_rejected(rho, gamma):
+    with pytest.raises(ValueError, match="must be finite"):
+        params(rho=rho, gamma=gamma)
+
+
+@pytest.mark.parametrize("rho", [1e200, 1e154])   # rho ** 2 overflows; 2 rho ** 2 does
+def test_overflowing_threshold_raises_without_numpy_warnings(rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="delta\\* overflows"):
+            delta_threshold(params(rho=rho, gamma=0.0), 10.0, 4, 50)
 
 
 def test_tau_max_is_ceiling():

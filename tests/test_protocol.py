@@ -296,12 +296,19 @@ def test_diverging_job_fails_without_numpy_warnings():
                                 unit_compute(3), 1, substream(0, "t"))
 
 
-def small_classify(model, n=120, clients=3, seed=0):
+def small_classify(model, n=120, clients=3, seed=0, dim=5, classes=3):
     rng = substream(seed, "data")
-    x, y, _ = learn.make_mixture_data(n + 40, 5, 3, rng)
+    x, y, _ = learn.make_mixture_data(n + 40, dim, classes, rng)
     parts = learn.dirichlet_partition(y[:n], clients, 0.5, rng)
     return learn.ClassifyObjective(x[:n], y[:n], x[n:], y[n:], parts,
-                                   classes=3, model=model, init_rng=rng)
+                                   classes=classes, model=model, init_rng=rng)
+
+
+def benchmark_shaped_classify(model="linear"):
+    """The benchmark's classify shapes: d = 16, C = 10, every client > 64 rows."""
+    obj = small_classify(model, n=1200, clients=4, dim=16, classes=10)
+    assert min(len(p) for p in obj.partition) > 64
+    return obj
 
 
 def reference_classify_grad(obj, w, x, y):
@@ -355,12 +362,15 @@ def reference_local_update(obj, k, w_start, eta, steps, batch_size, rng):
 
 
 @pytest.mark.parametrize("case", ["linear", "mlp", "linear-small-client",
-                                  "quadratic-noisy"])
+                                  "quadratic-noisy", "linear-benchmark-shape"])
 def test_local_update_matches_per_step_reference_bitwise(case):
     if case == "quadratic-noisy":
         obj = learn.QuadraticObjective.diagonal(5, 3, substream(1, "q"),
                                                 noise_sigma=0.7)
         batch_size = 8
+    elif case == "linear-benchmark-shape":
+        obj = benchmark_shaped_classify()
+        batch_size = 64
     else:
         obj = small_classify(case.split("-")[0])
         sizes = [len(p) for p in obj.partition]
@@ -375,6 +385,41 @@ def test_local_update_matches_per_step_reference_bitwise(case):
         ref = reference_local_update(obj, k, w0, 0.05, 37, batch_size,
                                      substream(2, "sgd", k))
         assert np.array_equal(delta, ref)
+
+
+def reference_loss_and_accuracy(obj, w, x, y):
+    """Mean cross-entropy and accuracy of the rows (x, y), computed the way
+    the kernel did before its rows were staged."""
+    d, c, h = obj.feature_dim, obj.classes, obj.hidden
+    if obj.model == "linear":
+        logits = x @ w[: c * d].reshape(c, d).T + w[c * d:]
+    else:
+        a1 = np.tanh(x @ w[: h * d].reshape(h, d).T + w[h * d: h * d + h])
+        logits = a1 @ w[h * d + h: h * d + h + c * h].reshape(c, h).T \
+            + w[h * d + h + c * h:]
+    acc = float(np.mean(np.argmax(logits, axis=1) == y))
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300))), acc
+
+
+@pytest.mark.parametrize("case", ["linear", "mlp", "linear-benchmark-shape",
+                                  "mlp-benchmark-shape"])
+def test_full_client_gradient_loss_and_evaluate_match_reference_bitwise(case):
+    model = case.split("-")[0]
+    obj = benchmark_shaped_classify(model) if case.endswith("shape") \
+        else small_classify(model)
+    rng = substream(4, "w")
+    for scale in (0.0, 0.1, 1.0):
+        w = obj.init_point() + scale * rng.standard_normal(obj.dimension)
+        for k, part in enumerate(obj.partition):
+            x, y = obj.x_train[part], obj.y_train[part]
+            assert np.array_equal(obj.client_gradient(k, w),
+                                  reference_classify_grad(obj, w, x, y))
+            assert obj.client_loss(k, w) == reference_loss_and_accuracy(obj, w, x, y)[0]
+        assert obj.evaluate(w) == reference_loss_and_accuracy(obj, w, obj.x_test,
+                                                              obj.y_test)
 
 
 @pytest.mark.parametrize("case", ["linear", "mlp", "quadratic"])
