@@ -7,6 +7,14 @@ on a cutoff is admitted to that cutoff's round, then boundaries, in client
 order.  All randomness flows through per-(client, submission) substreams, so
 a given seed produces the same admission delays for every algorithm and a
 rerun reproduces the log bit for bit.
+
+A job's local SGD runs when its update is first needed, not at its
+dispatch: dispatch draws the delay, prices the job and schedules its
+events, and queues the job.  When an arrival whose update is not yet
+computed pops, every queued job runs in one stacked
+`protocol.client_local_update` call; the end of the run flushes the rest.
+Each job starts from a copy of the model it was dispatched with and draws
+from its own substream, so its update does not depend on when it runs.
 """
 from __future__ import annotations
 
@@ -23,7 +31,8 @@ from .predictor import DelayPredictor
 from .streams import spawn_seed, substream
 
 __all__ = ["Simulation", "Orchestrator", "FedQueueOrchestrator",
-           "InvariantError", "run_experiment", "run_many", "run_sweep"]
+           "InvariantError", "run_experiment", "simulate", "run_many",
+           "run_sweep"]
 
 # event ranks: arrivals strictly before round boundaries at equal times.  A
 # heap entry's rank names its kind; its key is the client (job start,
@@ -60,9 +69,13 @@ class InvariantError(RuntimeError):
 
 class Simulation:
     """Clock, event heap, and shared dispatch machinery for one experiment,
-    with its objective and log built from `cfg`."""
+    with its objective and log built from `cfg`.
 
-    def __init__(self, cfg: ExperimentConfig):
+    With `defer` false, each job's update is computed at its dispatch, a
+    stack of one: a diverging job then fails the run there.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, defer: bool = True):
         p, fq = cfg.protocol, cfg.fedqueue
         self.cfg = cfg
         self.objective = learn.build_objective(cfg, substream(p.seed, "data"))
@@ -76,6 +89,8 @@ class Simulation:
         self._heap = []
         self._seq = 0
         self._submissions = np.zeros(self.num_clients, dtype=int)
+        self.defer = defer
+        self._queued = []       # (msg, job) of dispatched jobs not yet run
 
     # ---- scheduling ------------------------------------------------------
     def schedule(self, time: float, rank: int, key: int, payload) -> None:
@@ -105,28 +120,46 @@ class Simulation:
     def submit_job(self, k: int, w: np.ndarray, submit_round: int, eta: float,
                    step_budget: int,
                    q_hat_used: float = float("nan")) -> None:
-        """Broadcast + job submission: draws the admission delay, runs the
-        local update, and schedules start/arrival events."""
+        """Broadcast + job submission: draws the admission delay, prices the
+        job's compute time, schedules its start and arrival, and queues the
+        job (or, not deferring, runs it now)."""
         p, fq = self.cfg.protocol, self.cfg.fedqueue
         j = int(self._submissions[k])
         self._submissions[k] += 1
         q = queue_sim.sample_queue_delay(fq, k, substream(p.seed, "queue", k, j))
-        sgd_rng = substream(p.seed, "sgd", k, j)
-        delta, steps_done, elapsed = protocol.client_local_update(
-            self.objective, k, w, eta, step_budget, fq, p.batch_size, sgd_rng)
-        arrival = self.now + q + elapsed
+        rng = substream(p.seed, "sgd", k, j)
+        steps = int(step_budget)
+        delta = None
+        if not self.defer:
+            [delta], _ = protocol.client_local_update(
+                self.objective, [(k, w, eta, steps, rng)], p.batch_size)
+        arrival = self.now + q + queue_sim.compute_time(fq, k, steps)
         msg = protocol.ClientUpdate(
             client=k, submit_round=submit_round, delta=delta, observed_q=q,
-            arrival=arrival, steps_done=steps_done, q_hat_used=q_hat_used,
+            arrival=arrival, steps_done=steps, q_hat_used=q_hat_used,
             submit_time=self.now)
+        if delta is None:
+            # the orchestrator may rebind its model before the job runs
+            self._queued.append((msg, (k, w.copy(), eta, steps, rng)))
         self.schedule(self.now + q, RANK_JOB_START, k, submit_round)
         self.schedule(arrival, RANK_ARRIVAL, k, msg)
-        self.log.total_local_steps += steps_done
+        self.log.total_local_steps += steps
         # the drawn delay rides along: fedqueue's round rows show it for
         # jobs still in flight at the horizon
         self.log.event(self.now, "dispatch", data=q, client=k,
                        round=submit_round, steps=step_budget, eta=eta,
                        q_hat=q_hat_used)
+
+    def _run_queued_jobs(self) -> None:
+        """Run every queued job in one stacked local update and attach each
+        update to its message."""
+        if not self._queued:
+            return
+        queued, self._queued = self._queued, []
+        deltas, _ = protocol.client_local_update(
+            self.objective, [job for _, job in queued], self.cfg.protocol.batch_size)
+        for (msg, _), delta in zip(queued, deltas):
+            msg.delta = delta
 
     def evaluate(self, w: np.ndarray) -> None:
         # a diverging model can be finite while its loss overflows: the loss
@@ -149,8 +182,17 @@ class Simulation:
     # ---- main loop -------------------------------------------------------
     def run(self, orchestrator) -> None:
         """Process events up to the horizon; a run whose clock stops or
-        crawls is marked failed as stalled."""
-        orchestrator.start()
+        crawls is marked failed as stalled.  Jobs still queued when the
+        loop ends, also by an exception, run before this returns, so a job
+        dispatched before the horizon that diverges still fails the run."""
+        try:
+            orchestrator.start()
+            self._process_events(orchestrator)
+        finally:
+            self._run_queued_jobs()
+        orchestrator.finish()
+
+    def _process_events(self, orchestrator) -> None:
         stall_limit = _STALL_EVENTS_PER_CLIENT_ROUND * self.num_clients
         t_sync, window, count = self.cfg.fedqueue.t_sync, 0.0, 0
         while self._heap:
@@ -175,10 +217,11 @@ class Simulation:
                 self.log.event(time, "arrival", client=msg.client,
                                round=msg.submit_round, q=msg.observed_q,
                                steps=msg.steps_done)
+                if msg.delta is None:
+                    self._run_queued_jobs()
                 orchestrator.on_arrival(msg)
             else:
                 orchestrator.on_round_boundary(payload)
-        orchestrator.finish()
 
 
 class Orchestrator:
@@ -312,16 +355,31 @@ def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
     """Warm-up plus the configured horizon under the configured orchestrator.
 
     Identical config and seed give a bit-identical log.  Numerical divergence
-    marks the log failed instead of raising.
+    marks the log failed instead of raising.  The jobs run deferred and
+    stacked; when a stack meets a diverging job, the config is rerun with
+    each job run at its dispatch, so the failed log stops where that job
+    was dispatched.
     """
+    validate_config(cfg)
+    try:
+        return simulate(cfg)
+    except FloatingPointError:
+        return simulate(cfg, defer=False)
+
+
+def simulate(cfg: ExperimentConfig, defer: bool = True) -> metrics.MetricsLog:
+    """One run of a validated config; see `Simulation` for `defer`.  Not
+    deferring, a diverging job marks the log failed; deferring, it raises
+    FloatingPointError."""
     from .baselines import ORCHESTRATORS  # late import; baselines build on engine
 
-    validate_config(cfg)
-    sim = Simulation(cfg)
+    sim = Simulation(cfg, defer)
     orchestrator = ORCHESTRATORS[cfg.protocol.algo](sim)
     try:
         sim.run(orchestrator)
     except FloatingPointError as exc:
+        if defer:
+            raise
         sim.log.failed = True
         sim.log.failure_reason = str(exc)
         orchestrator.finish()

@@ -4,11 +4,16 @@ Two workload families share one duck-typed interface (dimension, weights,
 client/global gradients, stochastic gradients, evaluate).  Stochastic
 gradients come in two calls: ``sample_batches(k, steps, batch_size, rng)``
 draws all the randomness of a ``steps``-step job on client k in one call and
-returns one batch per step, and ``stochastic_gradient(k, w, batch)`` computes
-the gradient on one such batch without touching an RNG.  A draw of shape
-(steps, ...) yields the same values as ``steps`` one-step draws from the
-same generator.  ``stochastic_gradient`` returns a fresh array that the
-caller may overwrite, as the local SGD step does.
+returns one batch per step, and ``stochastic_gradient(ks, W, batches)``
+computes the gradients of a stack of L jobs ("lanes") without touching an
+RNG: lane i is client ``ks[i]`` at iterate ``W[i]`` (W is ``(L, dim)``) on
+its batch ``batches[i]``, one step's batch as ``sample_batches`` drew it.
+The lanes of one call draw batches of one shape: one call carries either
+only noise-free or only noisy quadratic lanes, and only classify lanes of
+one batch width.  It returns a fresh ``(L, dim)`` array that the caller may
+overwrite, as the local SGD step does; each row is bit for bit the gradient
+of that lane computed alone.  A draw of shape (steps, ...) yields the same
+values as ``steps`` one-step draws from the same generator.
 
 * ``QuadraticObjective`` -- F_k(w) = 0.5 (w - b_k)' A (w - b_k) with a shared
   PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
@@ -109,10 +114,11 @@ class QuadraticObjective:
             return sig / math.sqrt(self.dimension) * rng.standard_normal((steps, self.dimension))
         return [None] * steps
 
-    def stochastic_gradient(self, k: int, w: np.ndarray, batch) -> np.ndarray:
-        g = self.client_gradient(k, w)
-        if batch is not None:
-            g += batch
+    def stochastic_gradient(self, ks, w: np.ndarray, batches) -> np.ndarray:
+        # one gemv per lane, as A @ (w - b_k) computes it alone
+        g = (self.A @ (w - self.b[ks])[:, :, None])[:, :, 0]
+        if batches[0] is not None:
+            g += batches
         return g
 
     def evaluate(self, w: np.ndarray):
@@ -178,10 +184,10 @@ def iid_partition(n: int, num_clients: int, rng: np.random.Generator):
 
 
 def _softmax_inplace(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the logits z, computed in place; returns z."""
-    z -= z.max(axis=1, keepdims=True)
+    """Softmax over the last axis of the logits z, in place; returns z."""
+    z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -194,10 +200,15 @@ class ClassifyObjective:
     Parameters live in a flat float64 vector, each layer's weights then its
     bias, so the protocol layer can treat updates as plain dense deltas.
 
-    Each client's rows are staged once as ``[x | 1 | one-hot(y)]``, and the
-    test split as ``[x | 1]``: a minibatch is one gather of staged rows, the
-    labels are subtracted as rows, and the data layer's weight and bias
-    gradients come from one matmul against ``[x | 1]``.
+    The training rows are staged once as ``[x | 1 | one-hot(y)]`` in one
+    array, client by client, each client's rows a block at its own offset,
+    and the test split as ``[x | 1]``: the minibatches of a stack of lanes
+    are one gather of staged rows, the labels are subtracted as rows, and
+    the data layer's weight and bias gradients come from one matmul against
+    ``[x | 1]``.  The forward and backward passes take one parameter vector
+    with ``(n, ·)`` rows or a stack ``(L, dim)`` with ``(L, n, ·)`` rows;
+    a stack runs ``(L, ·, ·)`` matmuls, one gemm per lane, and reduces over
+    the same axes, so each lane's bits are those of its own pass.
     """
 
     def __init__(self, x_train, y_train, x_test, y_test, partition,
@@ -214,10 +225,13 @@ class ClassifyObjective:
         self.feature_dim = self.x_train.shape[1]
         self.num_clients = len(self.partition)
         d, h = self.feature_dim, self.hidden
-        # each client's rows, staged once: batches index into these
-        self._rows = []
-        for p in self.partition:
-            rows = np.zeros((len(p), d + 1 + classes))
+        # every client's rows, staged once in one array: batches index into it
+        sizes = [len(p) for p in self.partition]
+        self._offsets = np.cumsum([0] + sizes[:-1])
+        self._staged = np.zeros((sum(sizes), d + 1 + classes))
+        self._rows = []                 # each client's block of staged rows
+        for p, start in zip(self.partition, self._offsets):
+            rows = self._staged[start:start + len(p)]
             rows[:, :d] = self.x_train[p]
             rows[:, d] = 1.0
             rows[np.arange(len(p)), d + 1 + self.y_train[p]] = 1.0
@@ -237,7 +251,7 @@ class ClassifyObjective:
                                  (out, fan_in)))
             i += n + out
         self.dimension = i
-        sizes = np.array([len(p) for p in self.partition], dtype=float)
+        sizes = np.array(sizes, dtype=float)
         if weight_mode == "data_size":
             self.weights = sizes / sizes.sum()
         else:
@@ -255,12 +269,13 @@ class ClassifyObjective:
         the tanh of each hidden layer's output.  The bias is added after
         the matmul: folding it in through the ones column would change the
         last bit of the logits."""
+        lead = w.shape[:-1]
         inputs = []
         for i, (ws, bs, shape) in enumerate(self._layers):
             a = np.tanh(z) if i else x1
             inputs.append(a)
-            z = a[:, :shape[1]] @ w[ws].reshape(shape).T
-            z += w[bs]
+            z = a[..., :shape[1]] @ w[..., ws].reshape(lead + shape).swapaxes(-1, -2)
+            z += w[..., None, bs]
         return z, inputs
 
     @staticmethod
@@ -271,24 +286,25 @@ class ClassifyObjective:
         """Mean cross-entropy gradient over staged rows [x | 1 | one-hot]:
         the one backward pass behind both full-client and minibatch
         gradients."""
+        lead = w.shape[:-1]
         d1 = self.feature_dim + 1
-        dz, inputs = self._forward(w, rows[:, :d1])
+        dz, inputs = self._forward(w, rows[..., :d1])
         _softmax_inplace(dz)
-        dz -= rows[:, d1:]
-        dz /= len(rows)
+        dz -= rows[..., d1:]
+        dz /= rows.shape[-2]
         g = np.empty_like(w)
         for i in reversed(range(len(self._layers))):
             ws, bs, shape = self._layers[i]
             a = inputs[i]
             if i:
-                g[ws] = (dz.T @ a).ravel()
-                g[bs] = dz.sum(axis=0)
-                dz = (dz @ w[ws].reshape(shape)) * (1.0 - a * a)
+                g[..., ws] = (dz.swapaxes(-1, -2) @ a).reshape(lead + (-1,))
+                g[..., bs] = dz.sum(axis=-2)
+                dz = (dz @ w[..., ws].reshape(lead + shape)) * (1.0 - a * a)
             else:
                 # the data layer: weights and bias from one dz' [x | 1]
-                wb = dz.T @ a
-                g[ws].reshape(shape)[...] = wb[:, :-1]
-                g[bs] = wb[:, -1]
+                wb = dz.swapaxes(-1, -2) @ a
+                g[..., ws].reshape(lead + shape)[...] = wb[..., :-1]
+                g[..., bs] = wb[..., -1]
         return g
 
     # ---- objective interface --------------------------------------------
@@ -311,16 +327,20 @@ class ClassifyObjective:
 
     def sample_batches(self, k: int, steps: int, batch_size: int,
                        rng: np.random.Generator) -> np.ndarray:
-        """(steps, min(batch_size, n_k)) row positions drawn with replacement
-        from client k's n_k samples; row i is step i's minibatch."""
+        """(steps, min(batch_size, n_k)) rows of the staged array drawn with
+        replacement from client k's n_k samples; row i is step i's
+        minibatch."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         n_k = len(self.partition[k])
-        return rng.integers(0, n_k, size=(steps, min(batch_size, n_k)))
+        batches = rng.integers(0, n_k, size=(steps, min(batch_size, n_k)))
+        batches += self._offsets[k]
+        return batches
 
-    def stochastic_gradient(self, k: int, w: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        # take() is the same gather as rows[batch], at half the cost
-        return self._grad(w, self._rows[k].take(batch, axis=0))
+    def stochastic_gradient(self, ks, w: np.ndarray, batches) -> np.ndarray:
+        # the batches hold staged rows, so the clients ks are not needed;
+        # take() is the same gather as _staged[batches], at half the cost
+        return self._grad(w, self._staged.take(batches, axis=0))
 
     def evaluate(self, w: np.ndarray):
         """(loss, accuracy) on the test split."""
@@ -358,9 +378,10 @@ def heterogeneity_stats(objective, probe_points, rng: np.random.Generator,
     for w in probes:
         for k in range(objective.num_clients):
             gk = objective.client_gradient(k, w)
-            for batch in objective.sample_batches(k, draws_per_probe, batch_size, rng):
-                g = objective.stochastic_gradient(k, w, batch)
-                sq_dev.append(float(np.sum((g - gk) ** 2)))
+            batches = objective.sample_batches(k, draws_per_probe, batch_size, rng)
+            g = objective.stochastic_gradient([k] * draws_per_probe,
+                                              np.tile(w, (draws_per_probe, 1)), batches)
+            sq_dev.extend(np.sum((g - gk) ** 2, axis=1).tolist())
     sigma_hat = math.sqrt(float(np.mean(sq_dev))) if sq_dev else 0.0
     l_hat = 0.0
     grads = [objective.gradient(w) for w in probes]

@@ -4,7 +4,8 @@ Server side: per-round step budgets from the current delay
 prediction, inverse learning-rate scaling across heterogeneous step budgets,
 deadline admission with buffering of late arrivals, and staleness-weighted
 delta aggregation.  Client side: local SGD over a step budget, returning a
-model delta.  Everything here is pure over value inputs; the engine owns state.
+model delta, for a stack of jobs at once.  Everything here is pure over value
+inputs; the engine owns state.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import queue_sim
-from .config import FedQueueConfig
 
 __all__ = [
     "StalenessDecay",
@@ -54,11 +53,12 @@ class StalenessDecay:
 
 @dataclass
 class ClientUpdate:
-    """The message a client returns: (k, submit round, delta, observed q)."""
+    """The message a client returns: (k, submit round, delta, observed q).
+    The engine fills in `delta` when the update is first needed."""
 
     client: int
     submit_round: int
-    delta: np.ndarray
+    delta: np.ndarray | None
     observed_q: float
     arrival: float              # absolute seconds on the server clock
     steps_done: int
@@ -157,29 +157,79 @@ def aggregate(w: np.ndarray, admitted, decay: StalenessDecay) -> np.ndarray:
     return w + total / s
 
 
-def client_local_update(objective, k: int, w_start: np.ndarray, eta: float,
-                        step_budget: int, fq: FedQueueConfig,
-                        batch_size: int, rng: np.random.Generator):
-    """Run `step_budget` local SGD steps; the compute model of `fq` prices them.
+# steps of minibatches a stack draws and holds at a time, so that its
+# memory stays bounded whatever the budgets
+_CHUNK_STEPS = 64
 
-    Returns (delta, steps_done, elapsed_seconds).  Raises FloatingPointError
-    when a job of at least one step ends on a non-finite iterate, so the
-    engine can mark the run failed.  One check per job suffices: with
-    eta > 0, a coordinate that turns non-finite under w -= eta * g stays so.
+
+def client_local_update(objective, lanes, batch_size: int):
+    """Local SGD for a stack of jobs ("lanes"), each a tuple (client k,
+    start model, eta, step budget, rng): lane i runs its budget of steps
+    from its start model on the minibatches it draws from its own rng.
+
+    Returns (deltas, lane_steps): the lanes' model deltas in the order of
+    `lanes`, and the number of lane-steps run.  Each delta is bit for bit
+    that of the lane's job run alone: a lane draws its batches in chunks of
+    steps, and a draw of n steps equals n one-step draws.  Lanes whose
+    batches differ in shape run in separate stacks.  A stack runs longest
+    budget first, so the lanes still running at each step are a prefix of
+    it: one `stochastic_gradient` call per step serves them all.
+
+    Raises FloatingPointError, naming the client of the first such lane,
+    when a lane of at least one step ends on a non-finite iterate.  One
+    check per lane suffices: with eta > 0, a coordinate that turns
+    non-finite under w -= eta * g stays so.
     """
-    if step_budget < 0:
+    if not lanes:
+        return [], 0
+    ks, starts, etas, budgets, rngs = zip(*lanes)
+    if min(budgets) < 0:
         raise ValueError("step budget must be >= 0")
-    if eta <= 0:
+    if min(etas) <= 0:
         raise ValueError("eta must be > 0")
-    steps = int(step_budget)
-    w = w_start.copy()
-    # a diverging job runs on to the check below without numpy warnings
+    # each lane's first chunk of batches shows the shape of its batches
+    chunks = [objective.sample_batches(k, min(steps, _CHUNK_STEPS), batch_size, rng)
+              for k, steps, rng in zip(ks, budgets, rngs)]
+    stacks = {}
+    for i, chunk in enumerate(chunks):
+        stacks.setdefault(np.shape(chunk)[1:], []).append(i)
+    finals = [None] * len(lanes)
+    # a diverging lane runs on to the check below without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for batch in objective.sample_batches(k, steps, batch_size, rng):
-            g = objective.stochastic_gradient(k, w, batch)
-            g *= eta
-            w -= g
-    if steps and not np.all(np.isfinite(w)):
-        raise FloatingPointError(f"non-finite iterate on client {k}")
-    elapsed = queue_sim.compute_time(fq, k, steps)
-    return w - w_start, steps, elapsed
+        for members in stacks.values():
+            members.sort(key=lambda i: -budgets[i])
+            steps = [budgets[i] for i in members]
+            w = np.array([starts[i] for i in members], dtype=float)
+            eta = np.array([etas[i] for i in members], dtype=float)[:, None]
+            stack_ks = np.array([ks[i] for i in members])
+            first = np.asarray(chunks[members[0]])
+            batches = np.empty((_CHUNK_STEPS, len(members)) + first.shape[1:],
+                               first.dtype)
+            live = len(members)
+            for t0 in range(0, steps[0], _CHUNK_STEPS):
+                while steps[live - 1] <= t0:
+                    live -= 1
+                for j, i in enumerate(members[:live]):
+                    if t0:
+                        chunks[i] = objective.sample_batches(
+                            ks[i], min(steps[j] - t0, _CHUNK_STEPS), batch_size,
+                            rngs[i])
+                    batches[:len(chunks[i]), j] = chunks[i]
+                t, t1 = t0, min(t0 + _CHUNK_STEPS, steps[0])
+                for n in range(live, 0, -1):
+                    # steps t .. end - 1 run the n longest lanes
+                    end = min(steps[n - 1], t1)
+                    if end <= t:
+                        continue
+                    n_ks, n_w, n_eta = stack_ks[:n], w[:n], eta[:n]
+                    for batch in batches[t - t0:end - t0, :n]:
+                        g = objective.stochastic_gradient(n_ks, n_w, batch)
+                        g *= n_eta
+                        n_w -= g
+                    t = end
+            for j, i in enumerate(members):
+                finals[i] = w[j]
+    for k, steps, w in zip(ks, budgets, finals):
+        if steps and not np.all(np.isfinite(w)):
+            raise FloatingPointError(f"non-finite iterate on client {k}")
+    return [w - start for w, start in zip(finals, starts)], int(sum(budgets))

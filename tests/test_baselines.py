@@ -206,6 +206,83 @@ def test_compass_assignment_bounds_hold_in_run():
 
 
 # ---------------------------------------------------------------------------
+# arrival oracles: hand-computed traces, fed to the server without the event
+# loop.  The jobs these dispatches queue never run; each arrival brings a
+# hand-made delta, and every value below is exact in binary floating point.
+# ---------------------------------------------------------------------------
+
+def two_client_server(algo, **over):
+    """(simulation, orchestrator) of a two-client quadratic, the server
+    model set to [1, -2] and started: both clients dispatched at version 0."""
+    two = dict(protocol__num_clients=2, workload__dataset="quadratic",
+               workload__dim=2, fedqueue__throughput=(10.0, 20.0),
+               fedqueue__slowdown=(1.0, 1.0), fedqueue__queue_fixed=(0.5, 1.5),
+               fedqueue__queue_means=(1.5, 2.5), fedavg__num_local_steps=(15, 30))
+    sim = engine.Simulation(quick_config(algo, **two, **over))
+    orch = baselines.ORCHESTRATORS[algo](sim)
+    orch.w = np.array([1.0, -2.0])
+    orch.start()
+    return sim, orch
+
+
+def arrive(sim, orch, k, submit_round, delta, steps=155, q=0.5, submit_time=0.0):
+    """One arrival at t + 1; returns the server model after it."""
+    sim.now += 1.0
+    orch.on_arrival(protocol.ClientUpdate(
+        client=k, submit_round=submit_round, delta=np.array(delta), observed_q=q,
+        arrival=sim.now, steps_done=steps, submit_time=submit_time))
+    return orch.w.tolist()
+
+
+def test_fedasync_arrivals_match_hand_computed_oracle_bitwise():
+    # alpha = 0.5, s(tau) = 1 / (1 + tau):
+    # w <- (1 - a) w + a (w_k + delta),  a = 0.5 s(tau), w_k the model k got
+    sim, orch = two_client_server("fedasync")
+    # tau 0, a = 1/2, w_1 = [1, -2]; client 1 is re-dispatched with the result
+    assert arrive(sim, orch, 1, 0, [0.5, 0.25]) == [1.25, -1.875]
+    # tau 1, a = 1/4, w_0 = [1, -2]
+    assert arrive(sim, orch, 0, 0, [-1.0, 0.5]) == [0.9375, -1.78125]
+    # tau 2 - 1 = 1, a = 1/4, w_1 = [1.25, -1.875]
+    assert arrive(sim, orch, 1, 1, [0.25, 0.25]) == [1.078125, -1.7421875]
+    assert [a.tau for a in sim.log.arrivals] == [0, 1, 1]
+    assert sim.version == 3
+
+
+def test_fedbuff_arrivals_match_hand_computed_oracle_bitwise():
+    # K_buf = 2, alpha = 0.5, s(tau) = 1 / (1 + tau):
+    # w <- w + alpha * sum(s(tau_i) delta_i) / 2 once two updates wait
+    sim, orch = two_client_server("fedbuff", fedbuff__k=2)
+    assert arrive(sim, orch, 0, 0, [0.5, 0.25]) == [1.0, -2.0]
+    # taus 0, 0: w + 0.25 [-0.5, 0.75]
+    assert arrive(sim, orch, 1, 0, [-1.0, 0.5]) == [0.875, -1.8125]
+    assert arrive(sim, orch, 0, 0, [0.25, 0.5]) == [0.875, -1.8125]
+    # taus 1, 0: w + 0.25 (0.5 [0.25, 0.5] + [0.5, -0.5])
+    assert arrive(sim, orch, 1, 1, [0.5, -0.5]) == [1.03125, -1.875]
+    assert [a.tau for a in sim.log.arrivals] == [0, 0, 1, 0]
+    assert sim.version == 2
+
+
+def test_fedcompass_arrivals_match_hand_computed_oracle_bitwise():
+    # speeds [10, 20]: a window of 1.1 * 200 / 20 = 11 s, steps [110, 200]
+    sim, orch = two_client_server("fedcompass")
+    assert [d.fields["steps"] for d in sim.log.dispatches] == [110, 200]
+    # client 1: 200 steps in 9 - 1 = 8 s, 25 steps/s: 0.6 * 20 + 0.4 * 25
+    sim.now = 8.0
+    assert arrive(sim, orch, 1, 0, [-1.0, 0.5], steps=200, q=1.0) == [1.0, -2.0]
+    # client 0: 110 steps in 11 s, 10 steps/s; the cohort is complete:
+    # w + (0.5 [0.5, 0.25] + 0.5 [-1, 0.5]) / (0.5 + 0.5)
+    sim.now = 10.5
+    assert arrive(sim, orch, 0, 0, [0.5, 0.25], steps=110, q=0.5) == [0.75, -1.625]
+    assert orch.speeds.tolist() == [10.0, 22.0]
+    # the next cohort's window: 1.1 * 200 / 22 s, floor(22 * 10.000000000000002)
+    # = 220 clipped to 200
+    assert [d.fields["steps"] for d in sim.log.dispatches] == [110, 200, 100, 200]
+    # one arrival of the new cohort does not aggregate
+    assert arrive(sim, orch, 0, 1, [0.5, 0.5], steps=100) == [0.75, -1.625]
+    assert [a.tau for a in sim.log.arrivals] == [0, 0] and sim.version == 1
+
+
+# ---------------------------------------------------------------------------
 # cross-method fairness
 # ---------------------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -286,6 +287,87 @@ def test_divergence_marks_run_failed():
     log = run_experiment(cfg)
     assert log.failed
     assert "non-finite" in log.failure_reason
+
+
+def _written(log, out_dir):
+    metrics.write_outputs(log, out_dir)
+    return {name: (out_dir / name).read_bytes()
+            for name in ("summary.json", "rounds.csv", "events.jsonl")}
+
+
+@pytest.mark.parametrize("dataset", ["synthetic", "quadratic"])
+@pytest.mark.parametrize("broadcast_when", ["next_round", "immediate"])
+@pytest.mark.parametrize("algo", ["fedqueue", "fedavg", "fedasync", "fedbuff",
+                                  "fedcompass"])
+def test_deferred_stacks_equal_one_job_per_stack(algo, broadcast_when, dataset,
+                                                 tmp_path):
+    cfg = quick_config(protocol__algo=algo, workload__dataset=dataset,
+                       workload__quad_sigma=0.5,
+                       fedqueue__broadcast_when=broadcast_when)
+    deferred, alone = run_experiment(cfg), engine.simulate(cfg, defer=False)
+    assert not deferred.failed and not alone.failed
+    assert deferred.checksum() == alone.checksum()
+    assert _written(deferred, tmp_path / "a") == _written(alone, tmp_path / "b")
+    assert deferred.final_model.tobytes() == alone.final_model.tobytes()
+
+
+def test_deferred_jobs_run_stacked_when_first_needed(monkeypatch):
+    # fedqueue dispatches its four clients at t = 0: their jobs run as one
+    # stack at the first arrival, after every dispatch of that round
+    stacks = []
+    real = protocol.client_local_update
+
+    def spy(objective, lanes, batch_size):
+        stacks.append(sorted(k for k, *_ in lanes))
+        return real(objective, lanes, batch_size)
+
+    monkeypatch.setattr(protocol, "client_local_update", spy)
+    log = run_experiment(quick_config())
+    assert stacks[0] == [0, 1, 2, 3]
+    assert sum(map(len, stacks)) == len(log.dispatches)
+    assert len(stacks) < len(log.dispatches)
+
+
+# time-valued entries of an event: its fields by kind, its dispatch delay,
+# and the fields of an aggregate's arrival records
+_TIME_FIELDS = {"dispatch": ("q_hat",), "arrival": ("q",), "warmup_probe": ("q",)}
+_RECORD_TIMES = ("submit_time", "q", "q_hat", "compute_seconds", "arrival")
+
+
+def _with_times_scaled(event, scale):
+    """repr of an event with every time in it multiplied by `scale`."""
+    fields = {key: value * scale if key in _TIME_FIELDS.get(event.kind, ()) else value
+              for key, value in event.fields.items()}
+    data = event.data
+    if event.kind == "dispatch":
+        data = data * scale
+    elif event.kind == "aggregate":
+        data = [dataclasses.replace(rec, **{f: getattr(rec, f) * scale
+                                            for f in _RECORD_TIMES})
+                for rec in data]
+    return repr((event.t * scale, event.kind, fields, data))
+
+
+@pytest.mark.parametrize("algo", ["fedqueue", "fedavg", "fedasync", "fedbuff",
+                                  "fedcompass"])
+def test_power_of_two_time_scaling_leaves_the_run_unchanged(algo):
+    # doubling every time and halving every rate doubles each time the run
+    # computes and leaves every step count, so the log is the same once its
+    # times are halved: a power of two scales without rounding
+    base = quick_config(protocol__algo=algo, fedqueue__sim_queue="fixed")
+    fq = base.fedqueue
+    scaled = quick_config(
+        protocol__algo=algo, fedqueue__sim_queue="fixed",
+        fedqueue__t_sync=2 * fq.t_sync, fedqueue__delta=2 * fq.delta,
+        fedqueue__q_init=2 * fq.q_init,
+        fedqueue__queue_fixed=tuple(2 * q for q in fq.queue_fixed),
+        fedqueue__throughput=tuple(c / 2 for c in fq.throughput))
+    log, twice = run_experiment(base), run_experiment(scaled)
+    assert not log.failed and len(log.evals) > 1
+    assert [_with_times_scaled(e, 0.5) for e in twice.events] == \
+        [_with_times_scaled(e, 1.0) for e in log.events]
+    assert twice.total_local_steps == log.total_local_steps
+    assert twice.final_model.tobytes() == log.final_model.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,48 @@ EDGE_CASES = {
 DISPATCHES = {"zero-floor-partial-cohort": 20, "zero-floor-empty-cohort": 0}
 
 
+def fedavg_cohort_diverging_config():
+    # client 0 runs 1 step and clients 1-3 run 30 from the same model:
+    # client 1's job stays finite, client 2's is the first to diverge
+    cfg = small_config("fedavg", "synthetic", "linear", "next_round")
+    cfg.fedavg.num_local_steps = (1, 30, 30, 30)
+    cfg.fedqueue.lr_base = 3e307
+    return cfg
+
+
+def fedbuff_classify_diverging_config():
+    cfg = small_config("fedbuff", "synthetic", "linear", "next_round")
+    cfg.fedqueue.lr_base = 2.8e307
+    return cfg
+
+
+def diverging_past_horizon_config():
+    # the cohort dispatched at t = 93.76 s, before the 95 s horizon, would
+    # arrive at 98.2-111.4 s; its client 1 diverges
+    cfg = small_config("fedavg", "quadratic", "linear", "next_round")
+    cfg.fedqueue.lr_base = 0.8
+    cfg.protocol.num_rounds = 19
+    cfg.fedqueue.t_sync = 5.0
+    return cfg
+
+
+# name -> (config, failure reason, round rows, events, local steps, pins)
+DIVERGING = {
+    "fedavg-cohort-diverges-after-its-first-client": (
+        fedavg_cohort_diverging_config, "non-finite iterate on client 2", 0, 3, 31,
+        ("e7d2157316e05db2bab7e4462e19be5ff02f5a6aafc1d30a0291feaf5a793e33",
+         "a81f98a00c8172029c3bf7d93118f086f159831858e2f8480a8fb38345aaf9f6")),
+    "fedbuff-classify-diverges": (
+        fedbuff_classify_diverging_config, "non-finite iterate on client 2", 0, 3, 310,
+        ("e7d2157316e05db2bab7e4462e19be5ff02f5a6aafc1d30a0291feaf5a793e33",
+         "f62629d2358e687e2ad7e69a5a9a75e569f35678db021d1075c435c7c01dabe6")),
+    "diverges-in-a-job-arriving-past-the-horizon": (
+        diverging_past_horizon_config, "non-finite iterate on client 1", 5, 72, 1987,
+        ("def909bcdd0e69cdc4b3482bc22d3ba1bc0bc05b8a647caa5f2c6a724bbd9243",
+         "56d74114ae60d22febcc83631ff6cfd40b72768889677ed83db1b6db13c99326")),
+}
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_golden_edge_cases(name, tmp_path):
     make, failed, rows, skipped, pins = EDGE_CASES[name]
@@ -267,4 +309,15 @@ def test_golden_edge_cases(name, tmp_path):
     assert len(log.rounds) == rows and log.skipped_rounds == skipped
     if name in DISPATCHES:
         assert len(log.dispatches) == DISPATCHES[name]
+    assert (log.checksum(), output_digest(log, tmp_path)) == pins
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGING))
+def test_golden_diverging_runs(name, tmp_path):
+    # the log stops where the diverging job was dispatched, though its
+    # stack runs later
+    make, reason, rows, events, steps, pins = DIVERGING[name]
+    log = run_experiment(make())
+    assert log.failed and log.failure_reason == reason
+    assert (len(log.rounds), len(log.events), log.total_local_steps) == (rows, events, steps)
     assert (log.checksum(), output_digest(log, tmp_path)) == pins

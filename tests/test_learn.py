@@ -88,8 +88,8 @@ def test_zero_noise_gradient_deterministic():
     w = np.array([0.3, -0.2])
     [b1] = obj.sample_batches(0, 1, 4, substream(0, "g"))
     [b2] = obj.sample_batches(0, 1, 4, substream(0, "g"))
-    g1 = obj.stochastic_gradient(0, w, b1)
-    g2 = obj.stochastic_gradient(0, w, b2)
+    g1 = obj.stochastic_gradient([0], w[None], [b1])
+    g2 = obj.stochastic_gradient([0], w[None], [b2])
     assert np.array_equal(g1, g2)
 
 
@@ -98,8 +98,8 @@ def test_noisy_gradient_unbiased():
     w = np.array([1.0, -1.0])
     exact = obj.client_gradient(0, w)
     rng = substream(5, "mc")
-    draws = np.array([obj.stochastic_gradient(0, w, batch)
-                      for batch in obj.sample_batches(0, 10_000, 1, rng)])
+    draws = obj.stochastic_gradient([0] * 10_000, np.tile(w, (10_000, 1)),
+                                    obj.sample_batches(0, 10_000, 1, rng))
     tol = 3 * 0.8 / math.sqrt(2) / math.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * tol + 1e-3)
 
@@ -107,25 +107,27 @@ def test_noisy_gradient_unbiased():
 @pytest.mark.parametrize("family", ["quadratic", "quadratic-noisy",
                                     "linear", "mlp"])
 def test_stochastic_gradient_returns_a_fresh_array(family):
-    # the local SGD step scales the returned gradient in place
+    # the local SGD step scales the returned gradient stack in place
     if family.startswith("quadratic"):
         sigma = 0.5 if family.endswith("noisy") else 0.0
         obj = QuadraticObjective.diagonal(3, 2, substream(1, "q"), noise_sigma=sigma)
     else:
         obj = small_classify(family)
-    w = obj.init_point() + 0.1
-    [batch] = obj.sample_batches(1, 1, 16, substream(2, "b"))
-    inputs = (w.copy(), None if batch is None else batch.copy())
-    state = (obj.client_gradient(1, w), obj.evaluate(w))
-    g = obj.stochastic_gradient(1, w, batch)
+    ks = np.array([1, 0, 1])
+    w = obj.init_point() + 0.1 * np.arange(1, 4)[:, None]
+    batch = np.array([obj.sample_batches(k, 1, 16, substream(2, "b", k))[0]
+                      for k in ks])
+    inputs = (w.copy(), batch.copy())
+    state = (obj.client_gradient(1, w[0]), obj.evaluate(w[0]))
+    g = obj.stochastic_gradient(ks, w, batch)
     expected = g.copy()
     g *= 1e3
-    g[0] = np.nan
-    assert np.array_equal(obj.stochastic_gradient(1, w, batch), expected)
-    assert np.array_equal(obj.client_gradient(1, w), state[0])
-    assert obj.evaluate(w) == state[1]
+    g[0, 0] = np.nan
+    assert np.array_equal(obj.stochastic_gradient(ks, w, batch), expected)
+    assert np.array_equal(obj.client_gradient(1, w[0]), state[0])
+    assert obj.evaluate(w[0]) == state[1]
     assert np.array_equal(w, inputs[0])
-    assert batch is None or np.array_equal(batch, inputs[1])
+    assert batch[0] is None or np.array_equal(batch, inputs[1])
 
 
 def test_loss_at_minimizer_equals_min_value():
@@ -175,7 +177,7 @@ def test_training_improves_over_init():
     w = obj.init_point()
     rng = substream(0, "sgd")
     for batch in obj.sample_batches(0, 400, 32, rng):
-        g = obj.stochastic_gradient(0, w, batch)
+        [g] = obj.stochastic_gradient([0], w[None], batch[None])
         w -= 0.05 * g
     # trained on client 0 only; still beats chance on the shared test set
     assert obj.evaluate(w)[1] > 0.3

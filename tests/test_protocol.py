@@ -11,7 +11,6 @@ from fedqueue.protocol import (StalenessDecay, aggregate,
                                assign_aggregation_round, client_local_update,
                                compute_budget, partition_admissions,
                                scale_learning_rate, staleness_weight)
-from fedqueue.config import FedQueueConfig
 from fedqueue.streams import substream
 
 
@@ -242,23 +241,23 @@ def quadratic_identity(dim=2, clients=1):
     return learn.QuadraticObjective(np.eye(dim), np.zeros((clients, dim)))
 
 
-def unit_compute(n=1):
-    """A [fedqueue] section whose n clients each run 10 steps per second."""
-    return FedQueueConfig(throughput=(10.0,) * n, slowdown=(1.0,) * n)
+def run_alone(objective, k, w_start, eta, steps, batch_size, rng):
+    """One job as a stack of one lane: (delta, steps run)."""
+    [delta], lane_steps = client_local_update(
+        objective, [(k, w_start, eta, steps, rng)], batch_size)
+    return delta, lane_steps
 
 
 def test_zero_budget_returns_zero_delta():
-    delta, steps, elapsed = client_local_update(
-        quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 0,
-        unit_compute(), 1, substream(0, "t"))
-    assert steps == 0 and elapsed == 0.0
+    delta, steps = run_alone(quadratic_identity(), 0, np.array([1.0, 0.0]),
+                             0.1, 0, 1, substream(0, "t"))
+    assert steps == 0
     assert np.array_equal(delta, np.zeros(2))
 
 
 def test_single_explicit_gradient_step():
-    delta, steps, _ = client_local_update(
-        quadratic_identity(), 0, np.array([1.0, 0.0]), 0.1, 1,
-        unit_compute(), 1, substream(0, "t"))
+    delta, steps = run_alone(quadratic_identity(), 0, np.array([1.0, 0.0]),
+                             0.1, 1, 1, substream(0, "t"))
     assert steps == 1
     assert np.allclose(delta, [-0.1, 0.0])
 
@@ -267,8 +266,7 @@ def test_matches_straight_line_sgd_oracle_bitwise():
     obj = learn.QuadraticObjective(np.diag([1.0, 4.0]),
                                    np.array([[0.3, -0.7]]), noise_sigma=0.5)
     w0 = np.array([1.0, 2.0])
-    delta, steps, _ = client_local_update(
-        obj, 0, w0, 0.05, 60, unit_compute(), 1, substream(9, "sgd", 0, 0))
+    delta, steps = run_alone(obj, 0, w0, 0.05, 60, 1, substream(9, "sgd", 0, 0))
     assert steps == 60
     # independent reference loop over the same substream, one draw per step
     rng = substream(9, "sgd", 0, 0)
@@ -282,8 +280,7 @@ def test_matches_straight_line_sgd_oracle_bitwise():
 def test_nonfinite_gradient_surfaces_as_numerical_error():
     obj = quadratic_identity()
     with pytest.raises(FloatingPointError):
-        client_local_update(obj, 0, np.array([np.inf, 0.0]), 0.1, 5,
-                            unit_compute(), 1, substream(0, "t"))
+        run_alone(obj, 0, np.array([np.inf, 0.0]), 0.1, 5, 1, substream(0, "t"))
 
 
 def test_diverging_job_fails_without_numpy_warnings():
@@ -292,8 +289,7 @@ def test_diverging_job_fails_without_numpy_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="non-finite.*client 2"):
-            client_local_update(obj, 2, np.array([1e300, 1.0]), 1e3, 5,
-                                unit_compute(3), 1, substream(0, "t"))
+            run_alone(obj, 2, np.array([1e300, 1.0]), 1e3, 5, 1, substream(0, "t"))
 
 
 def small_classify(model, n=120, clients=3, seed=0, dim=5, classes=3):
@@ -350,9 +346,10 @@ def reference_local_update(obj, k, w_start, eta, steps, batch_size, rng):
     w = w_start.copy()
     for _ in range(steps):
         if isinstance(obj, learn.QuadraticObjective):
-            p = obj.dimension
-            g = obj.A @ (w - obj.b[k]) \
-                + float(obj.noise_sigma[k]) / math.sqrt(p) * rng.standard_normal(p)
+            p, sigma = obj.dimension, float(obj.noise_sigma[k])
+            g = obj.A @ (w - obj.b[k])
+            if sigma > 0:
+                g = g + sigma / math.sqrt(p) * rng.standard_normal(p)
         else:
             pool = obj.partition[k]
             idx = pool[rng.integers(0, len(pool), size=min(batch_size, len(pool)))]
@@ -378,13 +375,62 @@ def test_local_update_matches_per_step_reference_bitwise(case):
         batch_size = max(sizes) + 1 if case.endswith("small-client") else min(sizes) - 1
     w0 = obj.init_point() + 0.1
     for k in range(obj.num_clients):
-        delta, steps, _ = client_local_update(
-            obj, k, w0, 0.05, 37, unit_compute(obj.num_clients), batch_size,
-            substream(2, "sgd", k))
+        delta, steps = run_alone(obj, k, w0, 0.05, 37, batch_size,
+                                 substream(2, "sgd", k))
         assert steps == 37
         ref = reference_local_update(obj, k, w0, 0.05, 37, batch_size,
                                      substream(2, "sgd", k))
         assert np.array_equal(delta, ref)
+
+
+def stacked_case(case):
+    """(objective, batch size) of a stacked-lane case.  The classify cases
+    give two clients fewer rows than the batch, each a width of its own."""
+    if case.startswith("quadratic"):
+        sigma = {"quadratic": 0.0, "quadratic-noisy": 0.7,
+                 "quadratic-mixed": np.array([0.0, 0.7, 0.3, 0.0])}[case]
+        return learn.QuadraticObjective.diagonal(5, 4, substream(1, "q"),
+                                                 noise_sigma=sigma), 8
+    obj = small_classify(case, n=240, clients=4)
+    sizes = sorted(len(p) for p in obj.partition)
+    assert sizes[0] < sizes[1] < sizes[2]
+    return obj, sizes[1] + 1
+
+
+@pytest.mark.parametrize("lanes", [1, 4, 8, 12])
+@pytest.mark.parametrize("case", ["linear", "mlp", "quadratic", "quadratic-noisy",
+                                  "quadratic-mixed"])
+def test_stacked_lanes_match_each_job_run_alone_bitwise(case, lanes):
+    # budgets from 0 to 149 steps, so that lanes draw up to three chunks of
+    # batches, and an eta per lane; lanes cycle over the clients, each from
+    # a start of its own
+    obj, batch_size = stacked_case(case)
+    rng = substream(7, "lanes", lanes)
+    jobs = []
+    for i in range(lanes):
+        k = i % obj.num_clients
+        w = obj.init_point() + 0.1 * rng.standard_normal(obj.dimension)
+        jobs.append((k, w, float(rng.uniform(0.01, 0.1)), int(rng.integers(0, 150)),
+                     substream(3, "sgd", k, i)))
+    starts = [w.copy() for _, w, *_ in jobs]
+    deltas, lane_steps = client_local_update(obj, jobs, batch_size)
+    assert lane_steps == sum(steps for _, _, _, steps, _ in jobs)
+    for i, ((k, w, eta, steps, _), delta) in enumerate(zip(jobs, deltas)):
+        assert np.array_equal(w, starts[i])
+        ref = reference_local_update(obj, k, w, eta, steps, batch_size,
+                                     substream(3, "sgd", k, i))
+        assert np.array_equal(delta, ref)
+
+
+def test_stack_names_the_first_diverging_lane():
+    obj = quadratic_identity(clients=3)
+    jobs = [(0, np.array([1.0, 1.0]), 0.1, 5, substream(0, "a")),
+            (2, np.array([1e300, 1.0]), 1e3, 3, substream(0, "b")),
+            (1, np.array([1e300, 1.0]), 1e3, 5, substream(0, "c"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite.*client 2"):
+            client_local_update(obj, jobs, 1)
 
 
 def reference_loss_and_accuracy(obj, w, x, y):
@@ -434,11 +480,9 @@ def test_nonfinite_start_fails_the_job_and_names_the_client(case):
     for steps in (1, 5):
         with pytest.raises(FloatingPointError, match="non-finite.*client 2"), \
                 np.errstate(invalid="ignore"):
-            client_local_update(obj, 2, w_start, 0.1, steps, unit_compute(3),
-                                8, substream(0, "t"))
-    delta, steps, elapsed = client_local_update(
-        obj, 2, w_start, 0.1, 0, unit_compute(3), 8, substream(0, "t"))
-    assert steps == 0 and elapsed == 0.0
+            run_alone(obj, 2, w_start, 0.1, steps, 8, substream(0, "t"))
+    delta, steps = run_alone(obj, 2, w_start, 0.1, 0, 8, substream(0, "t"))
+    assert steps == 0
     finite = np.isfinite(w_start)
     assert np.array_equal(delta[finite], np.zeros(finite.sum()))
     assert np.isnan(delta[1])     # w_start - w_start, as before any step
@@ -457,18 +501,16 @@ def test_first_order_displacement_equalization_on_constant_gradient():
         def sample_batches(self, k, steps, batch_size, rng):
             return [None] * steps
 
-        def stochastic_gradient(self, k, w, batch):
-            return g.copy()
+        def stochastic_gradient(self, ks, w, batches):
+            return np.tile(g, (len(ks), 1))
 
     eta_base, e_min = 0.003, 20
-    base_delta, _, _ = client_local_update(
-        Linearized(), 0, np.zeros(2), eta_base, e_min, unit_compute(),
-        1, substream(0, "a"))
+    base_delta, _ = run_alone(Linearized(), 0, np.zeros(2), eta_base, e_min,
+                              1, substream(0, "a"))
     for e_k in (40, 97, 176):
         eta = scale_learning_rate(eta_base, e_min, e_k)
-        delta, _, _ = client_local_update(
-            Linearized(), 0, np.zeros(2), eta, e_k, unit_compute(),
-            1, substream(0, "b"))
+        delta, _ = run_alone(Linearized(), 0, np.zeros(2), eta, e_k, 1,
+                             substream(0, "b"))
         rel = abs(np.linalg.norm(delta) - np.linalg.norm(base_delta)) \
             / np.linalg.norm(base_delta)
         assert rel < 5 * eta_base * 1.0 * 176
