@@ -127,7 +127,8 @@ class Simulation:
         j = int(self._submissions[k])
         self._submissions[k] += 1
         q = queue_sim.sample_queue_delay(fq, k, substream(p.seed, "queue", k, j))
-        rng = substream(p.seed, "sgd", k, j)
+        # noise-free quadratic jobs draw nothing: they get no substream
+        rng = substream(p.seed, "sgd", k, j) if self.objective.draws(k) else None
         steps = int(step_budget)
         delta = None
         if not self.defer:

@@ -1,13 +1,18 @@
 """Local objectives and synthetic data.
 
 Two workload families share one duck-typed interface (dimension, weights,
-client/global gradients, stochastic gradients, evaluate).  Stochastic
-gradients come in two calls: ``sample_batches(k, steps, batch_size, rng)``
-draws all the randomness of a ``steps``-step job on client k in one call and
-returns one batch per step, and ``stochastic_gradient(ks, W, batches)``
-computes the gradients of a stack of L jobs ("lanes") without touching an
-RNG: lane i is client ``ks[i]`` at iterate ``W[i]`` (W is ``(L, dim)``) on
-its batch ``batches[i]``, one step's batch as ``sample_batches`` drew it.
+client/global losses and gradients, the draw predicate, stochastic
+gradients, evaluate).  ``draws(k)`` says whether client k's jobs draw from
+their rng at all: every classify job draws minibatches, and a quadratic job
+draws gradient noise only when sigma_k > 0, so the engine derives a job's
+substream only when it is true.  Stochastic gradients come in two calls:
+``sample_batches(k, steps, batch_size, rng)`` draws all the randomness of a
+``steps``-step job on client k in one call and returns one batch per step
+(``rng`` may be None when ``draws(k)`` is false), and
+``stochastic_gradient(ks, W, batches)`` computes the gradients of a stack
+of L jobs ("lanes") without touching an RNG: lane i is client ``ks[i]`` at
+iterate ``W[i]`` (W is ``(L, dim)``) on its batch ``batches[i]``, one
+step's batch as ``sample_batches`` drew it.
 The lanes of one call draw batches of one shape: one call carries either
 only noise-free or only noisy quadratic lanes, and only classify lanes of
 one batch width.  It returns a fresh ``(L, dim)`` array that the caller may
@@ -19,7 +24,10 @@ values as ``steps`` one-step draws from the same generator.
   PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
   dissimilarity bound are known in closed form, and gradient noise is injected
   with an exactly controlled scale, which makes it the workload for the
-  theory-check harness.
+  theory-check harness.  Its global loss is one stacked call over the K
+  clients, one gemv and one dot per client as ``client_loss`` computes them
+  alone, with the weighted losses added in client order: bit for bit the
+  sum of K ``client_loss`` calls.
 
 * ``ClassifyObjective`` -- a Gaussian-mixture multiclass task with a linear
   softmax or one-hidden-layer tanh model trained by hand-written SGD, with
@@ -96,8 +104,16 @@ class QuadraticObjective:
         return float(0.5 * d @ self.A @ d)
 
     def loss(self, w: np.ndarray) -> float:
-        return float(sum(p * self.client_loss(k, w)
-                         for k, p in enumerate(self.weights)))
+        # one gemv and one dot per client, as client_loss computes them
+        # alone; the weighted losses are added one by one in client order:
+        # numpy's pairwise sum, or sum()'s compensated one on Python >= 3.12,
+        # would change the last bit
+        d = w - self.b
+        losses = ((0.5 * d)[:, None, :] @ self.A @ d[:, :, None])[:, 0, 0]
+        total = 0.0
+        for x in (self.weights * losses).tolist():
+            total += x
+        return total
 
     def client_gradient(self, k: int, w: np.ndarray) -> np.ndarray:
         return self.A @ (w - self.b[k])
@@ -105,12 +121,16 @@ class QuadraticObjective:
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.A @ (w - self.b_bar)
 
+    def draws(self, k: int) -> bool:
+        """Whether client k's jobs draw from their rng: only noisy ones do."""
+        return bool(self.noise_sigma[k] > 0)
+
     def sample_batches(self, k: int, steps: int, batch_size: int,
-                       rng: np.random.Generator):
+                       rng: np.random.Generator | None):
         """Per-step gradient noise of scale sigma_k / sqrt(p) (None when
         sigma_k = 0); batch_size does not apply to the quadratic."""
-        sig = float(self.noise_sigma[k])
-        if sig > 0:
+        if self.draws(k):
+            sig = float(self.noise_sigma[k])
             return sig / math.sqrt(self.dimension) * rng.standard_normal((steps, self.dimension))
         return [None] * steps
 
@@ -324,6 +344,10 @@ class ClassifyObjective:
     def loss(self, w: np.ndarray) -> float:
         return float(sum(p * self.client_loss(k, w)
                          for k, p in enumerate(self.weights)))
+
+    def draws(self, k: int) -> bool:
+        """Whether client k's jobs draw from their rng: every minibatch does."""
+        return True
 
     def sample_batches(self, k: int, steps: int, batch_size: int,
                        rng: np.random.Generator) -> np.ndarray:

@@ -453,9 +453,11 @@ def write_outputs(log: MetricsLog, out_dir):
                 row += ["" if (isinstance(v, float) and math.isnan(v)) else v
                         for v in vec]
             writer.writerow(row)
+    # one encoder for every line; json.dumps would build one per line
+    encode = json.JSONEncoder(default=float).encode
     with open(out_dir / "events.jsonl", "w") as fh:
         for e in log.events:
             rec = {"t": round(float(e.t), 9), "kind": e.kind}
             rec.update(e.fields)
-            fh.write(json.dumps(rec, default=float) + "\n")
+            fh.write(encode(rec) + "\n")
     return summary

@@ -165,7 +165,8 @@ _CHUNK_STEPS = 64
 def client_local_update(objective, lanes, batch_size: int):
     """Local SGD for a stack of jobs ("lanes"), each a tuple (client k,
     start model, eta, step budget, rng): lane i runs its budget of steps
-    from its start model on the minibatches it draws from its own rng.
+    from its start model on the minibatches it draws from its own rng
+    (None for a client whose objective `draws(k)` nothing).
 
     Returns (deltas, lane_steps): the lanes' model deltas in the order of
     `lanes`, and the number of lane-steps run.  Each delta is bit for bit

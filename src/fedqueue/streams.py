@@ -5,6 +5,11 @@ Every stochastic draw in the simulator comes from a substream addressed by
 splitting via numpy's SeedSequence, so adding a new consumer (e.g. a metric
 that samples) never perturbs draws observed elsewhere, and the j-th queue
 delay of client k is identical across algorithms and sweep workers.
+
+A job's ``("sgd", k, j)`` substream is derived only when its objective
+draws from it: a job of a noise-free quadratic client gets none.  Since
+streams are addressed, not consumed in sequence, skipping one changes no
+other draw.
 """
 from __future__ import annotations
 

@@ -10,10 +10,11 @@ output changed; re-pin only on purpose and say why in CHANGES.md.
 """
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from fedqueue import metrics
+from fedqueue import engine, metrics
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 from fedqueue.learn import build_objective
@@ -186,6 +187,20 @@ def fedbuff_hinge_config():
     return cfg
 
 
+def noisy_quadratic_config():
+    # gradient noise: each job draws its steps' noise from its "sgd" substream
+    cfg = small_config("fedasync", "quadratic", "linear", "immediate")
+    cfg.workload.quad_sigma = 0.5
+    return cfg
+
+
+def fixed_queue_quadratic_config():
+    # fixed delays draw nothing from the "queue" substreams
+    cfg = small_config("fedqueue", "quadratic", "linear", "next_round")
+    cfg.fedqueue.sim_queue = "fixed"
+    return cfg
+
+
 # name -> (config, failed, number of round rows, skipped rounds, pins)
 EDGE_CASES = {
     "skipped-rounds-next_round": (
@@ -254,6 +269,14 @@ EDGE_CASES = {
         fixed_slowdown_config, False, 10, 0,
         ("6ce627a4eb950c85a05eecf31be1b12326b9dec3a1613d36c4b9a0d4236081d4",
          "7a3a97caa77ea313004b896e359e7a4849768896f8ac6c38b7382ea540d15526")),
+    "noisy-quadratic-fedasync-immediate": (
+        noisy_quadratic_config, False, 19, 0,
+        ("6511a57ea5a9233a8a8383f582c165296eebe66083d01b7c6383b33f731c4e0f",
+         "32e002a0d97f56fd6af398dbbc18ed9293adaa1f9d41c542aad9440b74d2fc1f")),
+    "fixed-queue-quadratic": (
+        fixed_queue_quadratic_config, False, 10, 0,
+        ("f47bb82025eb24cf440512e462450816e4e8db0d6efcad9f8090aaf8658414b9",
+         "c640af3a7163642474bf8f2ddc020e1b3c86e3c66823b148ddb99bf4f5d823c6")),
 }
 
 DISPATCHES = {"zero-floor-partial-cohort": 20, "zero-floor-empty-cohort": 0}
@@ -320,4 +343,38 @@ def test_golden_diverging_runs(name, tmp_path):
     log = run_experiment(make())
     assert log.failed and log.failure_reason == reason
     assert (len(log.rounds), len(log.events), log.total_local_steps) == (rows, events, steps)
+    assert (log.checksum(), output_digest(log, tmp_path)) == pins
+
+
+# name -> (pinned case, whether its jobs draw minibatches or gradient noise)
+SUBSTREAM_CASES = {
+    "classify-lognormal": (("fedqueue", "synthetic", "linear", "next_round"), True),
+    "classify-fixed": ("skipped-rounds-next_round", True),
+    "quadratic-noise-free": (("fedqueue", "quadratic", "linear", "next_round"), False),
+    "quadratic-noisy": ("noisy-quadratic-fedasync-immediate", True),
+    "quadratic-fixed": ("fixed-queue-quadratic", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTREAM_CASES))
+def test_sgd_substreams_are_derived_only_when_drawn_from(name, monkeypatch, tmp_path):
+    case, draws = SUBSTREAM_CASES[name]
+    if case in EDGE_CASES:
+        make, *_, pins = EDGE_CASES[case]
+    else:
+        make, pins = (lambda: small_config(*case)), GOLDEN[case]
+    derived = Counter()
+    real = engine.substream
+
+    def counting(seed, *key):
+        derived[key[0]] += 1
+        return real(seed, *key)
+
+    monkeypatch.setattr(engine, "substream", counting)
+    cfg = make()
+    log = run_experiment(cfg)
+    jobs = len(log.dispatches)
+    probes = cfg.protocol.num_clients if cfg.protocol.algo == "fedqueue" else 0
+    expected = Counter(data=1, queue=jobs, warmup=probes, sgd=jobs if draws else 0)
+    assert jobs > 0 and derived == +expected
     assert (log.checksum(), output_digest(log, tmp_path)) == pins

@@ -138,6 +138,34 @@ def test_loss_at_minimizer_equals_min_value():
     assert obj.loss(bumped) > obj.min_value()
 
 
+def reference_loss(obj, w):
+    """Each client's 0.5 d' A d computed alone, weighted, and added in
+    client order."""
+    total = 0.0
+    for k in range(obj.num_clients):
+        d = w - obj.b[k]
+        total += float(obj.weights[k] * float(0.5 * d @ obj.A @ d))
+    return total
+
+
+@pytest.mark.parametrize("curvature", ["diagonal", "dense"])
+@pytest.mark.parametrize("num_clients", [1, 4, 12])
+def test_stacked_loss_matches_per_client_reference_bitwise(curvature, num_clients):
+    rng = substream(3, "loss", curvature, num_clients)
+    for dim in (1, 2, 7, 16, 33, 64):
+        if curvature == "diagonal":
+            a = np.diag(rng.uniform(0.5, 8.0, dim))
+        else:
+            m = rng.standard_normal((dim, dim))
+            a = m @ m.T + 0.1 * np.eye(dim)
+        for spread in (0.1, 1.0, 10.0, 100.0):
+            obj = QuadraticObjective(a, spread * rng.standard_normal((num_clients, dim)))
+            for w in (obj.init_point(), obj.b[-1], *spread * rng.standard_normal((4, dim))):
+                loss = obj.loss(w)
+                assert type(loss) is float
+                assert loss == reference_loss(obj, w)
+
+
 def test_smoothness_is_max_eigenvalue():
     obj = QuadraticObjective(np.diag([1.0, 4.0]), np.zeros((2, 2)))
     assert obj.smoothness() == pytest.approx(4.0)
