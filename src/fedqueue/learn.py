@@ -5,20 +5,20 @@ client/global losses and gradients, the draw predicate, stochastic
 gradients, evaluate).  ``draws(k)`` says whether client k's jobs draw from
 their rng at all: every classify job draws minibatches, and a quadratic job
 draws gradient noise only when sigma_k > 0, so the engine derives a job's
-substream only when it is true.  Stochastic gradients come in two calls:
+substream only when it is true.  Stochastic gradients come in three calls:
 ``sample_batches(k, steps, batch_size, rng)`` draws all the randomness of a
-``steps``-step job on client k in one call and returns one batch per step
-(``rng`` may be None when ``draws(k)`` is false), and
-``stochastic_gradient(ks, W, batches)`` computes the gradients of a stack
-of L jobs ("lanes") without touching an RNG: lane i is client ``ks[i]`` at
-iterate ``W[i]`` (W is ``(L, dim)``) on its batch ``batches[i]``, one
-step's batch as ``sample_batches`` drew it.
-The lanes of one call draw batches of one shape: one call carries either
-only noise-free or only noisy quadratic lanes, and only classify lanes of
-one batch width.  It returns a fresh ``(L, dim)`` array that the caller may
-overwrite, as the local SGD step does; each row is bit for bit the gradient
-of that lane computed alone.  A draw of shape (steps, ...) yields the same
-values as ``steps`` one-step draws from the same generator.
+``steps``-step job on client k and returns one batch per step (``rng`` may
+be None when ``draws(k)`` is false); ``bind(ks, W)`` binds a stack of L jobs
+("lanes"), lane i client ``ks[i]`` at row ``W[i]`` of the ``(L, dim)``
+iterates W, which the caller updates in place; ``stochastic_gradient(bound,
+batches)`` computes their gradients at the current W without an RNG, lane i
+on its one-step batch ``batches[i]``.  The lanes of one call draw batches of
+one shape: only noise-free or only noisy quadratic lanes, or classify lanes
+of one batch width.  It returns an ``(L, dim)`` array that the caller may
+overwrite, valid until the next call on the same binding (the classifier's
+one buffer); each row is bit for bit the gradient of that lane computed
+alone.  A draw of shape (steps, ...) yields the same values as ``steps``
+one-step draws from the same generator.
 
 * ``QuadraticObjective`` -- F_k(w) = 0.5 (w - b_k)' A (w - b_k) with a shared
   PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
@@ -134,9 +134,13 @@ class QuadraticObjective:
             return sig / math.sqrt(self.dimension) * rng.standard_normal((steps, self.dimension))
         return [None] * steps
 
-    def stochastic_gradient(self, ks, w: np.ndarray, batches) -> np.ndarray:
+    def bind(self, ks, w: np.ndarray):
+        return w, self.b[ks]
+
+    def stochastic_gradient(self, bound, batches) -> np.ndarray:
         # one gemv per lane, as A @ (w - b_k) computes it alone
-        g = (self.A @ (w - self.b[ks])[:, :, None])[:, :, 0]
+        w, b = bound
+        g = (self.A @ (w - b)[:, :, None])[:, :, 0]
         if batches[0] is not None:
             g += batches
         return g
@@ -203,10 +207,17 @@ def iid_partition(n: int, num_clients: int, rng: np.random.Generator):
     return [np.sort(part) for part in np.array_split(idx, num_clients)]
 
 
+def _exp_shifted(z: np.ndarray) -> np.ndarray:
+    """exp(z - row max) over the last axis, in place.  A max is order-free,
+    so it is taken from a class-major copy, which numpy reduces far faster."""
+    z -= np.ascontiguousarray(z.swapaxes(-1, -2)).max(axis=-2)[..., None]
+    return np.exp(z, out=z)
+
+
 def _softmax_inplace(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of the logits z, in place; returns z."""
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
+    """Softmax over the last axis of the logits z, in place; returns z.  Its
+    sum keeps numpy's last-axis (pairwise) order, which fixes the bits."""
+    z = _exp_shifted(z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
@@ -225,10 +236,10 @@ class ClassifyObjective:
     and the test split as ``[x | 1]``: the minibatches of a stack of lanes
     are one gather of staged rows, the labels are subtracted as rows, and
     the data layer's weight and bias gradients come from one matmul against
-    ``[x | 1]``.  The forward and backward passes take one parameter vector
-    with ``(n, ·)`` rows or a stack ``(L, dim)`` with ``(L, n, ·)`` rows;
-    a stack runs ``(L, ·, ·)`` matmuls, one gemm per lane, and reduces over
-    the same axes, so each lane's bits are those of its own pass.
+    ``[x | 1]``.  The forward and backward passes take a binding of a stack
+    ``(L, dim)`` and ``(L, n, ·)`` rows (full-client passes and evaluation
+    are stacks of one); a stack runs ``(L, ·, ·)`` matmuls, one gemm per
+    lane, and reduces over the same axes, so each lane's bits are its own.
     """
 
     def __init__(self, x_train, y_train, x_test, y_test, partition,
@@ -284,62 +295,71 @@ class ClassifyObjective:
             for ws, _, (out, fan_in) in self._layers:
                 self._w0[ws] = rng.standard_normal(out * fan_in) / math.sqrt(fan_in)
 
-    def _forward(self, w: np.ndarray, x1: np.ndarray):
-        """Logits of the rows x1 = [x | 1], and each layer's input: x1, then
-        the tanh of each hidden layer's output.  The bias is added after
-        the matmul: folding it in through the ones column would change the
-        last bit of the logits."""
-        lead = w.shape[:-1]
+    def bind(self, ks, w: np.ndarray):
+        """Per layer, views of w as weights, their transpose and bias, and of
+        one gradient buffer as weights and bias (ks is not needed)."""
+        g = np.empty_like(w)
+        views = []
+        for ws, bs, shape in self._layers:
+            wl = w[..., ws].reshape(w.shape[:-1] + shape)
+            views.append((wl, wl.swapaxes(-1, -2), w[..., None, bs],
+                          g[..., ws].reshape(wl.shape), g[..., bs]))
+        return views, g
+
+    def _forward(self, bound, x1: np.ndarray):
+        """Logits of the rows x1 = [x | 1] and each layer's input: x1, then
+        each hidden layer's tanh.  The bias is added after the matmul: folding
+        it in through the ones column would change the logits' last bit."""
         inputs = []
-        for i, (ws, bs, shape) in enumerate(self._layers):
+        for i, (wl, wt, b, _, _) in enumerate(bound[0]):
             a = np.tanh(z) if i else x1
             inputs.append(a)
-            z = a[..., :shape[1]] @ w[..., ws].reshape(lead + shape).swapaxes(-1, -2)
-            z += w[..., None, bs]
+            z = a[..., :wt.shape[-2]] @ wt
+            z += b
         return z, inputs
 
-    @staticmethod
-    def _nll(probs: np.ndarray, y: np.ndarray) -> float:
-        return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
+    def _loss_and_accuracy(self, w: np.ndarray, x1: np.ndarray, y: np.ndarray):
+        """Mean cross-entropy and accuracy of the rows x1 = [x | 1] at w; of
+        the softmax, only the true-class e[i, y_i] / s_i, with the same bits."""
+        logits = self._forward(self.bind(None, w[None]), x1[None])[0][0]
+        acc = float(np.mean(np.argmax(logits, axis=1) == y))
+        e = _exp_shifted(logits)
+        p = e[np.arange(len(y)), y] / e.sum(axis=-1)
+        return float(-np.mean(np.log(p + 1e-300))), acc
 
-    def _grad(self, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy gradient over staged rows [x | 1 | one-hot]:
-        the one backward pass behind both full-client and minibatch
-        gradients."""
-        lead = w.shape[:-1]
+    def _grad(self, bound, rows: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy gradient over staged rows [x | 1 | one-hot],
+        in the binding's buffer: the one backward pass behind both
+        full-client and minibatch gradients."""
         d1 = self.feature_dim + 1
-        dz, inputs = self._forward(w, rows[..., :d1])
+        dz, inputs = self._forward(bound, rows[..., :d1])
         _softmax_inplace(dz)
         dz -= rows[..., d1:]
         dz /= rows.shape[-2]
-        g = np.empty_like(w)
-        for i in reversed(range(len(self._layers))):
-            ws, bs, shape = self._layers[i]
-            a = inputs[i]
+        views, g = bound
+        for i in reversed(range(len(views))):
+            (wl, _, _, gw, gb), a = views[i], inputs[i]
             if i:
-                g[..., ws] = (dz.swapaxes(-1, -2) @ a).reshape(lead + (-1,))
-                g[..., bs] = dz.sum(axis=-2)
-                dz = (dz @ w[..., ws].reshape(lead + shape)) * (1.0 - a * a)
+                gw[...] = dz.swapaxes(-1, -2) @ a
+                gb[...] = dz.sum(axis=-2)
+                dz = (dz @ wl) * (1.0 - a * a)
             else:
                 # the data layer: weights and bias from one dz' [x | 1]
                 wb = dz.swapaxes(-1, -2) @ a
-                g[..., ws].reshape(lead + shape)[...] = wb[..., :-1]
-                g[..., bs] = wb[..., -1]
+                gw[...] = wb[..., :-1]
+                gb[...] = wb[..., -1]
         return g
 
     # ---- objective interface --------------------------------------------
     def client_loss(self, k: int, w: np.ndarray) -> float:
-        logits, _ = self._forward(w, self._rows[k][:, :self.feature_dim + 1])
-        return self._nll(_softmax_inplace(logits), self.y_train[self.partition[k]])
+        y = self.y_train[self.partition[k]]
+        return self._loss_and_accuracy(w, self._rows[k], y)[0]
 
     def client_gradient(self, k: int, w: np.ndarray) -> np.ndarray:
-        return self._grad(w, self._rows[k])
+        return self._grad(self.bind(None, w[None]), self._rows[k][None])[0]
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.dimension)
-        for k, p in enumerate(self.weights):
-            g += p * self.client_gradient(k, w)
-        return g
+        return sum(p * self.client_gradient(k, w) for k, p in enumerate(self.weights))
 
     def loss(self, w: np.ndarray) -> float:
         return float(sum(p * self.client_loss(k, w)
@@ -361,16 +381,13 @@ class ClassifyObjective:
         batches += self._offsets[k]
         return batches
 
-    def stochastic_gradient(self, ks, w: np.ndarray, batches) -> np.ndarray:
-        # the batches hold staged rows, so the clients ks are not needed;
+    def stochastic_gradient(self, bound, batches) -> np.ndarray:
         # take() is the same gather as _staged[batches], at half the cost
-        return self._grad(w, self._staged.take(batches, axis=0))
+        return self._grad(bound, self._staged.take(batches, axis=0))
 
     def evaluate(self, w: np.ndarray):
         """(loss, accuracy) on the test split."""
-        logits, _ = self._forward(w, self._test_rows)
-        acc = float(np.mean(np.argmax(logits, axis=1) == self.y_test))
-        return self._nll(_softmax_inplace(logits), self.y_test), acc
+        return self._loss_and_accuracy(w, self._test_rows, self.y_test)
 
     def init_point(self) -> np.ndarray:
         return self._w0.copy()
@@ -393,18 +410,15 @@ def heterogeneity_stats(objective, probe_points, rng: np.random.Generator,
         raise ValueError("need at least 10 probe points")
     g_hat = 0.0
     sq_dev = []
+    draws_per_probe = max(1, noise_draws // len(probes))
     for w in probes:
         g_global = objective.gradient(w)
         for k in range(objective.num_clients):
             gk = objective.client_gradient(k, w)
             g_hat = max(g_hat, float(np.linalg.norm(gk - g_global)))
-    draws_per_probe = max(1, noise_draws // len(probes))
-    for w in probes:
-        for k in range(objective.num_clients):
-            gk = objective.client_gradient(k, w)
             batches = objective.sample_batches(k, draws_per_probe, batch_size, rng)
-            g = objective.stochastic_gradient([k] * draws_per_probe,
-                                              np.tile(w, (draws_per_probe, 1)), batches)
+            bound = objective.bind([k] * draws_per_probe, np.tile(w, (draws_per_probe, 1)))
+            g = objective.stochastic_gradient(bound, batches)
             sq_dev.extend(np.sum((g - gk) ** 2, axis=1).tolist())
     sigma_hat = math.sqrt(float(np.mean(sq_dev))) if sq_dev else 0.0
     l_hat = 0.0

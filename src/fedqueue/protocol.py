@@ -172,9 +172,9 @@ def client_local_update(objective, lanes, batch_size: int):
     `lanes`, and the number of lane-steps run.  Each delta is bit for bit
     that of the lane's job run alone: a lane draws its batches in chunks of
     steps, and a draw of n steps equals n one-step draws.  Lanes whose
-    batches differ in shape run in separate stacks.  A stack runs longest
-    budget first, so the lanes still running at each step are a prefix of
-    it: one `stochastic_gradient` call per step serves them all.
+    batches differ in shape run in separate stacks, longest budget first:
+    the lanes still running at a step are a prefix of the stack, bound once
+    per run of steps, and one `stochastic_gradient` call serves them all.
 
     Raises FloatingPointError, naming the client of the first such lane,
     when a lane of at least one step ends on a non-finite iterate.  One
@@ -222,9 +222,10 @@ def client_local_update(objective, lanes, batch_size: int):
                     end = min(steps[n - 1], t1)
                     if end <= t:
                         continue
-                    n_ks, n_w, n_eta = stack_ks[:n], w[:n], eta[:n]
+                    bound = objective.bind(stack_ks[:n], w[:n])
+                    n_w, n_eta = w[:n], eta[:n]
                     for batch in batches[t - t0:end - t0, :n]:
-                        g = objective.stochastic_gradient(n_ks, n_w, batch)
+                        g = objective.stochastic_gradient(bound, batch)
                         g *= n_eta
                         n_w -= g
                     t = end

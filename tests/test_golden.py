@@ -201,6 +201,16 @@ def fixed_queue_quadratic_config():
     return cfg
 
 
+def benchmark_shape_config(model, algo):
+    # the benchmark's classify shape: 10 classes, so the softmax sums and
+    # maxes run over 8 or more terms, and 16 features
+    cfg = small_config(algo, "synthetic", model, "next_round")
+    cfg.protocol.num_rounds = 5
+    cfg.workload.dim = 16
+    cfg.workload.classes = 10
+    return cfg
+
+
 # name -> (config, failed, number of round rows, skipped rounds, pins)
 EDGE_CASES = {
     "skipped-rounds-next_round": (
@@ -277,6 +287,22 @@ EDGE_CASES = {
         fixed_queue_quadratic_config, False, 10, 0,
         ("f47bb82025eb24cf440512e462450816e4e8db0d6efcad9f8090aaf8658414b9",
          "c640af3a7163642474bf8f2ddc020e1b3c86e3c66823b148ddb99bf4f5d823c6")),
+    "benchmark-shape-linear-fedqueue": (
+        lambda: benchmark_shape_config("linear", "fedqueue"), False, 5, 0,
+        ("3fe3e3e1324a288e52591d03af77eeae988f4102b7efd745078e3fd60e9c3908",
+         "c64ed2a0cb70b218060dea33de33b23aa349b7343f9a8771ba3d3d6ac8f13daf")),
+    "benchmark-shape-linear-fedasync": (
+        lambda: benchmark_shape_config("linear", "fedasync"), False, 8, 0,
+        ("c683a254a53423b6ae6cb69c0fb89d3c0e69328f2a1f7024ea83f1efb3a61ad2",
+         "7f4f1cb85f3a1731a5098126f4557a123a99fa3e784ebe4e1ab5c79f9bf7c981")),
+    "benchmark-shape-mlp-fedqueue": (
+        lambda: benchmark_shape_config("mlp", "fedqueue"), False, 5, 0,
+        ("428e0081ce570438dd5e261cd7723105b14979294362a994443ba24d421f2c81",
+         "22949efd23a32c6accf7d9c374bb3e3094415d69bb3b1afd90e423cbacfbefde")),
+    "benchmark-shape-mlp-fedasync": (
+        lambda: benchmark_shape_config("mlp", "fedasync"), False, 8, 0,
+        ("590b0f830e013f12cfa15687cef738c06d23eb7d43156c87d6fcb51e85ac5fd2",
+         "1558222f7da64b3acfc3f026ab55433bff80a1ec230f9106c45c0a2403785ebb")),
 }
 
 DISPATCHES = {"zero-floor-partial-cohort": 20, "zero-floor-empty-cohort": 0}

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fedqueue.learn import (ClassifyObjective, QuadraticObjective,
-                            dirichlet_partition, heterogeneity_stats,
-                            iid_partition, make_mixture_data)
+                            _softmax_inplace, dirichlet_partition,
+                            heterogeneity_stats, iid_partition,
+                            make_mixture_data)
 from fedqueue.streams import substream
 
 
@@ -16,6 +17,13 @@ def small_classify(model="linear", n=600, dim=8, classes=4, seed=0,
     parts = dirichlet_partition(y[:n], clients, alpha, rng)
     return ClassifyObjective(x[:n], y[:n], x[n:], y[n:], parts,
                              classes=classes, model=model, init_rng=rng)
+
+
+def benchmark_shaped_classify(model="linear"):
+    """The benchmark's classify shapes: d = 16, C = 10, every client > 64 rows."""
+    obj = small_classify(model, n=1200, dim=16, classes=10, clients=4)
+    assert min(len(p) for p in obj.partition) > 64
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +96,8 @@ def test_zero_noise_gradient_deterministic():
     w = np.array([0.3, -0.2])
     [b1] = obj.sample_batches(0, 1, 4, substream(0, "g"))
     [b2] = obj.sample_batches(0, 1, 4, substream(0, "g"))
-    g1 = obj.stochastic_gradient([0], w[None], [b1])
-    g2 = obj.stochastic_gradient([0], w[None], [b2])
+    g1 = obj.stochastic_gradient(obj.bind([0], w[None]), [b1])
+    g2 = obj.stochastic_gradient(obj.bind([0], w[None]), [b2])
     assert np.array_equal(g1, g2)
 
 
@@ -98,36 +106,150 @@ def test_noisy_gradient_unbiased():
     w = np.array([1.0, -1.0])
     exact = obj.client_gradient(0, w)
     rng = substream(5, "mc")
-    draws = obj.stochastic_gradient([0] * 10_000, np.tile(w, (10_000, 1)),
+    draws = obj.stochastic_gradient(obj.bind([0] * 10_000, np.tile(w, (10_000, 1))),
                                     obj.sample_batches(0, 10_000, 1, rng))
     tol = 3 * 0.8 / math.sqrt(2) / math.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * tol + 1e-3)
 
 
-@pytest.mark.parametrize("family", ["quadratic", "quadratic-noisy",
-                                    "linear", "mlp"])
-def test_stochastic_gradient_returns_a_fresh_array(family):
-    # the local SGD step scales the returned gradient stack in place
+def family_objective(family):
     if family.startswith("quadratic"):
         sigma = 0.5 if family.endswith("noisy") else 0.0
-        obj = QuadraticObjective.diagonal(3, 2, substream(1, "q"), noise_sigma=sigma)
-    else:
-        obj = small_classify(family)
+        return QuadraticObjective.diagonal(3, 2, substream(1, "q"), noise_sigma=sigma)
+    return small_classify(family)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "quadratic-noisy",
+                                    "linear", "mlp"])
+def test_overwriting_the_returned_gradient_changes_nothing(family):
+    # the local SGD step scales the returned gradient stack in place
+    obj = family_objective(family)
     ks = np.array([1, 0, 1])
     w = obj.init_point() + 0.1 * np.arange(1, 4)[:, None]
     batch = np.array([obj.sample_batches(k, 1, 16, substream(2, "b", k))[0]
                       for k in ks])
     inputs = (w.copy(), batch.copy())
     state = (obj.client_gradient(1, w[0]), obj.evaluate(w[0]))
-    g = obj.stochastic_gradient(ks, w, batch)
+    bound = obj.bind(ks, w)
+    g = obj.stochastic_gradient(bound, batch)
     expected = g.copy()
     g *= 1e3
     g[0, 0] = np.nan
-    assert np.array_equal(obj.stochastic_gradient(ks, w, batch), expected)
+    assert np.array_equal(obj.stochastic_gradient(bound, batch), expected)
     assert np.array_equal(obj.client_gradient(1, w[0]), state[0])
     assert obj.evaluate(w[0]) == state[1]
     assert np.array_equal(w, inputs[0])
     assert batch[0] is None or np.array_equal(batch, inputs[1])
+
+
+@pytest.mark.parametrize("family", ["quadratic-noisy", "linear", "mlp",
+                                    "linear-benchmark-shape"])
+def test_one_binding_over_64_steps_matches_each_lane_alone_bitwise(family):
+    # the binding's views follow W as the steps update it in place
+    obj = benchmark_shaped_classify() if family.endswith("shape") \
+        else family_objective(family)
+    ks = [0, 1, 0, 1]
+    etas = np.array([0.05, 0.1, 0.02, 0.07])[:, None]
+    rng = substream(6, "bind")
+    w0 = obj.init_point() + 0.1 * rng.standard_normal((len(ks), obj.dimension))
+    draws = [obj.sample_batches(k, 64, 16, substream(6, "b", i))
+             for i, k in enumerate(ks)]
+    w = w0.copy()
+    bound = obj.bind(ks, w)
+    for t in range(64):
+        g = obj.stochastic_gradient(bound, np.array([d[t] for d in draws]))
+        g *= etas
+        w -= g
+    for i, k in enumerate(ks):
+        lane = w0[i:i + 1].copy()
+        for t in range(64):
+            g = obj.stochastic_gradient(obj.bind([k], lane), np.array([draws[i][t]]))
+            g *= etas[i]
+            lane -= g
+        assert np.array_equal(w[i], lane[0])
+
+
+def reference_softmax(z):
+    z = z - z.max(-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(-1, keepdims=True)
+
+
+def test_softmax_matches_the_last_axis_reference_bitwise():
+    rng = substream(8, "softmax")
+    cases = [rng.standard_normal((lanes, 64, 10)) * 5 for lanes in (1, 2, 3, 4)]
+    cases += [rng.standard_normal((200, 10)) * 5,          # evaluation's shape
+              rng.standard_normal((3, 17, 4)),
+              np.full((2, 5, 10), 0.75),                   # equal logits
+              np.zeros((1, 3, 10))]
+    ties = np.zeros((4, 10))                               # +0/-0 ties
+    ties[0, ::2] = -0.0
+    ties[1, 1::3] = -0.0
+    ties[2] = -0.0
+    ties[3, :5] = -1.0
+    ties[3, 7] = -0.0
+    nonfinite = rng.standard_normal((6, 10))
+    nonfinite[0, 3] = np.inf
+    nonfinite[1, 4] = -np.inf
+    nonfinite[2, [1, 8]] = np.inf, -np.inf
+    nonfinite[3, 5] = np.nan
+    nonfinite[4] = -np.inf
+    nonfinite[5, [0, 9]] = np.nan, np.inf
+    cases += [ties, nonfinite, np.stack([ties, nonfinite[:4]])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for z in cases:
+            expected = reference_softmax(z)
+            got = _softmax_inplace(z.copy())
+            assert got.shape == z.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def reference_pass(obj, w, x, y):
+    """(loss, accuracy, gradient) of the rows (x, y) in plain 2-D numpy: each
+    layer's weights then bias in the flat vector, tanh between layers."""
+    d, c, h = obj.feature_dim, obj.classes, obj.hidden
+    shapes = [(c, d)] if obj.model == "linear" else [(h, d), (c, h)]
+    layers, i = [], 0
+    for out, fan_in in shapes:
+        n = out * fan_in
+        layers.append((i, n, out, w[i:i + n].reshape(out, fan_in), w[i + n:i + n + out]))
+        i += n + out
+    acts = [x]
+    for j, (*_, weights, bias) in enumerate(layers):
+        z = acts[-1] @ weights.T + bias
+        acts.append(np.tanh(z))
+    acc = float(np.mean(np.argmax(z, axis=1) == y))
+    rows = np.arange(len(y))
+    probs = reference_softmax(z)
+    loss = float(-np.mean(np.log(probs[rows, y] + 1e-300)))
+    dz = probs
+    dz[rows, y] -= 1.0
+    dz /= len(y)
+    g = np.empty_like(w)
+    for j in reversed(range(len(layers))):
+        start, n, out, weights, _ = layers[j]
+        g[start:start + n] = (dz.T @ acts[j]).ravel()
+        g[start + n:start + n + out] = dz.sum(axis=0)
+        dz = (dz @ weights) * (1.0 - acts[j] * acts[j])
+    return loss, acc, g
+
+
+@pytest.mark.parametrize("case", ["linear", "mlp", "linear-benchmark-shape",
+                                  "mlp-benchmark-shape"])
+def test_full_client_passes_match_a_plain_reference_bitwise(case):
+    model = case.split("-")[0]
+    obj = benchmark_shaped_classify(model) if case.endswith("shape") \
+        else small_classify(model)
+    rng = substream(5, "w")
+    # w = 0 ties every logit
+    for w in (np.zeros(obj.dimension), obj.init_point(),
+              obj.init_point() + rng.standard_normal(obj.dimension)):
+        for k, part in enumerate(obj.partition):
+            loss, _, g = reference_pass(obj, w, obj.x_train[part], obj.y_train[part])
+            assert np.array_equal(obj.client_gradient(k, w), g)
+            assert obj.client_loss(k, w) == loss
+        loss, acc, _ = reference_pass(obj, w, obj.x_test, obj.y_test)
+        assert obj.evaluate(w) == (loss, acc)
 
 
 def test_loss_at_minimizer_equals_min_value():
@@ -205,7 +327,7 @@ def test_training_improves_over_init():
     w = obj.init_point()
     rng = substream(0, "sgd")
     for batch in obj.sample_batches(0, 400, 32, rng):
-        [g] = obj.stochastic_gradient([0], w[None], batch[None])
+        [g] = obj.stochastic_gradient(obj.bind([0], w[None]), batch[None])
         w -= 0.05 * g
     # trained on client 0 only; still beats chance on the shared test set
     assert obj.evaluate(w)[1] > 0.3

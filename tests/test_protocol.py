@@ -422,6 +422,35 @@ def test_stacked_lanes_match_each_job_run_alone_bitwise(case, lanes):
         assert np.array_equal(delta, ref)
 
 
+def test_one_gradient_call_per_step_of_each_stacks_longest_lane(monkeypatch):
+    # a tracer wraps ClassifyObjective.stochastic_gradient on the class and
+    # reads (deltas, lane_steps) from client_local_update's result; the
+    # calls run the lanes still going at each step, longest budget first
+    obj, batch_size = stacked_case("linear")
+    widths = []
+    real = learn.ClassifyObjective.stochastic_gradient
+
+    def counting(self, bound, batches):
+        widths.append((np.shape(batches)[1], len(batches)))
+        return real(self, bound, batches)
+
+    monkeypatch.setattr(learn.ClassifyObjective, "stochastic_gradient", counting)
+    budgets = [70, 3, 0, 150, 64, 65, 1, 129]
+    jobs = [(i % obj.num_clients, obj.init_point(), 0.05, steps,
+             substream(4, "sgd", i)) for i, steps in enumerate(budgets)]
+    result = client_local_update(obj, jobs, batch_size)
+    assert isinstance(result, tuple) and len(result) == 2
+    deltas, lane_steps = result
+    assert len(deltas) == len(jobs) and lane_steps == sum(budgets)
+    stacks = {}
+    for k, _, _, steps, _ in jobs:
+        stacks.setdefault(min(batch_size, len(obj.partition[k])), []).append(steps)
+    assert len(stacks) > 1
+    expected = sorted((width, sum(s > t for s in steps))
+                      for width, steps in stacks.items() for t in range(max(steps)))
+    assert sorted(widths) == expected
+
+
 def test_stack_names_the_first_diverging_lane():
     obj = quadratic_identity(clients=3)
     jobs = [(0, np.array([1.0, 1.0]), 0.1, 5, substream(0, "a")),
@@ -501,8 +530,11 @@ def test_first_order_displacement_equalization_on_constant_gradient():
         def sample_batches(self, k, steps, batch_size, rng):
             return [None] * steps
 
-        def stochastic_gradient(self, ks, w, batches):
-            return np.tile(g, (len(ks), 1))
+        def bind(self, ks, w):
+            return len(ks)
+
+        def stochastic_gradient(self, bound, batches):
+            return np.tile(g, (bound, 1))
 
     eta_base, e_min = 0.003, 20
     base_delta, _ = run_alone(Linearized(), 0, np.zeros(2), eta_base, e_min,
