@@ -15,6 +15,8 @@ computed pops, every queued job runs in one stacked
 `protocol.client_local_update` call; the end of the run flushes the rest.
 Each job starts from a copy of the model it was dispatched with and draws
 from its own substream, so its update does not depend on when it runs.
+A diverging job cuts the log back to a mark taken at its dispatch, so the
+failed log stops there, as if the job had run at its dispatch.
 """
 from __future__ import annotations
 
@@ -31,8 +33,7 @@ from .predictor import DelayPredictor
 from .streams import spawn_seed, substream
 
 __all__ = ["Simulation", "Orchestrator", "FedQueueOrchestrator",
-           "InvariantError", "run_experiment", "simulate", "run_many",
-           "run_sweep"]
+           "InvariantError", "run_experiment", "run_many", "run_sweep"]
 
 # event ranks: arrivals strictly before round boundaries at equal times.  A
 # heap entry's rank names its kind; its key is the client (job start,
@@ -69,13 +70,9 @@ class InvariantError(RuntimeError):
 
 class Simulation:
     """Clock, event heap, and shared dispatch machinery for one experiment,
-    with its objective and log built from `cfg`.
+    with its objective and log built from `cfg`."""
 
-    With `defer` false, each job's update is computed at its dispatch, a
-    stack of one: a diverging job then fails the run there.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, defer: bool = True):
+    def __init__(self, cfg: ExperimentConfig):
         p, fq = cfg.protocol, cfg.fedqueue
         self.cfg = cfg
         self.objective = learn.build_objective(cfg, substream(p.seed, "data"))
@@ -89,8 +86,7 @@ class Simulation:
         self._heap = []
         self._seq = 0
         self._submissions = np.zeros(self.num_clients, dtype=int)
-        self.defer = defer
-        self._queued = []       # (msg, job) of dispatched jobs not yet run
+        self._queued = []   # (msg, job, log mark at dispatch) of jobs not yet run
 
     # ---- scheduling ------------------------------------------------------
     def schedule(self, time: float, rank: int, key: int, payload) -> None:
@@ -122,7 +118,7 @@ class Simulation:
                    q_hat_used: float = float("nan")) -> None:
         """Broadcast + job submission: draws the admission delay, prices the
         job's compute time, schedules its start and arrival, and queues the
-        job (or, not deferring, runs it now)."""
+        job."""
         p, fq = self.cfg.protocol, self.cfg.fedqueue
         j = int(self._submissions[k])
         self._submissions[k] += 1
@@ -130,18 +126,14 @@ class Simulation:
         # noise-free quadratic jobs draw nothing: they get no substream
         rng = substream(p.seed, "sgd", k, j) if self.objective.draws(k) else None
         steps = int(step_budget)
-        delta = None
-        if not self.defer:
-            [delta], _ = protocol.client_local_update(
-                self.objective, [(k, w, eta, steps, rng)], p.batch_size)
         arrival = self.now + q + queue_sim.compute_time(fq, k, steps)
         msg = protocol.ClientUpdate(
-            client=k, submit_round=submit_round, delta=delta, observed_q=q,
+            client=k, submit_round=submit_round, delta=None, observed_q=q,
             arrival=arrival, steps_done=steps, q_hat_used=q_hat_used,
             submit_time=self.now)
-        if delta is None:
-            # the orchestrator may rebind its model before the job runs
-            self._queued.append((msg, (k, w.copy(), eta, steps, rng)))
+        # the orchestrator may rebind its model before the job runs
+        self._queued.append((msg, (k, w.copy(), eta, steps, rng),
+                             (len(self.log.events), self.log.total_local_steps)))
         self.schedule(self.now + q, RANK_JOB_START, k, submit_round)
         self.schedule(arrival, RANK_ARRIVAL, k, msg)
         self.log.total_local_steps += steps
@@ -153,13 +145,24 @@ class Simulation:
 
     def _run_queued_jobs(self) -> None:
         """Run every queued job in one stacked local update and attach each
-        update to its message."""
+        update to its message.  A diverging job fails the run as if it had
+        run at its dispatch: the log is cut back to the job's mark, its
+        final model is its start model, and the FloatingPointError
+        propagates."""
         if not self._queued:
             return
         queued, self._queued = self._queued, []
-        deltas, _ = protocol.client_local_update(
-            self.objective, [job for _, job in queued], self.cfg.protocol.batch_size)
-        for (msg, _), delta in zip(queued, deltas):
+        try:
+            deltas, _ = protocol.client_local_update(
+                self.objective, [job for _, job, _ in queued],
+                self.cfg.protocol.batch_size)
+        except FloatingPointError as exc:
+            _, (_, w, *_), (events, steps) = queued[exc.lane]
+            del self.log.events[events:]
+            self.log.total_local_steps, self.log.final_model = steps, w
+            self.log.failed, self.log.failure_reason = True, str(exc)
+            raise
+        for (msg, *_), delta in zip(queued, deltas):
             msg.delta = delta
 
     def evaluate(self, w: np.ndarray) -> None:
@@ -184,13 +187,17 @@ class Simulation:
     def run(self, orchestrator) -> None:
         """Process events up to the horizon; a run whose clock stops or
         crawls is marked failed as stalled.  Jobs still queued when the
-        loop ends, also by an exception, run before this returns, so a job
-        dispatched before the horizon that diverges still fails the run."""
+        loop ends, also by an exception, run before this returns.  A diverging
+        job, also one dispatched just before the horizon, ends the run there,
+        failed, and the orchestrator does not finish."""
         try:
-            orchestrator.start()
-            self._process_events(orchestrator)
-        finally:
-            self._run_queued_jobs()
+            try:
+                orchestrator.start()
+                self._process_events(orchestrator)
+            finally:
+                self._run_queued_jobs()
+        except FloatingPointError:
+            return
         orchestrator.finish()
 
     def _process_events(self, orchestrator) -> None:
@@ -356,34 +363,14 @@ def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
     """Warm-up plus the configured horizon under the configured orchestrator.
 
     Identical config and seed give a bit-identical log.  Numerical divergence
-    marks the log failed instead of raising.  The jobs run deferred and
-    stacked; when a stack meets a diverging job, the config is rerun with
-    each job run at its dispatch, so the failed log stops where that job
-    was dispatched.
+    marks the log failed instead of raising; the failed log stops where the
+    diverging job was dispatched (see `Simulation.run`).
     """
-    validate_config(cfg)
-    try:
-        return simulate(cfg)
-    except FloatingPointError:
-        return simulate(cfg, defer=False)
-
-
-def simulate(cfg: ExperimentConfig, defer: bool = True) -> metrics.MetricsLog:
-    """One run of a validated config; see `Simulation` for `defer`.  Not
-    deferring, a diverging job marks the log failed; deferring, it raises
-    FloatingPointError."""
     from .baselines import ORCHESTRATORS  # late import; baselines build on engine
 
-    sim = Simulation(cfg, defer)
-    orchestrator = ORCHESTRATORS[cfg.protocol.algo](sim)
-    try:
-        sim.run(orchestrator)
-    except FloatingPointError as exc:
-        if defer:
-            raise
-        sim.log.failed = True
-        sim.log.failure_reason = str(exc)
-        orchestrator.finish()
+    validate_config(cfg)
+    sim = Simulation(cfg)
+    sim.run(ORCHESTRATORS[cfg.protocol.algo](sim))
     return sim.log
 
 

@@ -176,10 +176,11 @@ def client_local_update(objective, lanes, batch_size: int):
     the lanes still running at a step are a prefix of the stack, bound once
     per run of steps, and one `stochastic_gradient` call serves them all.
 
-    Raises FloatingPointError, naming the client of the first such lane,
-    when a lane of at least one step ends on a non-finite iterate.  One
-    check per lane suffices: with eta > 0, a coordinate that turns
-    non-finite under w -= eta * g stays so.
+    Raises FloatingPointError, naming the client of the first such lane
+    and carrying that lane's index as its `lane` attribute, when a lane of
+    at least one step ends on a non-finite iterate.  One check per lane
+    suffices: with eta > 0, a coordinate that turns non-finite under
+    w -= eta * g stays so.
     """
     if not lanes:
         return [], 0
@@ -231,7 +232,9 @@ def client_local_update(objective, lanes, batch_size: int):
                     t = end
             for j, i in enumerate(members):
                 finals[i] = w[j]
-    for k, steps, w in zip(ks, budgets, finals):
+    for i, (k, steps, w) in enumerate(zip(ks, budgets, finals)):
         if steps and not np.all(np.isfinite(w)):
-            raise FloatingPointError(f"non-finite iterate on client {k}")
+            exc = FloatingPointError(f"non-finite iterate on client {k}")
+            exc.lane = i
+            raise exc
     return [w - start for w, start in zip(finals, starts)], int(sum(budgets))

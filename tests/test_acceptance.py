@@ -6,6 +6,8 @@ feature noise 1.5, 60 steps/s clients, 20-step floor, 120 rounds); criterion
 3 additionally uses a heavy-tail facility profile for the queue medians.
 Orderings and directions are asserted on medians over shared seed ladders;
 exact values from any external study are explicitly not reproduction targets.
+The controlled config is read from configs/controlled.ini; one more test
+checks that the file holds it.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 import os
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +28,18 @@ from fedqueue.streams import spawn_seed, substream
 EPS = 0.05
 TARGET = 0.84
 JOBS = len(os.sched_getaffinity(0))   # run_many workers for the study grids
+CONTROLLED = Path(__file__).resolve().parents[1] / "configs" / "controlled.ini"
 
 
 def controlled_config(seed: int, algo: str = "fedqueue") -> fq.ExperimentConfig:
-    cfg = fq.default_config()
+    cfg = fq.load_config(CONTROLLED)
     cfg.protocol.algo = algo
     cfg.protocol.seed = seed
+    return cfg
+
+
+def test_controlled_config_file_holds_the_study_config():
+    cfg = fq.default_config()
     cfg.protocol.num_rounds = 120
     cfg.fedqueue.queue_rho = 0.9
     cfg.fedqueue.throughput = (60.0,) * 4
@@ -39,7 +48,7 @@ def controlled_config(seed: int, algo: str = "fedqueue") -> fq.ExperimentConfig:
     cfg.workload.classes = 10
     cfg.workload.class_sep = 4.5
     cfg.workload.noise = 1.5
-    return cfg
+    assert controlled_config(42) == cfg
 
 
 def tta_or_inf(log, target=TARGET) -> float:

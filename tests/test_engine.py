@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -30,6 +31,13 @@ def quick_config(**over):
             obj = getattr(obj, p)
         setattr(obj, parts[-1], value)
     return cfg
+
+
+@pytest.mark.parametrize("module", ["fedqueue"] + [
+    f"fedqueue.{m.name}" for m in pkgutil.iter_modules(fedqueue.__path__)])
+def test_star_import_finds_every_name_in_all(module):
+    # a name left in __all__ after its definition is gone fails here
+    exec(f"from {module} import *", {})
 
 
 def test_zero_delay_run_is_all_fresh():
@@ -295,20 +303,64 @@ def _written(log, out_dir):
             for name in ("summary.json", "rounds.csv", "events.jsonl")}
 
 
-@pytest.mark.parametrize("dataset", ["synthetic", "quadratic"])
-@pytest.mark.parametrize("broadcast_when", ["next_round", "immediate"])
-@pytest.mark.parametrize("algo", ["fedqueue", "fedavg", "fedasync", "fedbuff",
-                                  "fedcompass"])
-def test_deferred_stacks_equal_one_job_per_stack(algo, broadcast_when, dataset,
-                                                 tmp_path):
-    cfg = quick_config(protocol__algo=algo, workload__dataset=dataset,
-                       workload__quad_sigma=0.5,
-                       fedqueue__broadcast_when=broadcast_when)
-    deferred, alone = run_experiment(cfg), engine.simulate(cfg, defer=False)
-    assert not deferred.failed and not alone.failed
+# the diverging runs pinned in test_golden.py, by the same names
+DIVERGING = {
+    "fedqueue-diverges": dict(workload__dataset="quadratic",
+                              fedqueue__lr_base=3.0),
+    "fedasync-diverges": dict(protocol__algo="fedasync",
+                              workload__dataset="quadratic",
+                              fedqueue__lr_base=1.0),
+    "fedavg-cohort-diverges-after-its-first-client": dict(
+        protocol__algo="fedavg", fedavg__num_local_steps=(1, 30, 30, 30),
+        fedqueue__lr_base=3e307),
+    "fedbuff-classify-diverges": dict(protocol__algo="fedbuff",
+                                      fedqueue__lr_base=2.8e307),
+    "diverges-in-a-job-arriving-past-the-horizon": dict(
+        protocol__algo="fedavg", workload__dataset="quadratic",
+        fedqueue__lr_base=0.8, protocol__num_rounds=19, fedqueue__t_sync=5.0),
+}
+
+STACKED = {
+    f"{algo}-{broadcast_when}-{dataset}": dict(
+        protocol__algo=algo, workload__dataset=dataset, workload__quad_sigma=0.5,
+        fedqueue__broadcast_when=broadcast_when)
+    for algo in ("fedqueue", "fedavg", "fedasync", "fedbuff", "fedcompass")
+    for broadcast_when in ("next_round", "immediate")
+    for dataset in ("synthetic", "quadratic")}
+
+
+@pytest.mark.parametrize("name", list(STACKED) + list(DIVERGING))
+def test_deferred_stacks_equal_one_job_per_stack(name, monkeypatch, tmp_path):
+    cfg = quick_config(**{**STACKED, **DIVERGING}[name])
+    deferred = run_experiment(cfg)
+    # the reference runs each job at its dispatch, as a stack of one
+    submit = engine.Simulation.submit_job
+
+    def at_dispatch(sim, *args, **kwargs):
+        submit(sim, *args, **kwargs)
+        sim._run_queued_jobs()
+
+    monkeypatch.setattr(engine.Simulation, "submit_job", at_dispatch)
+    alone = run_experiment(cfg)
+    assert deferred.failed == alone.failed == (name in DIVERGING)
+    assert deferred.failure_reason == alone.failure_reason
+    assert deferred.total_local_steps == alone.total_local_steps
     assert deferred.checksum() == alone.checksum()
     assert _written(deferred, tmp_path / "a") == _written(alone, tmp_path / "b")
     assert deferred.final_model.tobytes() == alone.final_model.tobytes()
+
+
+def test_a_diverging_run_is_simulated_once(monkeypatch):
+    built = []
+    init = engine.Simulation.__init__
+
+    def counting(sim, *args, **kwargs):
+        built.append(sim)
+        init(sim, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Simulation, "__init__", counting)
+    log = run_experiment(quick_config(**DIVERGING["fedasync-diverges"]))
+    assert log.failed and len(built) == 1
 
 
 def test_deferred_jobs_run_stacked_when_first_needed(monkeypatch):

@@ -307,6 +307,25 @@ EDGE_CASES = {
 
 DISPATCHES = {"zero-floor-partial-cohort": 20, "zero-floor-empty-cohort": 0}
 
+# sha256 of each diverging run's final model: the model its diverging job
+# was dispatched with
+FINAL_MODELS = {
+    "fedqueue-diverges":
+        "a77ec1d9d7efcde84b35e9d78cd141a8ea964084a959aff037a8085eae38cd86",
+    "fedasync-diverges":
+        "bdc4e698d649e32d3b75c2af39370701b3482fba5ae7ac1e7605d5ef305ef58d",
+    "fedavg-cohort-diverges-after-its-first-client":
+        "6eb69e26de2a26eda48af77d4cec893aa0cf4748a64cbefcfe11a22c1e680ad9",
+    "fedbuff-classify-diverges":
+        "6eb69e26de2a26eda48af77d4cec893aa0cf4748a64cbefcfe11a22c1e680ad9",
+    "diverges-in-a-job-arriving-past-the-horizon":
+        "138445d02afb80abdc54bfde29411032fba4c8002f60d091e371b00d889900a9",
+}
+
+
+def final_model_sha(log) -> str:
+    return hashlib.sha256(log.final_model.tobytes()).hexdigest()
+
 
 def fedavg_cohort_diverging_config():
     # client 0 runs 1 step and clients 1-3 run 30 from the same model:
@@ -358,6 +377,8 @@ def test_golden_edge_cases(name, tmp_path):
     assert len(log.rounds) == rows and log.skipped_rounds == skipped
     if name in DISPATCHES:
         assert len(log.dispatches) == DISPATCHES[name]
+    if failed:
+        assert final_model_sha(log) == FINAL_MODELS[name]
     assert (log.checksum(), output_digest(log, tmp_path)) == pins
 
 
@@ -369,6 +390,7 @@ def test_golden_diverging_runs(name, tmp_path):
     log = run_experiment(make())
     assert log.failed and log.failure_reason == reason
     assert (len(log.rounds), len(log.events), log.total_local_steps) == (rows, events, steps)
+    assert final_model_sha(log) == FINAL_MODELS[name]
     assert (log.checksum(), output_digest(log, tmp_path)) == pins
 
 

@@ -458,8 +458,9 @@ def test_stack_names_the_first_diverging_lane():
             (1, np.array([1e300, 1.0]), 1e3, 5, substream(0, "c"))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match="non-finite.*client 2"):
+        with pytest.raises(FloatingPointError, match="non-finite.*client 2") as info:
             client_local_update(obj, jobs, 1)
+    assert info.value.lane == 1
 
 
 def reference_loss_and_accuracy(obj, w, x, y):
