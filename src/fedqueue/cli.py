@@ -235,6 +235,11 @@ def cmd_check_bound(args) -> int:
                          "violation_rate": rate, "epsilon": args.epsilon})
             print(f"{rho:>6.2f}{gamma:>7.2f}{alpha:>7.2f}{delta:>9.3f}"
                   f"{params.tau_max:>8d}{rate:>11.3f}{args.epsilon:>9.3f}")
+    limits = ", ".join(
+        f"{metrics.budget_collapse_rho(g, args.epsilon, t_sync, k, r):.2f} at gamma {g:g}"
+        for g in gammas)
+    print(f"note: delta* >= Tsync = {t_sync:g} s, so every budget collapses to "
+          f"E_floor, from rho = {limits}")
     bad = [row for row in rows if row["violation_rate"] > args.epsilon]
     if out:
         out.mkdir(parents=True, exist_ok=True)

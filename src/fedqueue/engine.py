@@ -30,7 +30,7 @@ import numpy as np
 from . import learn, metrics, protocol, queue_sim
 from .config import ExperimentConfig, resolve_axis, set_key, validate_config
 from .predictor import DelayPredictor
-from .streams import spawn_seed, substream
+from .streams import Substreams, spawn_seed, substream
 
 __all__ = ["Simulation", "Orchestrator", "FedQueueOrchestrator",
            "InvariantError", "run_experiment", "run_many", "run_sweep"]
@@ -76,6 +76,8 @@ class Simulation:
         p, fq = cfg.protocol, cfg.fedqueue
         self.cfg = cfg
         self.objective = learn.build_objective(cfg, substream(p.seed, "data"))
+        # the ("queue", k, j), ("sgd", k, j) and ("warmup", k) substreams
+        self.substreams = Substreams(p.seed)
         self.num_clients = p.num_clients
         self.horizon = p.num_rounds * fq.t_sync
         self.log = metrics.MetricsLog(
@@ -119,12 +121,12 @@ class Simulation:
         """Broadcast + job submission: draws the admission delay, prices the
         job's compute time, schedules its start and arrival, and queues the
         job."""
-        p, fq = self.cfg.protocol, self.cfg.fedqueue
+        fq = self.cfg.fedqueue
         j = int(self._submissions[k])
         self._submissions[k] += 1
-        q = queue_sim.sample_queue_delay(fq, k, substream(p.seed, "queue", k, j))
+        q = queue_sim.sample_queue_delay(fq, k, self.substreams("queue", k, j))
         # noise-free quadratic jobs draw nothing: they get no substream
-        rng = substream(p.seed, "sgd", k, j) if self.objective.draws(k) else None
+        rng = self.substreams("sgd", k, j) if self.objective.draws(k) else None
         steps = int(step_budget)
         arrival = self.now + q + queue_sim.compute_time(fq, k, steps)
         msg = protocol.ClientUpdate(
@@ -279,8 +281,8 @@ class FedQueueOrchestrator(Orchestrator):
         if cfg.fedqueue.warmup_steps > 0 and cfg.ablation.use_ewma:
             # pure delay probes before round 0: seed predictions, no aggregation
             for k in range(sim.num_clients):
-                q = queue_sim.sample_queue_delay(
-                    cfg.fedqueue, k, substream(cfg.protocol.seed, "warmup", k))
+                q = queue_sim.sample_queue_delay(cfg.fedqueue, k,
+                                                 sim.substreams("warmup", k))
                 self.predictor.seed(k, q)
                 sim.log.total_local_steps += cfg.fedqueue.warmup_steps
                 sim.log.event(0.0, "warmup_probe", client=k, q=q)

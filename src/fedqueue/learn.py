@@ -7,18 +7,19 @@ their rng at all: every classify job draws minibatches, and a quadratic job
 draws gradient noise only when sigma_k > 0, so the engine derives a job's
 substream only when it is true.  Stochastic gradients come in three calls:
 ``sample_batches(k, steps, batch_size, rng)`` draws all the randomness of a
-``steps``-step job on client k and returns one batch per step (``rng`` may
-be None when ``draws(k)`` is false); ``bind(ks, W)`` binds a stack of L jobs
-("lanes"), lane i client ``ks[i]`` at row ``W[i]`` of the ``(L, dim)``
-iterates W, which the caller updates in place; ``stochastic_gradient(bound,
-batches)`` computes their gradients at the current W without an RNG, lane i
-on its one-step batch ``batches[i]``.  The lanes of one call draw batches of
-one shape: only noise-free or only noisy quadratic lanes, or classify lanes
-of one batch width.  It returns an ``(L, dim)`` array that the caller may
-overwrite, valid until the next call on the same binding (the classifier's
-one buffer); each row is bit for bit the gradient of that lane computed
-alone.  A draw of shape (steps, ...) yields the same values as ``steps``
-one-step draws from the same generator.
+``steps``-step job on client k and returns one batch per step, or None when
+``draws(k)`` is false (``rng`` is then None too); ``bind(ks, W)`` binds a
+stack of L jobs ("lanes"), lane i client ``ks[i]`` at row ``W[i]`` of the
+``(L, dim)`` iterates W, which the caller updates in place;
+``stochastic_gradient(bound, batches)`` computes their gradients at the
+current W without an RNG, lane i on its one-step batch ``batches[i]``
+(``batches`` is None for lanes that draw nothing).  The lanes of one call draw
+batches of one shape: only noise-free (None) or only noisy quadratic lanes,
+or classify lanes of one batch width.  It returns an ``(L, dim)`` array
+that the caller may overwrite, valid until the next call on the same
+binding (the classifier's one buffer); each row is bit for bit the
+gradient of that lane computed alone.  A draw of shape (steps, ...) yields
+the same values as ``steps`` one-step draws from the same generator.
 
 * ``QuadraticObjective`` -- F_k(w) = 0.5 (w - b_k)' A (w - b_k) with a shared
   PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
@@ -127,12 +128,12 @@ class QuadraticObjective:
 
     def sample_batches(self, k: int, steps: int, batch_size: int,
                        rng: np.random.Generator | None):
-        """Per-step gradient noise of scale sigma_k / sqrt(p) (None when
-        sigma_k = 0); batch_size does not apply to the quadratic."""
-        if self.draws(k):
-            sig = float(self.noise_sigma[k])
-            return sig / math.sqrt(self.dimension) * rng.standard_normal((steps, self.dimension))
-        return [None] * steps
+        """Per-step gradient noise of scale sigma_k / sqrt(p), or None when
+        sigma_k = 0; batch_size does not apply to the quadratic."""
+        if not self.draws(k):
+            return None
+        sig = float(self.noise_sigma[k])
+        return sig / math.sqrt(self.dimension) * rng.standard_normal((steps, self.dimension))
 
     def bind(self, ks, w: np.ndarray):
         return w, self.b[ks]
@@ -141,7 +142,7 @@ class QuadraticObjective:
         # one gemv per lane, as A @ (w - b_k) computes it alone
         w, b = bound
         g = (self.A @ (w - b)[:, :, None])[:, :, 0]
-        if batches[0] is not None:
+        if batches is not None:
             g += batches
         return g
 

@@ -26,7 +26,7 @@ __all__ = [
     "Event", "RoundRecord", "ArrivalRecord", "MetricsLog",
     "StalenessBoundParams", "time_to_target", "delay_statistics",
     "admission_summary", "movement_ratio", "delta_threshold",
-    "staleness_bound_violation_rate", "prediction_error_stats",
+    "budget_collapse_rho", "staleness_bound_violation_rate", "prediction_error_stats",
     "delayed_quadratic_descent", "write_outputs",
 ]
 
@@ -354,6 +354,22 @@ def delta_threshold(params: StalenessBoundParams, t_sync: float, num_clients: in
     if need == math.inf:
         raise ValueError(f"delta* overflows float64 at rho = {params.rho.max():g}")
     return max(0.0, need - params.gamma * t_sync)
+
+
+def budget_collapse_rho(gamma: float, epsilon: float, t_sync: float,
+                        num_clients: int, num_rounds: int) -> float:
+    """The rho from which delta* >= T_sync, for equal rho_k:
+
+    rho = (1 + gamma) T_sync / sqrt(2 ln(K R / eps)).
+
+    From there on the certified buffer leaves a job no time, so every
+    budget collapses to E_floor: the bound is certified usefully only
+    below this rho.
+    """
+    if num_clients * num_rounds < 1:
+        raise ValueError("need K * R >= 1")
+    log_term = math.log(num_clients * num_rounds / epsilon)
+    return (1.0 + gamma) * t_sync / math.sqrt(2.0 * log_term)
 
 
 def staleness_bound_violation_rate(params: StalenessBoundParams, t_sync: float,

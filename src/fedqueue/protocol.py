@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -165,16 +166,19 @@ _CHUNK_STEPS = 64
 def client_local_update(objective, lanes, batch_size: int):
     """Local SGD for a stack of jobs ("lanes"), each a tuple (client k,
     start model, eta, step budget, rng): lane i runs its budget of steps
-    from its start model on the minibatches it draws from its own rng
-    (None for a client whose objective `draws(k)` nothing).
+    from its start model on the minibatches it draws from its own rng.  A
+    lane whose objective `draws(k)` nothing has rng None and gets None
+    batches.
 
     Returns (deltas, lane_steps): the lanes' model deltas in the order of
     `lanes`, and the number of lane-steps run.  Each delta is bit for bit
     that of the lane's job run alone: a lane draws its batches in chunks of
     steps, and a draw of n steps equals n one-step draws.  Lanes whose
-    batches differ in shape run in separate stacks, longest budget first:
-    the lanes still running at a step are a prefix of the stack, bound once
-    per run of steps, and one `stochastic_gradient` call serves them all.
+    batches differ in shape run in separate stacks, longest budget first,
+    and the lanes that draw nothing in a stack of their own, with no batch
+    buffer: the lanes still running at a step are a prefix of the stack,
+    bound once per run of steps, and one `stochastic_gradient` call serves
+    them all.
 
     Raises FloatingPointError, naming the client of the first such lane
     and carrying that lane's index as its `lane` attribute, when a lane of
@@ -194,29 +198,33 @@ def client_local_update(objective, lanes, batch_size: int):
               for k, steps, rng in zip(ks, budgets, rngs)]
     stacks = {}
     for i, chunk in enumerate(chunks):
-        stacks.setdefault(np.shape(chunk)[1:], []).append(i)
-    finals = [None] * len(lanes)
+        stacks.setdefault(None if chunk is None else np.shape(chunk)[1:], []).append(i)
+    deltas, diverged = [None] * len(lanes), []
     # a diverging lane runs on to the check below without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for members in stacks.values():
             members.sort(key=lambda i: -budgets[i])
             steps = [budgets[i] for i in members]
-            w = np.array([starts[i] for i in members], dtype=float)
+            start = np.array([starts[i] for i in members], dtype=float)
+            w = start.copy()
             eta = np.array([etas[i] for i in members], dtype=float)[:, None]
             stack_ks = np.array([ks[i] for i in members])
-            first = np.asarray(chunks[members[0]])
-            batches = np.empty((_CHUNK_STEPS, len(members)) + first.shape[1:],
-                               first.dtype)
+            batches = None
+            if chunks[members[0]] is not None:
+                first = np.asarray(chunks[members[0]])
+                batches = np.empty((_CHUNK_STEPS, len(members)) + first.shape[1:],
+                                   first.dtype)
             live = len(members)
             for t0 in range(0, steps[0], _CHUNK_STEPS):
                 while steps[live - 1] <= t0:
                     live -= 1
-                for j, i in enumerate(members[:live]):
-                    if t0:
-                        chunks[i] = objective.sample_batches(
-                            ks[i], min(steps[j] - t0, _CHUNK_STEPS), batch_size,
-                            rngs[i])
-                    batches[:len(chunks[i]), j] = chunks[i]
+                if batches is not None:
+                    for j, i in enumerate(members[:live]):
+                        if t0:
+                            chunks[i] = objective.sample_batches(
+                                ks[i], min(steps[j] - t0, _CHUNK_STEPS), batch_size,
+                                rngs[i])
+                        batches[:len(chunks[i]), j] = chunks[i]
                 t, t1 = t0, min(t0 + _CHUNK_STEPS, steps[0])
                 for n in range(live, 0, -1):
                     # steps t .. end - 1 run the n longest lanes
@@ -225,16 +233,21 @@ def client_local_update(objective, lanes, batch_size: int):
                         continue
                     bound = objective.bind(stack_ks[:n], w[:n])
                     n_w, n_eta = w[:n], eta[:n]
-                    for batch in batches[t - t0:end - t0, :n]:
+                    for batch in (repeat(None, end - t) if batches is None
+                                  else batches[t - t0:end - t0, :n]):
                         g = objective.stochastic_gradient(bound, batch)
                         g *= n_eta
                         n_w -= g
                     t = end
-            for j, i in enumerate(members):
-                finals[i] = w[j]
-    for i, (k, steps, w) in enumerate(zip(ks, budgets, finals)):
-        if steps and not np.all(np.isfinite(w)):
-            exc = FloatingPointError(f"non-finite iterate on client {k}")
-            exc.lane = i
-            raise exc
-    return [w - start for w, start in zip(finals, starts)], int(sum(budgets))
+            finite = np.isfinite(w).all(axis=1)
+            if not finite.all():
+                diverged += [i for j, i in enumerate(members)
+                             if steps[j] and not finite[j]]
+            for i, delta in zip(members, w - start):
+                deltas[i] = delta
+    if diverged:
+        lane = min(diverged)
+        exc = FloatingPointError(f"non-finite iterate on client {ks[lane]}")
+        exc.lane = lane
+        raise exc
+    return deltas, int(sum(budgets))

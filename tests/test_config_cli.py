@@ -298,6 +298,10 @@ def test_check_bound_zero_noise_prints_zero_rates(tmp_path, capsys):
     rows = [l for l in printed.splitlines() if l.strip().startswith("0.00")]
     assert len(rows) == 2
     assert all("0.000" in row for row in rows)
+    # one note after the table: where delta* reaches T_sync
+    assert printed.splitlines()[3] == (
+        "note: delta* >= Tsync = 10 s, so every budget collapses to E_floor, "
+        "from rho = 2.95 at gamma 0.2, 4.91 at gamma 1")
 
 
 def test_check_bound_writes_grid_csv(tmp_path):

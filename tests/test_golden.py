@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from fedqueue import engine, metrics
+from fedqueue import engine, metrics, streams
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 from fedqueue.learn import build_objective
@@ -412,13 +412,20 @@ def test_sgd_substreams_are_derived_only_when_drawn_from(name, monkeypatch, tmp_
     else:
         make, pins = (lambda: small_config(*case)), GOLDEN[case]
     derived = Counter()
-    real = engine.substream
+    real, real_block = engine.substream, streams.Substreams.__call__
 
     def counting(seed, *key):
         derived[key[0]] += 1
         return real(seed, *key)
 
+    def counting_block(self, *key):
+        derived[key[0]] += 1
+        return real_block(self, *key)
+
+    # the data substream is derived alone, the per-job ones through the
+    # run's block cache
     monkeypatch.setattr(engine, "substream", counting)
+    monkeypatch.setattr(streams.Substreams, "__call__", counting_block)
     cfg = make()
     log = run_experiment(cfg)
     jobs = len(log.dispatches)

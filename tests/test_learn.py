@@ -94,10 +94,12 @@ def test_identity_quadratic_gradient():
 def test_zero_noise_gradient_deterministic():
     obj = QuadraticObjective(np.eye(2), np.ones((2, 2)))
     w = np.array([0.3, -0.2])
-    [b1] = obj.sample_batches(0, 1, 4, substream(0, "g"))
-    [b2] = obj.sample_batches(0, 1, 4, substream(0, "g"))
-    g1 = obj.stochastic_gradient(obj.bind([0], w[None]), [b1])
-    g2 = obj.stochastic_gradient(obj.bind([0], w[None]), [b2])
+    # a noise-free client draws nothing: its batches are None
+    b1 = obj.sample_batches(0, 1, 4, substream(0, "g"))
+    b2 = obj.sample_batches(0, 1, 4, substream(0, "g"))
+    assert b1 is None and b2 is None
+    g1 = obj.stochastic_gradient(obj.bind([0], w[None]), b1)
+    g2 = obj.stochastic_gradient(obj.bind([0], w[None]), b2)
     assert np.array_equal(g1, g2)
 
 
@@ -126,9 +128,10 @@ def test_overwriting_the_returned_gradient_changes_nothing(family):
     obj = family_objective(family)
     ks = np.array([1, 0, 1])
     w = obj.init_point() + 0.1 * np.arange(1, 4)[:, None]
-    batch = np.array([obj.sample_batches(k, 1, 16, substream(2, "b", k))[0]
-                      for k in ks])
-    inputs = (w.copy(), batch.copy())
+    draws = [obj.sample_batches(k, 1, 16, substream(2, "b", k)) for k in ks]
+    # a noise-free quadratic stack draws nothing: its batches are None
+    batch = None if draws[0] is None else np.array([d[0] for d in draws])
+    inputs = (w.copy(), None if batch is None else batch.copy())
     state = (obj.client_gradient(1, w[0]), obj.evaluate(w[0]))
     bound = obj.bind(ks, w)
     g = obj.stochastic_gradient(bound, batch)
@@ -139,7 +142,7 @@ def test_overwriting_the_returned_gradient_changes_nothing(family):
     assert np.array_equal(obj.client_gradient(1, w[0]), state[0])
     assert obj.evaluate(w[0]) == state[1]
     assert np.array_equal(w, inputs[0])
-    assert batch[0] is None or np.array_equal(batch, inputs[1])
+    assert batch is None or np.array_equal(batch, inputs[1])
 
 
 @pytest.mark.parametrize("family", ["quadratic-noisy", "linear", "mlp",
@@ -398,6 +401,9 @@ def test_noise_scale_recovered():
 def test_dissimilarity_matches_closed_form():
     rng = substream(3, "q")
     obj = QuadraticObjective.diagonal(3, 4, rng, spread=1.0)
-    g_hat, _, _ = heterogeneity_stats(obj, probe_points(3, seed=4), substream(4, "h"))
+    g_hat, sigma_hat, _ = heterogeneity_stats(obj, probe_points(3, seed=4),
+                                              substream(4, "h"))
     assert g_hat == pytest.approx(obj.dissimilarity_bound(), rel=1e-9)
+    # noise-free clients sample None batches: no gradient noise at all
+    assert sigma_hat == 0.0
 

@@ -12,8 +12,8 @@ from fedqueue.engine import run_experiment
 from fedqueue.learn import QuadraticObjective
 from fedqueue.metrics import (ArrivalRecord, MetricsLog,
                               StalenessBoundParams, admission_summary,
-                              delay_statistics, delta_threshold,
-                              movement_ratio, prediction_error_stats,
+                              budget_collapse_rho, delay_statistics,
+                              delta_threshold, movement_ratio, prediction_error_stats,
                               staleness_bound_violation_rate, time_to_target,
                               write_outputs)
 from fedqueue.streams import substream
@@ -202,6 +202,21 @@ def test_overflowing_threshold_raises_without_numpy_warnings(rho):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="delta\\* overflows"):
             delta_threshold(params(rho=rho, gamma=0.0), 10.0, 4, 50)
+
+
+def test_budgets_collapse_where_delta_star_reaches_t_sync():
+    # check-lemma1's defaults: K = 4, R = 50, eps = 0.05, T_sync = 10
+    assert delta_threshold(params(rho=3.0), 10.0, 4, 50) == pytest.approx(10.2185, abs=1e-4)
+    assert delta_threshold(params(rho=5.0), 10.0, 4, 50) == pytest.approx(18.3642, abs=1e-4)
+    assert delta_threshold(params(rho=4.0, gamma=1.0), 10.0, 4, 50) < 10.0
+    assert delta_threshold(params(rho=5.0, gamma=1.0), 10.0, 4, 50) == \
+        pytest.approx(10.3642, abs=1e-4)
+    for gamma, limit in ((0.2, 2.9463), (1.0, 4.9105)):
+        rho = budget_collapse_rho(gamma, 0.05, 10.0, 4, 50)
+        assert rho == pytest.approx(limit, abs=1e-4)
+        assert delta_threshold(params(rho=rho, gamma=gamma), 10.0, 4, 50) == \
+            pytest.approx(10.0, rel=1e-12)
+        assert delta_threshold(params(rho=0.99 * rho, gamma=gamma), 10.0, 4, 50) < 10.0
 
 
 def test_tau_max_is_ceiling():

@@ -451,6 +451,58 @@ def test_one_gradient_call_per_step_of_each_stacks_longest_lane(monkeypatch):
     assert sorted(widths) == expected
 
 
+def test_draw_free_and_noisy_lanes_run_in_separate_stacks(monkeypatch):
+    # clients 0 and 3 draw nothing: their lanes share a stack bound with None
+    # batches, the noisy lanes another with arrays, and each lane's delta is
+    # that of its job run alone
+    obj, batch_size = stacked_case("quadratic-mixed")
+    budgets = [5, 70, 0, 130, 9, 64, 3, 65]
+    starts = [obj.init_point() + 0.01 * i for i in range(len(budgets))]
+
+    def rng(i):
+        return substream(5, "sgd", i) if obj.draws(i % 4) else None
+
+    alone = [run_alone(obj, i % 4, starts[i], 0.02 + 0.01 * i, steps,
+                       batch_size, rng(i))[0] for i, steps in enumerate(budgets)]
+    bindings = []      # per binding: whether its lanes draw, and its batches
+    real_bind = learn.QuadraticObjective.bind
+    real_grad = learn.QuadraticObjective.stochastic_gradient
+
+    def bind(self, ks, w):
+        bindings.append(({self.draws(k) for k in ks}, set()))
+        return real_bind(self, ks, w)
+
+    def gradient(self, bound, batches):
+        bindings[-1][1].add(batches is None)
+        return real_grad(self, bound, batches)
+
+    monkeypatch.setattr(learn.QuadraticObjective, "bind", bind)
+    monkeypatch.setattr(learn.QuadraticObjective, "stochastic_gradient", gradient)
+    jobs = [(i % 4, starts[i], 0.02 + 0.01 * i, steps, rng(i))
+            for i, steps in enumerate(budgets)]
+    deltas, lane_steps = client_local_update(obj, jobs, batch_size)
+    assert lane_steps == sum(budgets)
+    assert {(frozenset(draws), frozenset(none)) for draws, none in bindings} == \
+        {(frozenset({False}), frozenset({True})), (frozenset({True}), frozenset({False}))}
+    for delta, ref in zip(deltas, alone):
+        assert np.array_equal(delta, ref)
+
+
+def test_first_diverging_lane_is_named_across_stacks():
+    # the draw-free stack (lanes 0 and 2) runs first and its lane 2
+    # diverges, but lane 1 of the noisy stack comes first in lane order
+    obj = learn.QuadraticObjective(np.eye(2), np.zeros((4, 2)),
+                                   noise_sigma=np.array([0.0, 0.5, 0.0, 0.0]))
+    jobs = [(0, np.array([1.0, 1.0]), 0.1, 5, None),
+            (1, np.array([1e300, 1.0]), 1e3, 3, substream(0, "b")),
+            (3, np.array([1e300, 1.0]), 1e3, 5, None)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite.*client 1$") as info:
+            client_local_update(obj, jobs, 1)
+    assert info.value.lane == 1
+
+
 def test_stack_names_the_first_diverging_lane():
     obj = quadratic_identity(clients=3)
     jobs = [(0, np.array([1.0, 1.0]), 0.1, 5, substream(0, "a")),
@@ -518,32 +570,53 @@ def test_nonfinite_start_fails_the_job_and_names_the_client(case):
     assert np.isnan(delta[1])     # w_start - w_start, as before any step
 
 
+class Linearized:
+    """Constant gradient g on every lane.  It draws nothing (None batches),
+    or with `noise_rows` an array-like list of zero noise rows per step."""
+
+    num_clients = 1
+    dimension = 2
+
+    def __init__(self, g, noise_rows=False):
+        self.g, self.noise_rows = g, noise_rows
+
+    def sample_batches(self, k, steps, batch_size, rng):
+        return [[0.0, 0.0]] * steps if self.noise_rows else None
+
+    def bind(self, ks, w):
+        return len(ks)
+
+    def stochastic_gradient(self, bound, batches):
+        assert (batches is None) != self.noise_rows
+        return np.tile(self.g, (bound, 1))
+
+
 def test_first_order_displacement_equalization_on_constant_gradient():
     # zero curvature: gradient is constant, displacement = eta * E * g exactly
     g = np.array([0.7, -1.3])
     obj = learn.QuadraticObjective(np.zeros((2, 2)), np.zeros((1, 2)))
     obj.b = np.zeros((1, 2))
 
-    class Linearized:
-        num_clients = 1
-        dimension = 2
-
-        def sample_batches(self, k, steps, batch_size, rng):
-            return [None] * steps
-
-        def bind(self, ks, w):
-            return len(ks)
-
-        def stochastic_gradient(self, bound, batches):
-            return np.tile(g, (bound, 1))
-
     eta_base, e_min = 0.003, 20
-    base_delta, _ = run_alone(Linearized(), 0, np.zeros(2), eta_base, e_min,
+    base_delta, _ = run_alone(Linearized(g), 0, np.zeros(2), eta_base, e_min,
                               1, substream(0, "a"))
     for e_k in (40, 97, 176):
         eta = scale_learning_rate(eta_base, e_min, e_k)
-        delta, _ = run_alone(Linearized(), 0, np.zeros(2), eta, e_k, 1,
+        delta, _ = run_alone(Linearized(g), 0, np.zeros(2), eta, e_k, 1,
                              substream(0, "b"))
         rel = abs(np.linalg.norm(delta) - np.linalg.norm(base_delta)) \
             / np.linalg.norm(base_delta)
         assert rel < 5 * eta_base * 1.0 * 176
+
+
+def test_array_like_batches_run_as_a_stack():
+    # a fake objective may return lists: they stack like arrays, and zero
+    # noise rows give the draw-free stack's deltas bit for bit
+    g = np.array([0.7, -1.3])
+    lanes = [(0, np.array([0.1 * i, -0.2]), 0.01 * (i + 1), steps, None)
+             for i, steps in enumerate((3, 70, 0, 130))]
+    listed = client_local_update(Linearized(g, noise_rows=True), lanes, 1)
+    draw_free = client_local_update(Linearized(g), lanes, 1)
+    assert listed[1] == draw_free[1] == 203
+    for a, b in zip(listed[0], draw_free[0]):
+        assert np.array_equal(a, b)
