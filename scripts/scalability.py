@@ -3,10 +3,13 @@
 
 Repeats the high-variance non-IID comparison at K in {4, 8, 12}; per-client
 vectors are tiled from the 4-client profile since the config layer validates
-lengths strictly.
+lengths strictly.  The runs go through `fedqueue.run_many`, one worker per
+usable core.
 """
 import argparse
 import csv
+import math
+import os
 import statistics
 from pathlib import Path
 
@@ -22,19 +25,13 @@ def tile(base, k):
     return tuple(base[i % len(base)] for i in range(k))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="runs/scalability")
-    parser.add_argument("--trials", type=int, default=3)
-    parser.add_argument("--target", type=float, default=0.8)
-    parser.add_argument("--clients", default="4,8,12")
-    args = parser.parse_args()
-
-    rows = []
-    for k in (int(v) for v in args.clients.split(",")):
+def study_configs(clients, trials, rounds=120):
+    """(K, method, config) of every run, for each K every method over the
+    same seeds."""
+    runs = []
+    for k in clients:
         for method in METHODS:
-            ttas, steps = [], []
-            for trial in range(args.trials):
+            for trial in range(trials):
                 cfg = fq.default_config()
                 cfg.protocol.num_clients = k
                 cfg.protocol.algo = method
@@ -48,19 +45,46 @@ def main() -> None:
                 cfg.workload.dim = 16
                 cfg.workload.class_sep = 4.5
                 cfg.workload.noise = 1.5
-                cfg.protocol.num_rounds = 120
+                cfg.protocol.num_rounds = rounds
                 cfg.protocol.seed = spawn_seed(42, "scal", k, trial)
-                log = fq.run_experiment(cfg)
-                t = fq.time_to_target(log.evals, args.target)
-                if t is not None:
-                    ttas.append(t)
-                steps.append(log.total_local_steps)
-            rows.append({
-                "clients": k, "method": method,
-                "median_tta": statistics.median(ttas) if ttas else None,
-                "reached": f"{len(ttas)}/{args.trials}",
-                "median_total_steps": statistics.median(steps),
-            })
+                runs.append((k, method, cfg))
+    return runs
+
+
+def study(clients, trials, target, rounds=120):
+    """The logs of every run, in `study_configs` order, and the table: one
+    row per (K, method).  A run that never reaches the target counts as
+    infinitely late, so the median time is None unless more than half of
+    the runs reached it."""
+    runs = study_configs(clients, trials, rounds)
+    logs = fq.run_many([cfg for *_, cfg in runs], len(os.sched_getaffinity(0)))
+    cells = {}
+    for (k, method, _), log in zip(runs, logs):
+        cells.setdefault((k, method), []).append(log)
+    rows = []
+    for (k, method), group in cells.items():
+        ttas = [fq.time_to_target(log.evals, target) for log in group]
+        tta = statistics.median(math.inf if t is None else t for t in ttas)
+        rows.append({
+            "clients": k, "method": method,
+            "median_tta": None if tta == math.inf else tta,
+            "reached": f"{sum(t is not None for t in ttas)}/{len(ttas)}",
+            "median_total_steps": statistics.median(
+                log.total_local_steps for log in group),
+        })
+    return logs, rows
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="runs/scalability")
+    parser.add_argument("--trials", type=int, default=3)
+    parser.add_argument("--target", type=float, default=0.8)
+    parser.add_argument("--clients", default="4,8,12")
+    args = parser.parse_args()
+
+    _, rows = study([int(v) for v in args.clients.split(",")], args.trials,
+                    args.target)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "scalability.csv", "w", newline="") as fh:
@@ -69,7 +93,7 @@ def main() -> None:
         writer.writerows(rows)
     print(f"{'K':>4} {'method':<11}{'tta':>9}{'reached':>9}{'steps':>10}")
     for row in rows:
-        tta = "-" if row["median_tta"] is None else f"{row['median_tta']:.1f}"
+        tta = "never" if row["median_tta"] is None else f"{row['median_tta']:.1f}"
         print(f"{row['clients']:>4} {row['method']:<11}{tta:>9}{row['reached']:>9}"
               f"{row['median_total_steps']:>10.0f}")
     print(f"wrote {out / 'scalability.csv'}")

@@ -4,7 +4,7 @@ from .config import ExperimentConfig, ConfigError, default_config, load_config, 
 from .engine import run_experiment, run_many, run_sweep
 from .metrics import (MetricsLog, StalenessBoundParams, delta_threshold,
                       staleness_bound_violation_rate, time_to_target,
-                      delay_statistics, admission_summary, movement_ratio)
+                      delay_statistics, admission_summary)
 from .protocol import (StalenessDecay, ClientUpdate, compute_budget,
                        scale_learning_rate, staleness_weight,
                        assign_aggregation_round, partition_admissions, aggregate)
@@ -15,7 +15,7 @@ __all__ = [
     "ExperimentConfig", "ConfigError", "default_config", "load_config",
     "save_config", "run_experiment", "run_many", "run_sweep", "MetricsLog",
     "StalenessBoundParams", "delta_threshold", "staleness_bound_violation_rate",
-    "time_to_target", "delay_statistics", "admission_summary", "movement_ratio",
+    "time_to_target", "delay_statistics", "admission_summary",
     "StalenessDecay", "ClientUpdate", "compute_budget",
     "scale_learning_rate", "staleness_weight", "assign_aggregation_round",
     "partition_admissions", "aggregate", "DelayPredictor",

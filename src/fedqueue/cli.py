@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run (one experiment), sweep (one config axis across trials),
+Subcommands: run (one experiment), sweep (a grid of config axes across trials),
 ablate (the three mechanism-off variants against the baseline), and
 check-lemma1 (Monte Carlo verification of the admission staleness bound on a
 (rho, gamma) grid).  Outputs are plain files for offline analysis: a JSON
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import shutil
 import statistics
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .config import (ConfigError, default_config, load_config, save_config,
-                     set_key, resolve_axis)
+                     resolve_axis)
 from .engine import run_experiment, run_sweep
 from .streams import spawn_seed
 
@@ -89,6 +88,24 @@ def _median(values):
     return statistics.median(finite)
 
 
+def _medians(rows) -> tuple:
+    """Over a group of runs' rows: the median p_late, the median
+    late_mean_ratio of the runs that had a late arrival ("-" if none did),
+    the median max_delay_ratio, the median time to target, and "k/n" runs
+    that reached it.  A run that never reaches the target counts as
+    infinitely late, so that median reads "never" unless more than half of
+    the runs reached it."""
+    never = float("inf")
+    ttas = [r["time_to_target"] for r in rows]
+    tta = statistics.median(never if t is None else t for t in ttas)
+    ed = _median([r["late_mean_ratio"] for r in rows])
+    return (_median([r["p_late"] for r in rows]),
+            "-" if ed is None else format(ed, ".2f"),
+            _median([r["max_delay_ratio"] for r in rows]),
+            "never" if tta == never else f"{tta:.1f}s",
+            f"{sum(t is not None for t in ttas)}/{len(ttas)}")
+
+
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _out_path(args.out)
@@ -109,32 +126,52 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
+def _sweep_grid(args) -> list[tuple[str, list[str]]]:
+    """The (axis, values) pairs of `--axis`/`--values`, paired in order."""
+    if len(args.values) != len(args.axis):
+        raise argparse.ArgumentError(
+            None, f"--values: given {len(args.values)} times for "
+                  f"{len(args.axis)} --axis")
     try:
-        resolve_axis(args.axis)
+        keys = [resolve_axis(axis) for axis in args.axis]
     except ConfigError as exc:
         raise SystemExit(str(exc))
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise argparse.ArgumentError(None, f"--values: no value in {args.values!r}")
-    # each value names its own run directory, so a repeat would overwrite one
-    repeated = sorted({v for v in values if values.count(v) > 1})
+    # each axis names one level of run directories, so a repeat would nest
+    # a key under itself
+    repeated = [axis for axis, key in zip(args.axis, keys) if keys.count(key) > 1]
     if repeated:
-        raise argparse.ArgumentError(None, f"--values: repeated {', '.join(repeated)}")
+        raise argparse.ArgumentError(None, f"--axis: repeated {', '.join(repeated)}")
+    grid = []
+    for axis, raw in zip(args.axis, args.values):
+        values = [v.strip() for v in raw.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentError(None, f"--values: no value in {raw!r}")
+        # each value names its own run directory, so a repeat would overwrite one
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise argparse.ArgumentError(None, f"--values: repeated {', '.join(repeated)}")
+        grid.append((axis, values))
+    return grid
+
+
+def cmd_sweep(args) -> int:
+    cfg = _load(args)
+    grid = _sweep_grid(args)
     if args.trials < 1:
         raise argparse.ArgumentError(None, f"--trials must be >= 1, got {args.trials}")
     out = _out_path(args.out)
     _prepare_dir(out, args.force)
-    results = run_sweep(cfg, args.axis, values, trials=args.trials, jobs=args.jobs)
-    rows = []
+    results = run_sweep(cfg, grid, trials=args.trials, jobs=args.jobs)
+    rows, cells = [], {}
     for res in results:
         log = res["log"]
-        run_dir = out / f"{args.axis.replace('.', '_')}={res['value']}" / f"trial{res['trial']}"
+        run_dir = out.joinpath(*(f"{axis.replace('.', '_')}={value}"
+                                 for axis, value in zip(args.axis, res["values"])),
+                               f"trial{res['trial']}")
         s = metrics.write_outputs(log, run_dir)["summary"]
         rows.append({
-            "axis": args.axis, "value": res["value"], "trial": res["trial"],
-            "seed": res["seed"], "algo": log.algo,
+            "axis": ";".join(args.axis), "value": ";".join(res["values"]),
+            "trial": res["trial"], "seed": res["seed"], "algo": log.algo,
             "max_accuracy": s["max_accuracy"],
             "final_accuracy": s["final_accuracy"],
             "final_loss": s["final_loss"],
@@ -144,13 +181,14 @@ def cmd_sweep(args) -> int:
             "transfers": s["transfers"],
             "total_local_steps": s["total_local_steps"],
         })
+        cells.setdefault(res["values"], []).append(rows[-1])
     _write_csv(out / "sweep.csv", rows)
-    for value in dict.fromkeys(r["value"] for r in rows):
-        group = [r for r in rows if r["value"] == value]
-        tta = _median([r["time_to_target"] for r in group])
-        p_late = _median([r["p_late"] for r in group])
-        print(f"{args.axis}={value}: median p_late={p_late:.4f} "
-              f"median time_to_{args.target}={tta}")
+    for values, group in cells.items():
+        point = " ".join(f"{axis}={value}" for axis, value in zip(args.axis, values))
+        pl, ed, rd, tta, reached = _medians(group)
+        print(f"{point}: median p_late={pl:.4f} late_mean_ratio={ed} "
+              f"max_delay_ratio={rd:.2f} time_to_{args.target}={tta} "
+              f"(reached {reached})")
     print(f"wrote {len(rows)} runs under {out}")
     return 0
 
@@ -182,18 +220,13 @@ def cmd_ablate(args) -> int:
             })
     _write_csv(out / "ablate.csv", rows)
     header = (f"{'variant':<22}{'final_acc':>10}{'tta@' + str(args.target):>12}"
-              f"{'P_late':>9}{'E_d':>7}{'R_d':>7}")
+              f"{'reached':>9}{'P_late':>9}{'E_d':>7}{'R_d':>7}")
     print(header)
     for name, _ in ABLATION_VARIANTS:
         group = [r for r in rows if r["variant"] == name]
         acc = _median([r["final_accuracy"] for r in group])
-        tta = _median([r["time_to_target"] for r in group])
-        pl = _median([r["p_late"] for r in group])
-        ed = _median([r["late_mean_ratio"] for r in group])
-        rd = _median([r["max_delay_ratio"] for r in group])
-        print(f"{name:<22}{acc:>10.4f}"
-              f"{'-' if tta is None else format(tta, '>11.1f') + 's':>12}"
-              f"{pl:>9.3f}{'-' if ed is None else format(ed, '.2f'):>7}"
+        pl, ed, rd, tta, reached = _medians(group)
+        print(f"{name:<22}{acc:>10.4f}{tta:>12}{reached:>9}{pl:>9.3f}{ed:>7}"
               f"{rd:>7.2f}")
     print(f"wrote {len(rows)} runs to {out / 'ablate.csv'}")
     return 0
@@ -266,11 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="overwrite an existing output directory")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one config axis")
+    p_sweep = sub.add_parser("sweep", help="sweep a grid of config axes")
     p_sweep.add_argument("--config")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--axis", required=True, help="config key to vary")
-    p_sweep.add_argument("--values", required=True, help="comma-joined values")
+    p_sweep.add_argument("--axis", required=True, action="append",
+                         help="config key to vary; repeat for a grid")
+    p_sweep.add_argument("--values", required=True, action="append",
+                         help="comma-joined values of the matching --axis")
     p_sweep.add_argument("--trials", type=int, default=1,
                          help="seeds per grid point")
     p_sweep.add_argument("--jobs", type=int, default=1,

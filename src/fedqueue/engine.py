@@ -443,24 +443,32 @@ def run_many(cfgs, jobs: int = 1) -> list[metrics.MetricsLog]:
         return list(pool.map(run_experiment, cfgs))
 
 
-def run_sweep(cfg: ExperimentConfig, axis: str, values, trials: int = 1,
-              jobs: int = 1):
-    """Grid of independent experiments over one config axis, run through
-    `run_many` with `jobs` workers.
+def run_sweep(cfg: ExperimentConfig, grid, trials: int = 1, jobs: int = 1):
+    """Experiments over the Cartesian product of `grid`, a sequence of
+    `(axis, values)` pairs, `trials` seeds per grid point, run through
+    `run_many` with `jobs` workers.  The last axis varies fastest.
 
-    Per-experiment seeds derive from (master seed, value index, trial index),
-    so results do not depend on execution order and each grid point can be
-    reproduced standalone by running its config directly.
+    A point's seed is `spawn_seed(master, *value indices, trial)` over every
+    axis but `algo.name`, so results do not depend on execution order, each
+    point reproduces standalone from its config, and the algorithms at the
+    same other indices and trial meet the same queue draws.  Each row holds
+    the point's `values`, one per axis, and `value`, the last axis's value.
     """
-    resolve_axis(axis)  # fail fast on unknown keys
+    axes = [axis for axis, _ in grid]
+    values = [list(vals) for _, vals in grid]
+    seeded = [resolve_axis(axis) != ("protocol", "algo.name") for axis in axes]
     master = cfg.protocol.seed
     runs = []
-    for vi, value in enumerate(values):
+    for index in np.ndindex(*map(len, values)):
+        point = tuple(vals[i] for vals, i in zip(values, index))
+        key = [i for i, s in zip(index, seeded) if s]
         for ti in range(trials):
-            point = cfg.copy()
-            set_key(point, axis, value)
-            point.protocol.seed = spawn_seed(master, vi, ti)
-            runs.append((value, ti, point))
-    logs = run_many([point for *_, point in runs], jobs)
-    return [{"value": value, "trial": ti, "seed": point.protocol.seed, "log": log}
-            for (value, ti, point), log in zip(runs, logs)]
+            run = cfg.copy()
+            for axis, value in zip(axes, point):
+                set_key(run, axis, value)
+            run.protocol.seed = spawn_seed(master, *key, ti)
+            runs.append((point, ti, run))
+    logs = run_many([run for *_, run in runs], jobs)
+    return [{"values": point, "value": point[-1], "trial": ti,
+             "seed": run.protocol.seed, "log": log}
+            for (point, ti, run), log in zip(runs, logs)]

@@ -3,10 +3,9 @@
 A MetricsLog records one experiment as one stream of events; its round
 rows, arrival records, dispatches and evaluations are views of that stream,
 and every reported quantity (staleness distribution, admission statistics,
-normalized delays, time-to-quality, movement ratio, prediction-error
-statistics) is a pure function over the finished log.  The bound checks
-live here too: the closed form for the required safety buffer and its Monte
-Carlo verification.
+normalized delays, time-to-quality, prediction-error statistics) is a pure
+function over the finished log.  The bound checks live here too: the closed
+form for the required safety buffer and its Monte Carlo verification.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from .streams import substream
 __all__ = [
     "Event", "RoundRecord", "ArrivalRecord", "MetricsLog",
     "StalenessBoundParams", "time_to_target", "delay_statistics",
-    "admission_summary", "movement_ratio", "delta_threshold",
+    "admission_summary", "delta_threshold",
     "budget_collapse_rho", "staleness_bound_violation_rate", "prediction_error_stats",
     "delayed_quadratic_descent", "write_outputs",
 ]
@@ -265,30 +264,6 @@ def admission_summary(log: MetricsLog, arrivals: list | None = None):
                      "admitted": admitted, "deferred": deferred,
                      "max_delay_ratio": ratio})
     return rows
-
-
-def movement_ratio(logs: dict, target: float):
-    """Model-transfer ratio to the accuracy target, normalized by fedqueue's.
-
-    Transfers are counted as 2 per dispatch (broadcast down + update up),
-    over dispatches issued up to the target-crossing evaluation.  Methods
-    that never reach the target map to None.
-    """
-    if "fedqueue" not in logs:
-        raise ValueError("reference method 'fedqueue' missing")
-    ref_t = time_to_target(logs["fedqueue"].evals, target)
-    if ref_t is None:
-        raise ValueError("reference method never reached the target")
-    ref_transfers = _transfers_until(logs["fedqueue"], ref_t)
-    out = {}
-    for name, log in logs.items():
-        t = time_to_target(log.evals, target)
-        out[name] = None if t is None else _transfers_until(log, t) / ref_transfers
-    return out
-
-
-def _transfers_until(log: MetricsLog, t: float) -> int:
-    return 2 * sum(1 for d in log.dispatches if d.t <= t)
 
 
 def prediction_error_stats(log: MetricsLog, arrivals: list | None = None):

@@ -7,7 +7,8 @@ feature noise 1.5, 60 steps/s clients, 20-step floor, 120 rounds); criterion
 Orderings and directions are asserted on medians over shared seed ladders;
 exact values from any external study are explicitly not reproduction targets.
 The controlled config is read from configs/controlled.ini; one more test
-checks that the file holds it.
+checks that the file holds it, and another that configs/heavy_tail.ini is
+criterion 3's config.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ EPS = 0.05
 TARGET = 0.84
 JOBS = len(os.sched_getaffinity(0))   # run_many workers for the study grids
 CONTROLLED = Path(__file__).resolve().parents[1] / "configs" / "controlled.ini"
+HEAVY_TAIL = CONTROLLED.with_name("heavy_tail.ini")
 
 
 def controlled_config(seed: int, algo: str = "fedqueue") -> fq.ExperimentConfig:
@@ -49,6 +51,12 @@ def test_controlled_config_file_holds_the_study_config():
     cfg.workload.class_sep = 4.5
     cfg.workload.noise = 1.5
     assert controlled_config(42) == cfg
+
+
+def test_heavy_tail_config_file_is_the_controlled_config_with_heavy_tail_means():
+    cfg = controlled_config(42)
+    cfg.fedqueue.queue_means = (1.0, 2.0, 4.0, 8.0)
+    assert fq.load_config(HEAVY_TAIL) == cfg
 
 
 def tta_or_inf(log, target=TARGET) -> float:
@@ -110,7 +118,7 @@ def test_criterion_2_delay_ratio_grid_shape():
     cfg = fq.default_config()   # full table defaults
 
     def median_p_late(axis, values):
-        results = run_sweep(cfg, axis, values, trials=5, jobs=JOBS)
+        results = run_sweep(cfg, [(axis, values)], trials=5, jobs=JOBS)
         return [statistics.median(
             fq.delay_statistics(res["log"])[0]
             for res in results if res["value"] == v) for v in values]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +273,40 @@ def test_cmd_sweep_produces_groups_and_combined_csv(tmp_path):
         assert (out / group / "trial0" / "summary.json").exists()
 
 
+def test_cmd_sweep_nests_one_directory_level_per_axis(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "grid"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out),
+                   "--axis", "queue_rho", "--values", "0.1,0.9",
+                   "--axis", "algo.name", "--values", "fedqueue,fedavg") == 0
+    cells = [(rho, algo) for rho in ("0.1", "0.9") for algo in ("fedqueue", "fedavg")]
+    for rho, algo in cells:
+        assert (out / f"queue_rho={rho}" / f"algo_name={algo}" / "trial0"
+                / "summary.json").exists()
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["queue_rho;algo.name", f"{rho};{algo}", "0"] for rho, algo in cells]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed[:-1]] == [
+        f"queue_rho={rho} algo.name={algo}" for rho, algo in cells]
+
+
+def test_time_to_target_medians_count_unreached_runs_as_never(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                   "--axis", "queue_rho", "--values", "0.1,0.5,0.9",
+                   "--trials", "3") == 0
+    printed = capsys.readouterr().out.splitlines()
+    # rho 0.9 reaches 0.85 in one trial of three, at 30 s
+    assert printed[0].endswith("time_to_0.85=20.0s (reached 2/3)")
+    assert printed[2].endswith("time_to_0.85=never (reached 1/3)")
+    assert run_cli("ablate", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                   "--trials", "3") == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].split()[:4] == ["baseline", "0.8450", "40.0s", "2/3"]
+    assert printed[2].split()[:4] == ["wo_inverse_lr", "0.8300", "never", "1/3"]
+
+
 def test_cmd_sweep_unknown_axis_fails(tmp_path):
     cfg = tiny_config(tmp_path)
     with pytest.raises(SystemExit, match="unknown config key"):
@@ -320,6 +356,11 @@ BAD_ARGUMENTS = {
                            "--trials", "0"], "--trials"),
     "sweep-repeated-value": (["sweep", "--axis", "queue_rho", "--values",
                               "0.1,0.5,0.1"], "--values"),
+    "sweep-unpaired-values": (["sweep", "--axis", "queue_rho", "--values", "0.1",
+                               "--axis", "gamma"], "--values"),
+    "sweep-repeated-axis": (["sweep", "--axis", "queue_rho", "--values", "0.1",
+                             "--axis", "fedqueue.queue_rho", "--values", "0.5"],
+                            "--axis"),
     "ablate-zero-trials": (["ablate", "--trials", "0"], "--trials"),
     "check-lemma1-few-trials": (["check-lemma1", "--trials", "50"], "--trials"),
     "check-lemma1-zero-epsilon": (["check-lemma1", "--epsilon", "0"], "--epsilon"),
@@ -357,3 +398,31 @@ def test_cli_entrypoint_runs_as_subprocess(tmp_path):
          "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.json").exists()
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def documented_commands() -> list[list[str]]:
+    """The argv of every `fedqueue` command in the README's bash blocks and
+    in the comments of configs/*.ini, continuation lines joined."""
+    chunks = re.findall(r"^```bash\n(.*?)^```", (REPO / "README.md").read_text(),
+                        re.M | re.S)
+    for ini in sorted((REPO / "configs").glob("*.ini")):
+        chunks += [line.lstrip(";") for line in ini.read_text().splitlines()
+                   if line.startswith(";")]
+    text = "\n".join(chunks).replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in text.splitlines()
+            if line.strip().startswith("fedqueue ")]
+
+
+def test_documented_commands_parse_and_name_loadable_configs():
+    commands = documented_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        if args.config:
+            load_config(REPO / args.config)
+        if args.command == "sweep":
+            cli._sweep_grid(args)

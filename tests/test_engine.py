@@ -15,6 +15,7 @@ import fedqueue
 from fedqueue import engine, metrics, protocol, queue_sim
 from fedqueue.config import default_config, ConfigError
 from fedqueue.engine import InvariantError, run_experiment, run_many, run_sweep
+from fedqueue.streams import spawn_seed
 
 
 def quick_config(**over):
@@ -472,7 +473,7 @@ def test_fedqueue_equals_fedavg_in_the_synchronous_limit(dataset, throughput,
 
 def test_sweep_grid_size():
     cfg = quick_config(protocol__num_rounds=5)
-    results = run_sweep(cfg, "queue_rho", [0.1, 0.5, 0.9], trials=3)
+    results = run_sweep(cfg, [("queue_rho", [0.1, 0.5, 0.9])], trials=3)
     assert len(results) == 9
     seeds = {r["seed"] for r in results}
     assert len(seeds) == 9
@@ -480,13 +481,13 @@ def test_sweep_grid_size():
 
 def test_sweep_gamma_axis():
     cfg = quick_config(protocol__num_rounds=5)
-    results = run_sweep(cfg, "gamma", [1.0, 2.0, 4.0], trials=1)
+    results = run_sweep(cfg, [("gamma", [1.0, 2.0, 4.0])], trials=1)
     assert [r["value"] for r in results] == [1.0, 2.0, 4.0]
 
 
 def test_degenerate_sweep_reproduces_single_run():
     cfg = quick_config(protocol__num_rounds=5)
-    results = run_sweep(cfg, "queue_rho", [0.4], trials=1)
+    results = run_sweep(cfg, [("queue_rho", [0.4])], trials=1)
     standalone = cfg.copy()
     standalone.fedqueue.queue_rho = 0.4
     standalone.protocol.seed = results[0]["seed"]
@@ -495,7 +496,7 @@ def test_degenerate_sweep_reproduces_single_run():
 
 def test_sweep_unknown_axis_rejected():
     with pytest.raises(ConfigError):
-        run_sweep(quick_config(), "no_such_knob", [1], trials=1)
+        run_sweep(quick_config(), [("no_such_knob", [1])], trials=1)
 
 
 def test_run_many_pool_matches_in_process_and_leaves_nothing_running():
@@ -527,9 +528,49 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
 def test_sweep_values_independent_of_order():
     cfg = quick_config(protocol__num_rounds=5)
-    fwd = run_sweep(cfg, "delta", [1.0, 4.0], trials=1)
-    rev = run_sweep(cfg, "delta", [4.0, 1.0], trials=1)
+    fwd = run_sweep(cfg, [("delta", [1.0, 4.0])], trials=1)
+    rev = run_sweep(cfg, [("delta", [4.0, 1.0])], trials=1)
     fwd_by_value = {r["value"]: r["log"].checksum() for r in fwd}
     # seeds derive from value index, so compare matched (value, trial) points
     assert fwd_by_value[1.0] != fwd_by_value[4.0]
     assert {r["value"] for r in rev} == {1.0, 4.0}
+
+
+def test_grid_points_reproduce_standalone():
+    cfg = quick_config(protocol__num_rounds=5)
+    grid = [("queue_rho", [0.1, 0.9]), ("gamma", [1.0, 4.0])]
+    results = run_sweep(cfg, grid, trials=2)
+    points = [((ri, rho), (gi, gamma), ti) for ri, rho in enumerate([0.1, 0.9])
+              for gi, gamma in enumerate([1.0, 4.0]) for ti in range(2)]
+    assert len(results) == len(points)
+    for res, ((ri, rho), (gi, gamma), ti) in zip(results, points):
+        assert (res["values"], res["value"], res["trial"]) == ((rho, gamma), gamma, ti)
+        assert res["seed"] == spawn_seed(cfg.protocol.seed, ri, gi, ti)
+        standalone = cfg.copy()
+        standalone.fedqueue.queue_rho, standalone.fedqueue.gamma = rho, gamma
+        standalone.protocol.seed = res["seed"]
+        assert run_experiment(standalone).checksum() == res["log"].checksum()
+
+
+def test_algorithms_in_a_grid_meet_the_same_queue_draws():
+    cfg = quick_config(protocol__num_rounds=5)
+    grid = [("algo.name", ["fedqueue", "fedavg"]), ("queue_rho", [0.1, 0.9])]
+    runs = {(res["values"], res["trial"]): res for res in run_sweep(cfg, grid, trials=2)}
+
+    def draws(log):
+        """client -> the drawn q of its dispatches, in submission order"""
+        q = {}
+        for e in log.dispatches:
+            q.setdefault(e.fields["client"], []).append(e.data)
+        return q
+
+    for rho in (0.1, 0.9):
+        for ti in range(2):
+            fedqueue, fedavg = (runs[((algo, rho), ti)] for algo in ("fedqueue", "fedavg"))
+            assert fedqueue["seed"] == fedavg["seed"]
+            ours, theirs = draws(fedqueue["log"]), draws(fedavg["log"])
+            assert ours.keys() == theirs.keys() == set(range(4))
+            for k in ours:
+                n = min(len(ours[k]), len(theirs[k]))
+                assert n >= 1 and ours[k][:n] == theirs[k][:n]
+    assert runs[(("fedqueue", 0.1), 0)]["seed"] != runs[(("fedqueue", 0.9), 0)]["seed"]

@@ -13,7 +13,7 @@ from fedqueue.learn import QuadraticObjective
 from fedqueue.metrics import (ArrivalRecord, MetricsLog,
                               StalenessBoundParams, admission_summary,
                               budget_collapse_rho, delay_statistics,
-                              delta_threshold, movement_ratio, prediction_error_stats,
+                              delta_threshold, prediction_error_stats,
                               staleness_bound_violation_rate, time_to_target,
                               write_outputs)
 from fedqueue.streams import substream
@@ -125,46 +125,6 @@ def test_zero_delay_run_has_no_deferrals():
     for row in admission_summary(log):
         assert row["deferred"] == 0
         assert row["submitted"] == row["admitted"] == 5
-
-
-# ---------------------------------------------------------------------------
-# movement ratio
-# ---------------------------------------------------------------------------
-
-def log_with_dispatches(n, tta_time, algo="fedqueue"):
-    """n dispatches at t = 0, 1, ...; the target is crossed at tta_time,
-    or never when it is None."""
-    log = empty_log(algo=algo)
-    for i in range(n):
-        log.event(float(i), "dispatch", data=1.0, client=0, round=i,
-                  steps=10, eta=0.1, q_hat=float("nan"))
-    add_evals(log, [(0.0, 1.0, 0.0)])
-    if tta_time is not None:
-        add_evals(log, [(tta_time, 0.1, 0.96)])
-    return log
-
-
-def test_reference_method_ratio_is_one():
-    logs = {"fedqueue": log_with_dispatches(25, 50.0)}
-    assert movement_ratio(logs, 0.95)["fedqueue"] == pytest.approx(1.0)
-
-
-def test_double_dispatches_doubles_ratio():
-    logs = {"fedqueue": log_with_dispatches(25, 50.0),
-            "fedavg": log_with_dispatches(50, 50.0, algo="fedavg")}
-    assert movement_ratio(logs, 0.95)["fedavg"] == pytest.approx(2.0)
-
-
-def test_mixed_ratio():
-    logs = {"fedqueue": log_with_dispatches(25, 50.0),
-            "fedbuff": log_with_dispatches(40, 50.0, algo="fedbuff")}
-    assert movement_ratio(logs, 0.95)["fedbuff"] == pytest.approx(1.6)
-
-
-def test_unreached_method_maps_to_marker():
-    slow = log_with_dispatches(40, None, algo="fedavg")
-    logs = {"fedqueue": log_with_dispatches(25, 50.0), "fedavg": slow}
-    assert movement_ratio(logs, 0.95)["fedavg"] is None
 
 
 # ---------------------------------------------------------------------------
