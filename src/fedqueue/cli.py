@@ -225,8 +225,9 @@ def cmd_ablate(args) -> int:
     for name, _ in ABLATION_VARIANTS:
         group = [r for r in rows if r["variant"] == name]
         acc = _median([r["final_accuracy"] for r in group])
+        acc = "-" if acc is None else format(acc, ".4f")   # no accuracy: quadratic
         pl, ed, rd, tta, reached = _medians(group)
-        print(f"{name:<22}{acc:>10.4f}{tta:>12}{reached:>9}{pl:>9.3f}{ed:>7}"
+        print(f"{name:<22}{acc:>10}{tta:>12}{reached:>9}{pl:>9.3f}{ed:>7}"
               f"{rd:>7.2f}")
     print(f"wrote {len(rows)} runs to {out / 'ablate.csv'}")
     return 0

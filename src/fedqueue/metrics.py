@@ -4,8 +4,11 @@ A MetricsLog records one experiment as one stream of events; its round
 rows, arrival records, dispatches and evaluations are views of that stream,
 and every reported quantity (staleness distribution, admission statistics,
 normalized delays, time-to-quality, prediction-error statistics) is a pure
-function over the finished log.  The bound checks live here too: the closed
-form for the required safety buffer and its Monte Carlo verification.
+function over the finished log.  An event keeps its values as one tuple in
+the order its kind declares in EVENT_FIELDS, and `write_outputs` streams the
+output files a chunk of records at a time, so a run's memory is about its
+log.  The bound checks live here too: the closed form for the required
+safety buffer and its Monte Carlo verification.
 """
 from __future__ import annotations
 
@@ -14,7 +17,10 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
+from operator import attrgetter, itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from . import protocol
 from .streams import substream
 
 __all__ = [
-    "Event", "RoundRecord", "ArrivalRecord", "MetricsLog",
+    "EVENT_FIELDS", "Event", "RoundRecord", "ArrivalRecord", "MetricsLog",
     "StalenessBoundParams", "time_to_target", "delay_statistics",
     "admission_summary", "delta_threshold",
     "budget_collapse_rho", "staleness_bound_violation_rate", "prediction_error_stats",
@@ -33,15 +39,39 @@ __all__ = [
 TARGETS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)
 
 
+# The field names of each event kind, in the order events.jsonl writes them
+# after "t" and "kind".  `MetricsLog.event` takes exactly these names, and an
+# Event stores its values in this order.
+EVENT_FIELDS = {
+    "warmup_probe": ("client", "q"),
+    "eval": ("loss", "accuracy"),
+    "dispatch": ("client", "round", "steps", "eta", "q_hat"),
+    "job_start": ("client",),
+    "arrival": ("client", "round", "q", "steps"),
+    "aggregate": ("round", "clients", "taus"),
+    "skipped_round": ("round",),
+}
+
+# JSON values per encoder call: enough to spread the call's own cost, few
+# enough that the encoder's pieces stay small next to the log
+CHUNK_VALUES = 512
+
+
 @dataclass(slots=True)
 class Event:
-    """One entry of a run's record: `fields` are what events.jsonl writes
-    after the time and kind, `data` what the derived tables need beyond
-    them (a dispatch's drawn delay, an aggregate's ArrivalRecords)."""
+    """One entry of a run's record: `values` are what events.jsonl writes
+    after the time and kind, in the order of EVENT_FIELDS[kind]; `data` is
+    what the derived tables need beyond them (a dispatch's drawn delay, an
+    aggregate's ArrivalRecords)."""
     t: float                       # virtual time, unrounded
     kind: str
-    fields: dict
+    values: tuple
     data: object = None
+
+    @property
+    def fields(self) -> MappingProxyType:
+        """The values by field name, read-only."""
+        return MappingProxyType(dict(zip(EVENT_FIELDS[self.kind], self.values)))
 
 
 @dataclass
@@ -61,7 +91,7 @@ class RoundRecord:
     steps_done: list
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrivalRecord:
     client: int
     submit_round: int
@@ -88,6 +118,36 @@ class ArrivalRecord:
         return (self.arrival - self.submit_time) / t_sync
 
 
+# The checksum hashes round rows and arrival records as JSON objects with
+# sorted keys; the dicts are built in that order, so the encoder need not sort.
+_ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
+_ROUND_KEYS = tuple(sorted(_ROUND_FIELDS))
+_round_sorted = itemgetter(*(_ROUND_FIELDS.index(k) for k in _ROUND_KEYS))
+_ARRIVAL_KEYS = tuple(sorted(f.name for f in fields(ArrivalRecord)))
+_arrival_sorted = attrgetter(*_ARRIVAL_KEYS)
+# json.dumps(..., sort_keys=True, default=float) but for the sorting
+_encode = json.JSONEncoder(default=float).encode
+
+
+def _chunked(items, width: int):
+    """Lists of consecutive items of `width` JSON values each, about
+    CHUNK_VALUES values a list."""
+    it, n = iter(items), max(1, CHUNK_VALUES // width)
+    while chunk := list(islice(it, n)):
+        yield chunk
+
+
+def _hash_array(h, chunks) -> None:
+    """Feed `h` the JSON array of the records in `chunks`, byte for byte as
+    json.dumps writes it, one encoder call per chunk."""
+    sep = b"["
+    for chunk in chunks:
+        h.update(sep)
+        h.update(memoryview(_encode(chunk).encode())[1:-1])
+        sep = b", "
+    h.update(b"]" if sep == b", " else b"[]")
+
+
 @dataclass
 class MetricsLog:
     algo: str
@@ -102,27 +162,71 @@ class MetricsLog:
     failure_reason: str = ""
     final_model: object = None   # ending global parameter vector
 
-    def event(self, t: float, kind: str, data=None, **fields) -> None:
-        self.events.append(Event(t, kind, fields, data))
+    def event(self, t: float, kind: str, data=None, **values) -> None:
+        """Record an event; `values` are its kind's EVENT_FIELDS, in order."""
+        if EVENT_FIELDS.get(kind) != tuple(values):
+            raise ValueError(f"event {kind!r} with fields {tuple(values)}; "
+                             f"declared: {EVENT_FIELDS.get(kind)}")
+        self.events.append(Event(t, kind, tuple(values.values()), data))
+
+    def _evals(self):
+        return ((e.t, *e.values) for e in self.events if e.kind == "eval")
 
     @property
     def evals(self) -> list:
         """(time, loss, accuracy) of every evaluation, in order."""
-        return [(e.t, e.fields["loss"], e.fields["accuracy"])
-                for e in self.events if e.kind == "eval"]
+        return list(self._evals())
 
     @property
     def dispatches(self) -> list:
         return [e for e in self.events if e.kind == "dispatch"]
 
+    def _arrivals(self):
+        return (a for e in self.events if e.kind == "aggregate" for a in e.data)
+
     @property
     def arrivals(self) -> list:
         """ArrivalRecords of the applied updates, in order of application."""
-        return [a for e in self.events if e.kind == "aggregate" for a in e.data]
+        return list(self._arrivals())
 
     @property
     def skipped_rounds(self) -> int:
         return sum(1 for e in self.events if e.kind == "skipped_round")
+
+    def _round_rows(self):
+        """The `rounds` rows as tuples in RoundRecord field order, each
+        per-client column a tuple, one row at a time."""
+        # one row meaning for both families changes the pinned outputs; the
+        # deliberate re-pin that does it (ROADMAP.md) removes this branch
+        by_submit = self.algo == "fedqueue"
+        nan = float("nan")
+        blank = (nan,) * 5
+        clients = range(self.num_clients)
+        if by_submit:
+            stale = Counter(a.submit_round for a in self._arrivals() if a.tau >= 1)
+        cols, loss, accuracy = {}, nan, None
+        for e in self.events:
+            kind = e.kind
+            if kind == "eval":
+                loss, accuracy = e.values
+            elif kind == "dispatch":
+                if by_submit:
+                    k, r, steps, eta, q_hat = e.values
+                    # (q, q_hat, steps_budget, eta, steps_done)
+                    cols.setdefault(r, {})[k] = (e.data, q_hat, steps, eta, steps)
+            elif kind == "aggregate" or kind == "skipped_round":
+                r = e.values[0]
+                taus = e.values[2] if kind == "aggregate" else ()
+                if by_submit:
+                    mine, deferred = cols.pop(r, {}), stale[r]
+                else:
+                    mine = {a.client: (a.q, nan, nan, nan, a.steps_done)
+                            for a in e.data}
+                    deferred = sum(1 for tau in taus if tau >= 1)
+                yield (r, e.t, loss, accuracy, len(taus), deferred,
+                       sum(taus) / len(taus) if taus else 0.0,
+                       max(taus) if taus else 0,
+                       *zip(*[mine.get(k, blank) for k in clients]))
 
     @property
     def rounds(self) -> list:
@@ -134,53 +238,35 @@ class MetricsLog:
         aggregation: the applied updates' q and steps, and `deferred` counts
         the stale ones among them.
         """
-        # one row meaning for both families changes the pinned outputs; the
-        # deliberate re-pin that does it (ROADMAP.md) removes this branch
-        by_submit = self.algo == "fedqueue"
-        nan = float("nan")
-        if by_submit:
-            stale = Counter(a.submit_round for a in self.arrivals if a.tau >= 1)
-        rows, cols, loss, accuracy = [], {}, nan, None
-        for e in self.events:
-            f = e.fields
-            if e.kind == "eval":
-                loss, accuracy = f["loss"], f["accuracy"]
-            elif e.kind == "dispatch" and by_submit:
-                # (q, q_hat, steps_budget, eta, steps_done)
-                cols.setdefault(f["round"], {})[f["client"]] = (
-                    e.data, f["q_hat"], f["steps"], f["eta"], f["steps"])
-            elif e.kind in ("aggregate", "skipped_round"):
-                r, taus = f["round"], f.get("taus", [])
-                if by_submit:
-                    mine, deferred = cols.pop(r, {}), stale[r]
-                else:
-                    mine = {a.client: (a.q, nan, nan, nan, a.steps_done)
-                            for a in e.data}
-                    deferred = sum(1 for tau in taus if tau >= 1)
-                cells = [mine.get(k, (nan,) * 5) for k in range(self.num_clients)]
-                rows.append(RoundRecord(
-                    r, e.t, loss, accuracy, len(taus), deferred,
-                    sum(taus) / len(taus) if taus else 0.0,
-                    max(taus) if taus else 0,
-                    *(list(column) for column in zip(*cells))))
-        return rows
+        return [RoundRecord(*row[:8], *map(list, row[8:]))
+                for row in self._round_rows()]
 
     @property
     def final_accuracy(self) -> float | None:
-        accs = [a for _, _, a in self.evals if a is not None]
+        accs = [a for _, _, a in self._evals() if a is not None]
         return accs[-1] if accs else None
 
-    def checksum(self, rounds: list | None = None) -> str:
-        """sha256 of the round rows, arrival records and evals; `rounds`,
-        if given, is this log's `rounds` view, already derived."""
-        # the rows are derived afresh, so vars() needs no defensive copy
-        payload = {
-            "rounds": [vars(r) for r in (self.rounds if rounds is None else rounds)],
-            "arrivals": [vars(a) for a in self.arrivals],
-            "evals": self.evals,
-        }
-        blob = json.dumps(payload, sort_keys=True, default=float).encode()
-        return hashlib.sha256(blob).hexdigest()
+    def checksum(self, each_rounds_chunk=None) -> str:
+        """sha256 of json.dumps({"rounds": [vars(r) for r in rounds],
+        "arrivals": [vars(a) for a in arrivals], "evals": evals},
+        sort_keys=True, default=float), hashed a chunk of records at a time
+        as it is encoded.  `each_rounds_chunk`, if given, is called with each
+        chunk of round rows (see `_round_rows`) once it is hashed."""
+        def round_chunks():
+            for rows in _chunked(self._round_rows(), 8 + 5 * self.num_clients):
+                yield [dict(zip(_ROUND_KEYS, _round_sorted(row))) for row in rows]
+                if each_rounds_chunk is not None:
+                    each_rounds_chunk(rows)
+
+        h = hashlib.sha256(b'{"arrivals": ')
+        _hash_array(h, ([dict(zip(_ARRIVAL_KEYS, _arrival_sorted(a))) for a in chunk]
+                        for chunk in _chunked(self._arrivals(), len(_ARRIVAL_KEYS))))
+        h.update(b', "evals": ')
+        _hash_array(h, _chunked(self._evals(), 3))
+        h.update(b', "rounds": ')
+        _hash_array(h, round_chunks())
+        h.update(b"}")
+        return h.hexdigest()
 
     def summary(self) -> dict:
         arrivals, evals = self.arrivals, self.evals
@@ -417,11 +503,34 @@ def rounds_header(num_clients: int):
     return cols
 
 
+def _csv_cells(row) -> list:
+    """rounds.csv cells of one `_round_rows` row; a NaN cell is empty."""
+    r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau, *columns = row
+    cells = [r, f"{time:.6f}", f"{loss:.8f}",
+             "" if accuracy is None else f"{accuracy:.6f}",
+             admitted, deferred, f"{mean_tau:.4f}", max_tau]
+    # v != v only for NaN
+    cells += [v if v == v else "" for column in columns for v in column]
+    return cells
+
+
+# events.jsonl keys of each kind
+_LINE_KEYS = {kind: ("t", "kind") + names for kind, names in EVENT_FIELDS.items()}
+_LINE_WIDTH = max(map(len, _LINE_KEYS.values()))
+
+
 def write_outputs(log: MetricsLog, out_dir):
     """Write summary.json, rounds.csv, and events.jsonl into out_dir, and
-    return the summary document written."""
+    return the summary document written.
+
+    The writer streams: rounds.csv is written in the pass that hashes the
+    round rows for the checksum, and events.jsonl a chunk at a time, so
+    beyond the log it holds one chunk of records and the summary's lists."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    rounds = log.rounds
+    with open(out_dir / "rounds.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rounds_header(log.num_clients))
+        checksum = log.checksum(lambda rows: writer.writerows(map(_csv_cells, rows)))
     summary = {
         "algo": log.algo,
         "seed": log.seed,
@@ -429,26 +538,17 @@ def write_outputs(log: MetricsLog, out_dir):
         "horizon": log.horizon,
         "config": log.config,
         "summary": log.summary(),
-        "checksum": log.checksum(rounds),
+        "checksum": checksum,
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, default=float) + "\n")
-    with open(out_dir / "rounds.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rounds_header(log.num_clients))
-        for r in rounds:
-            row = [r.round, f"{r.time:.6f}", f"{r.loss:.8f}",
-                   "" if r.accuracy is None else f"{r.accuracy:.6f}",
-                   r.admitted, r.deferred, f"{r.mean_tau:.4f}", r.max_tau]
-            for vec in (r.q, r.q_hat, r.steps_budget, r.eta, r.steps_done):
-                row += ["" if (isinstance(v, float) and math.isnan(v)) else v
-                        for v in vec]
-            writer.writerow(row)
-    # one encoder for every line; json.dumps would build one per line
-    encode = json.JSONEncoder(default=float).encode
+    # a chunk of lines is encoded as one JSON array of objects; event values
+    # are numbers, None or lists of numbers, so "}, {" only joins two lines
     with open(out_dir / "events.jsonl", "w") as fh:
-        for e in log.events:
-            rec = {"t": round(float(e.t), 9), "kind": e.kind}
-            rec.update(e.fields)
-            fh.write(encode(rec) + "\n")
+        for chunk in _chunked(log.events, _LINE_WIDTH):
+            text = _encode([dict(zip(_LINE_KEYS[e.kind],
+                                     (round(float(e.t), 9), e.kind, *e.values)))
+                            for e in chunk])
+            fh.write(text[1:-1].replace("}, {", "}\n{"))
+            fh.write("\n")
     return summary

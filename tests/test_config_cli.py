@@ -327,6 +327,18 @@ def test_cmd_ablate_emits_four_variants(tmp_path, capsys):
         assert variant in printed
 
 
+def test_cmd_ablate_prints_a_marker_for_runs_without_accuracy(tmp_path, capsys):
+    cfg = tmp_path / "quad.ini"
+    cfg.write_text("[protocol]\nnum_rounds = 5\n[workload]\ndataset = quadratic\n")
+    out = tmp_path / "abl"
+    assert run_cli("ablate", "--config", str(cfg), "--out", str(out),
+                   "--trials", "1") == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in printed[1:5]] == [
+        [variant, "-"] for variant in ("baseline", "wo_inverse_lr", "wo_ewma",
+                                       "wo_staleness_decay")]
+
+
 def test_check_bound_zero_noise_prints_zero_rates(tmp_path, capsys):
     assert run_cli("check-lemma1", "--rhos", "0", "--gammas", "0.2,1",
                    "--trials", "200") == 0

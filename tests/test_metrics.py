@@ -1,4 +1,10 @@
+import dataclasses
+import gc
+import hashlib
+import json
 import math
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +23,8 @@ from fedqueue.metrics import (ArrivalRecord, MetricsLog,
                               staleness_bound_violation_rate, time_to_target,
                               write_outputs)
 from fedqueue.streams import substream
+
+import parity_corpus
 
 
 def empty_log(**kw):
@@ -333,3 +341,156 @@ def test_log_rebuilt_from_its_events_alone(tmp_path, algo, broadcast_when,
     for name in ("summary.json", "rounds.csv", "events.jsonl"):
         assert ((tmp_path / "rebuilt" / name).read_bytes()
                 == (tmp_path / "original" / name).read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# the record's schema, the streamed checksum and the writer's memory
+# ---------------------------------------------------------------------------
+
+def test_event_takes_exactly_its_declared_names():
+    log = empty_log()
+    log.event(1.0, "dispatch", data=0.5, client=0, round=0, steps=3, eta=0.1,
+              q_hat=0.2)
+    assert dict(log.events[0].fields) == dict(client=0, round=0, steps=3,
+                                              eta=0.1, q_hat=0.2)
+    with pytest.raises(TypeError):
+        log.events[0].fields["steps"] = 4                   # a read-only view
+    with pytest.raises(ValueError, match="undeclared"):
+        log.event(1.0, "undeclared", client=0)
+    for names in ({"client": 0}, {"client": 0, "q": 1.0, "round": 2},
+                  {"q": 1.0, "client": 0}, {"client": 0, "qq": 1.0}):
+        with pytest.raises(ValueError, match="warmup_probe"):
+            log.event(0.0, "warmup_probe", **names)
+    assert len(log.events) == 1
+
+
+def test_log_survives_pickle_unchanged(tmp_path):
+    log = small_run("fedqueue", "immediate")
+    copy = pickle.loads(pickle.dumps(log))
+    assert copy.events == log.events and copy.checksum() == log.checksum()
+    write_outputs(log, tmp_path / "original")
+    write_outputs(copy, tmp_path / "copy")
+    for name in ("summary.json", "rounds.csv", "events.jsonl"):
+        assert ((tmp_path / "copy" / name).read_bytes()
+                == (tmp_path / "original" / name).read_bytes())
+
+
+def reference_checksum(log) -> str:
+    """The checksum as one document: sha256 of the whole JSON string."""
+    payload = {
+        "rounds": [vars(r) for r in log.rounds],
+        "arrivals": [{f.name: getattr(a, f.name) for f in dataclasses.fields(a)}
+                     for a in log.arrivals],
+        "evals": log.evals,
+    }
+    blob = json.dumps(payload, sort_keys=True, default=float).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+# parity-corpus variants: fedqueue in both broadcast modes, every baseline,
+# a run that fails before its first aggregation, skipped rounds, and a
+# diverged run whose loss reads inf
+REFERENCE_RUNS = (
+    "grid-fedqueue-synthetic-next_round-lr0.03",
+    "grid-fedqueue-synthetic-immediate-lr0.03",
+    "grid-fedavg-synthetic-next_round-lr0.03",
+    "grid-fedasync-synthetic-next_round-lr0.03",
+    "grid-fedbuff-synthetic-next_round-lr0.03",
+    "grid-fedcompass-synthetic-immediate-lr0.03",
+    "mlp-fedqueue-lr3e+307",
+    "slow-throughput-fedqueue-quadratic",
+    "grid-fedqueue-quadratic-next_round-lr3",
+)
+
+
+@pytest.fixture(scope="module")
+def reference_logs():
+    return {name: run_experiment(parity_corpus.config(name)) for name in REFERENCE_RUNS}
+
+
+def test_reference_runs_cover_the_edge_cases(reference_logs):
+    logs = reference_logs.values()
+    assert {log.algo for log in logs} == {"fedqueue", "fedavg", "fedasync",
+                                          "fedbuff", "fedcompass"}
+    assert {log.config["fedqueue.broadcast_when"] for log in logs
+            if log.algo == "fedqueue"} == {"next_round", "immediate"}
+    assert any(log.failed and not log.arrivals for log in logs)
+    assert any(log.skipped_rounds for log in logs)
+    assert any(log.failed and math.inf in [loss for _, loss, _ in log.evals]
+               for log in logs)
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_streamed_checksum_matches_the_whole_document(name, reference_logs, tmp_path):
+    log = reference_logs[name]
+    expected = reference_checksum(log)
+    assert log.checksum() == expected
+    assert write_outputs(log, tmp_path)["checksum"] == expected
+    assert json.loads((tmp_path / "summary.json").read_text())["checksum"] == expected
+
+
+def chunked_sections(log) -> dict:
+    """(records, JSON values per record) of each section written a chunk
+    at a time."""
+    return {"rounds": (len(log.rounds), 8 + 5 * log.num_clients),
+            "arrivals": (len(log.arrivals), 10),
+            "evals": (len(log.evals), 3),
+            "events": (len(log.events), metrics._LINE_WIDTH)}
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["on", "one-past"])
+@pytest.mark.parametrize("section", ["rounds", "arrivals", "evals", "events"])
+def test_chunk_boundaries_change_no_byte(section, past, reference_logs,
+                                         monkeypatch, tmp_path):
+    # a chunk size that ends a section exactly on a chunk boundary, or one
+    # record past one
+    log = reference_logs["grid-fedqueue-synthetic-immediate-lr0.03"]
+    count, width = chunked_sections(log)[section]
+    assert count - past >= 2
+    write_outputs(log, tmp_path / "default")
+    monkeypatch.setattr(metrics, "CHUNK_VALUES", width * (count - past))
+    assert log.checksum() == reference_checksum(log)
+    write_outputs(log, tmp_path / "chunked")
+    for name in ("summary.json", "rounds.csv", "events.jsonl"):
+        assert ((tmp_path / "chunked" / name).read_bytes()
+                == (tmp_path / "default" / name).read_bytes())
+
+
+def quad_dispatch_config(algo, rounds):
+    """The benchmark's quadratic workload: 12 clients, jobs of 1-8 steps,
+    immediate broadcast."""
+    k = 12
+    cfg = default_config()
+    cfg.protocol.algo = algo
+    cfg.protocol.num_clients = k
+    cfg.protocol.num_rounds = rounds
+    cfg.workload.dataset = "quadratic"
+    cfg.workload.dim = 16
+    fq = cfg.fedqueue
+    fq.broadcast_when = "immediate"
+    fq.queue_rho = 0.9
+    fq.queue_means = tuple((1.0, 2.0, 4.0, 8.0)[i % 4] for i in range(k))
+    fq.queue_fixed = tuple(fq.queue_fixed[i % len(fq.queue_fixed)] for i in range(k))
+    fq.slowdown = (1.0,) * k
+    fq.throughput = (1.0,) * k
+    cfg.fedasync.num_local_steps = 5
+    cfg.fedavg.num_local_steps = tuple((6, 15, 14, 2)[i % 4] for i in range(k))
+    return cfg
+
+
+def test_write_outputs_holds_little_beyond_the_log(tmp_path):
+    # the writer streams: its peak beyond the log is about one chunk, not a
+    # copy of the record as one JSON string or one list of rows
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = run_experiment(quad_dispatch_config("fedasync", 100))
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_outputs(log, tmp_path)
+        extra = tracemalloc.get_traced_memory()[1] - size
+    finally:
+        tracemalloc.stop()
+    assert len(log.events) > 5000
+    assert extra < 0.25 * size, (extra, size)

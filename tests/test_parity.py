@@ -1,14 +1,27 @@
 """The parity corpus: every run of `parity_corpus.VARIANTS` gives what
-`parity_corpus.json` pins, in process and through a two-worker pool."""
+`parity_corpus.json` pins, in process and through a two-worker pool, and
+writes its events in the declared schema."""
 import json
 
 import pytest
 
 from fedqueue.engine import run_experiment, run_many
+from fedqueue.metrics import EVENT_FIELDS
 
 import parity_corpus
 
 PINS = json.loads(parity_corpus.PINS.read_text())
+
+
+@pytest.fixture(scope="module")
+def pooled(tmp_path_factory):
+    """name -> (log, facts, output directory) of every variant, run through
+    a two-worker pool."""
+    names = sorted(parity_corpus.VARIANTS)
+    logs = run_many([parity_corpus.config(name) for name in names], 2)
+    out = tmp_path_factory.mktemp("pool")
+    return {name: (log, parity_corpus.facts(log, out / name), out / name)
+            for name, log in zip(names, logs)}
 
 
 def test_every_variant_is_pinned():
@@ -24,9 +37,23 @@ def test_run_matches_its_pin(name, tmp_path):
     assert parity_corpus.facts(log, tmp_path) == PINS[name]
 
 
-def test_pool_runs_match_their_pins(tmp_path):
-    names = sorted(parity_corpus.VARIANTS)
-    logs = run_many([parity_corpus.config(name) for name in names], 2)
-    got = {name: parity_corpus.facts(log, tmp_path / name)
-           for name, log in zip(names, logs)}
-    assert got == {name: PINS[name] for name in names}
+def test_pool_runs_match_their_pins(pooled):
+    assert {name: facts for name, (_, facts, _) in pooled.items()} == \
+        {name: PINS[name] for name in pooled}
+
+
+def _keys(line: str) -> list:
+    return json.loads(line, object_pairs_hook=lambda pairs: [k for k, _ in pairs])
+
+
+def test_corpus_events_follow_the_declared_schema(pooled):
+    # the corpus emits every declared kind, and each events.jsonl line holds
+    # the time, the kind and the kind's declared names, in that order
+    kinds = set()
+    for log, _, out_dir in pooled.values():
+        lines = (out_dir / "events.jsonl").read_text().splitlines()
+        assert len(lines) == len(log.events)
+        for line, event in zip(lines, log.events):
+            assert _keys(line) == ["t", "kind", *EVENT_FIELDS[event.kind]]
+            kinds.add(event.kind)
+    assert kinds == set(EVENT_FIELDS)
