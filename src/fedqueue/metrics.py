@@ -12,13 +12,13 @@ safety buffer and its Monte Carlo verification.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from functools import cache
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
@@ -118,15 +118,25 @@ class ArrivalRecord:
         return (self.arrival - self.submit_time) / t_sync
 
 
-# The checksum hashes round rows and arrival records as JSON objects with
-# sorted keys; the dicts are built in that order, so the encoder need not sort.
-_ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
-_ROUND_KEYS = tuple(sorted(_ROUND_FIELDS))
-_round_sorted = itemgetter(*(_ROUND_FIELDS.index(k) for k in _ROUND_KEYS))
-_ARRIVAL_KEYS = tuple(sorted(f.name for f in fields(ArrivalRecord)))
-_arrival_sorted = attrgetter(*_ARRIVAL_KEYS)
-# json.dumps(..., sort_keys=True, default=float) but for the sorting
+# The writer prints each number once: a chunk of records is flattened into
+# one list of plain scalars, printed by one encoder call, and the resulting
+# tokens are laid into fixed %-templates.  Only numbers and null go through
+# the encoder, never strings, so ", " only ever separates two tokens.
 _encode = json.JSONEncoder(default=float).encode
+
+
+def _tokens(values: list) -> tuple:
+    """json.dumps(v) of each of `values`, from one encoder call."""
+    return tuple(_encode(values)[1:-1].split(", ")) if values else ()
+
+
+def _list(n: int) -> str:
+    return "[" + ", ".join(["%s"] * n) + "]"
+
+
+def _object(items) -> str:
+    """Template of a JSON object: (key, value template) pairs, in order."""
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in items) + "}"
 
 
 def _chunked(items, width: int):
@@ -137,15 +147,54 @@ def _chunked(items, width: int):
         yield chunk
 
 
-def _hash_array(h, chunks) -> None:
-    """Feed `h` the JSON array of the records in `chunks`, byte for byte as
-    json.dumps writes it, one encoder call per chunk."""
+def _hash_records(h, records, template: str, values_of, each_chunk=None) -> None:
+    """Feed `h` the JSON array of `records`, byte for byte as json.dumps
+    writes it, a chunk at a time: the values `values_of` gives for the
+    chunk's records are printed by one encoder call and laid into one
+    `template` per record.  `each_chunk(chunk, tokens)`, if given, follows
+    each chunk."""
     sep = b"["
-    for chunk in chunks:
+    for chunk in _chunked(records, template.count("%s")):
+        tokens = _tokens(list(chain.from_iterable(map(values_of, chunk))))
         h.update(sep)
-        h.update(memoryview(_encode(chunk).encode())[1:-1])
+        h.update((", ".join([template] * len(chunk)) % tokens).encode())
         sep = b", "
+        if each_chunk is not None:
+            each_chunk(chunk, tokens)
     h.update(b"]" if sep == b", " else b"[]")
+
+
+# The checksum's records are JSON objects with sorted keys.
+_ARRIVAL_KEYS = tuple(sorted(f.name for f in fields(ArrivalRecord)))
+_arrival_sorted = attrgetter(*_ARRIVAL_KEYS)
+_ARRIVAL_RECORD = _object((key, "%s") for key in _ARRIVAL_KEYS)
+_ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
+_CLIENT_COLUMNS = _ROUND_FIELDS[8:]       # one value per client each
+
+
+def _round_values(row) -> tuple:
+    """A `_round_rows` row's values in sorted-key order, each per-client
+    column spread out."""
+    (r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau,
+     q, q_hat, steps_budget, eta, steps_done) = row
+    return (accuracy, admitted, deferred, *eta, loss, max_tau, mean_tau, *q,
+            *q_hat, r, *steps_budget, *steps_done, time)
+
+
+@cache
+def _round_record(k: int) -> str:
+    """The checksum's template of a round row with k clients."""
+    return _object((key, _list(k) if key in _CLIENT_COLUMNS else "%s")
+                   for key in sorted(_ROUND_FIELDS))
+
+
+@cache
+def _client_cells(k: int):
+    """Getter of a round row's per-client tokens in rounds.csv's order."""
+    labels = _round_values((*_ROUND_FIELDS[:8],
+                            *([(c, j) for j in range(k)] for c in _CLIENT_COLUMNS)))
+    index = {label: i for i, label in enumerate(labels)}
+    return itemgetter(*(index[c, j] for c in _CLIENT_COLUMNS for j in range(k)))
 
 
 @dataclass
@@ -250,21 +299,16 @@ class MetricsLog:
         """sha256 of json.dumps({"rounds": [vars(r) for r in rounds],
         "arrivals": [vars(a) for a in arrivals], "evals": evals},
         sort_keys=True, default=float), hashed a chunk of records at a time
-        as it is encoded.  `each_rounds_chunk`, if given, is called with each
-        chunk of round rows (see `_round_rows`) once it is hashed."""
-        def round_chunks():
-            for rows in _chunked(self._round_rows(), 8 + 5 * self.num_clients):
-                yield [dict(zip(_ROUND_KEYS, _round_sorted(row))) for row in rows]
-                if each_rounds_chunk is not None:
-                    each_rounds_chunk(rows)
-
+        as it is printed.  `each_rounds_chunk`, if given, is called with each
+        chunk of round rows (see `_round_rows`) once it is hashed, and with
+        the rows' tokens, their printed values in `_round_values` order."""
         h = hashlib.sha256(b'{"arrivals": ')
-        _hash_array(h, ([dict(zip(_ARRIVAL_KEYS, _arrival_sorted(a))) for a in chunk]
-                        for chunk in _chunked(self._arrivals(), len(_ARRIVAL_KEYS))))
+        _hash_records(h, self._arrivals(), _ARRIVAL_RECORD, _arrival_sorted)
         h.update(b', "evals": ')
-        _hash_array(h, _chunked(self._evals(), 3))
+        _hash_records(h, self._evals(), _list(3), iter)
         h.update(b', "rounds": ')
-        _hash_array(h, round_chunks())
+        _hash_records(h, self._round_rows(), _round_record(self.num_clients),
+                      _round_values, each_rounds_chunk)
         h.update(b"}")
         return h.hexdigest()
 
@@ -313,6 +357,14 @@ def time_to_target(evals: list, target: float):
     return None
 
 
+def _by_client(log: MetricsLog, arrivals):
+    """The arrivals of each client, in arrival order, from one pass."""
+    groups = [[] for _ in range(log.num_clients)]
+    for a in arrivals:
+        groups[a.client].append(a)
+    return groups
+
+
 def delay_statistics(log: MetricsLog, arrivals: list | None = None):
     """(P_late, conditional mean late ratio, max ratio) over all arrivals;
     `arrivals`, if given, is the log's `arrivals` view, already derived.
@@ -324,7 +376,7 @@ def delay_statistics(log: MetricsLog, arrivals: list | None = None):
         arrivals = log.arrivals
     if not arrivals:
         return 0.0, None, 0.0
-    ratios = np.array([a.ratio(log.t_sync) for a in arrivals])
+    ratios = np.fromiter((a.ratio(log.t_sync) for a in arrivals), float, len(arrivals))
     late = ratios[ratios > 1.0]
     p_late = float(len(late) / len(ratios))
     e_hat_d = float(late.mean()) if len(late) else None
@@ -341,8 +393,7 @@ def admission_summary(log: MetricsLog, arrivals: list | None = None):
     if arrivals is None:
         arrivals = log.arrivals
     rows = []
-    for k in range(log.num_clients):
-        mine = [a for a in arrivals if a.client == k]
+    for k, mine in enumerate(_by_client(log, arrivals)):
         admitted = sum(1 for a in mine if a.tau == 0)
         deferred = sum(1 for a in mine if a.tau >= 1)
         ratio = max((a.ratio(log.t_sync) for a in mine), default=0.0)
@@ -361,9 +412,8 @@ def prediction_error_stats(log: MetricsLog, arrivals: list | None = None):
     if arrivals is None:
         arrivals = log.arrivals
     rows = []
-    for k in range(log.num_clients):
-        errs = np.array([a.q - a.q_hat for a in arrivals
-                         if a.client == k and not math.isnan(a.q_hat)])
+    for k, mine in enumerate(_by_client(log, arrivals)):
+        errs = np.array([a.q - a.q_hat for a in mine if not math.isnan(a.q_hat)])
         if len(errs) < 2:
             rows.append({"client": k, "mean": None, "std": None, "count": int(len(errs))})
             continue
@@ -503,34 +553,71 @@ def rounds_header(num_clients: int):
     return cols
 
 
-def _csv_cells(row) -> list:
-    """rounds.csv cells of one `_round_rows` row; a NaN cell is empty."""
-    r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau, *columns = row
-    cells = [r, f"{time:.6f}", f"{loss:.8f}",
-             "" if accuracy is None else f"{accuracy:.6f}",
-             admitted, deferred, f"{mean_tau:.4f}", max_tau]
-    # v != v only for NaN
-    cells += [v if v == v else "" for column in columns for v in column]
-    return cells
+# rounds.csv lines as csv.writer writes them: the head cells from the row,
+# the per-client cells from the checksum's tokens, a NaN or None cell empty
+_CSV_LINE = "%s,%.6f,%.8f,%.6f,%s,%s,%.4f,%s,%s\r\n"
+_CSV_LINE_NO_ACCURACY = "%s,%.6f,%.8f,%.0s,%s,%s,%.4f,%s,%s\r\n"   # %.0s prints None as ""
+_CSV_TOKENS = (("NaN", ""), ("null", ""), ("Infinity", "inf"))   # -Infinity too
 
 
-# events.jsonl keys of each kind
-_LINE_KEYS = {kind: ("t", "kind") + names for kind, names in EVENT_FIELDS.items()}
-_LINE_WIDTH = max(map(len, _LINE_KEYS.values()))
+def _csv_lines(rows, tokens, k: int) -> str:
+    """rounds.csv lines of a chunk of `_round_rows` rows and their tokens."""
+    cells, width = _client_cells(k), len(tokens) // len(rows)
+    templates, args = [], []
+    for i, row in enumerate(rows):
+        templates.append(_CSV_LINE_NO_ACCURACY if row[3] is None else _CSV_LINE)
+        args += row[:8]
+        args.append(",".join(cells(tokens[i * width:(i + 1) * width])))
+    text = "".join(templates) % tuple(args)
+    for token, cell in _CSV_TOKENS:
+        text = text.replace(token, cell)
+    return text
+
+
+# events.jsonl lines: one template per kind, the aggregate's per list length
+def _event_line(kind: str, values: dict) -> str:
+    return _object([("t", "%s"), ("kind", f'"{kind}"'), *values.items()]) + "\n"
+
+
+_EVENT_LINES = {kind: _event_line(kind, dict.fromkeys(names, "%s"))
+                for kind, names in EVENT_FIELDS.items() if kind != "aggregate"}
+_LINE_WIDTH = 1 + max(map(len, EVENT_FIELDS.values()))    # values per line, lists aside
+
+
+@cache
+def _aggregate_line(clients: int, taus: int) -> str:
+    return _event_line("aggregate", {"round": "%s", "clients": _list(clients),
+                                     "taus": _list(taus)})
+
+
+def _event_lines(chunk) -> str:
+    """events.jsonl lines of a chunk of events."""
+    templates, values = [], []
+    for e in chunk:
+        values.append(round(float(e.t), 9))
+        if e.kind == "aggregate":
+            r, clients, taus = e.values
+            templates.append(_aggregate_line(len(clients), len(taus)))
+            values += (r, *clients, *taus)
+        else:
+            templates.append(_EVENT_LINES[e.kind])
+            values += e.values
+    return "".join(templates) % _tokens(values)
 
 
 def write_outputs(log: MetricsLog, out_dir):
     """Write summary.json, rounds.csv, and events.jsonl into out_dir, and
     return the summary document written.
 
-    The writer streams: rounds.csv is written in the pass that hashes the
-    round rows for the checksum, and events.jsonl a chunk at a time, so
-    beyond the log it holds one chunk of records and the summary's lists."""
+    The writer streams a chunk of records at a time, each chunk printed by
+    one encoder call: rounds.csv is written in the pass that hashes the
+    round rows for the checksum, from the same tokens, so beyond the log it
+    holds one chunk of records and the summary's lists."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    k = log.num_clients
     with open(out_dir / "rounds.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rounds_header(log.num_clients))
-        checksum = log.checksum(lambda rows: writer.writerows(map(_csv_cells, rows)))
+        fh.write(",".join(rounds_header(k)) + "\r\n")
+        checksum = log.checksum(lambda rows, tokens: fh.write(_csv_lines(rows, tokens, k)))
     summary = {
         "algo": log.algo,
         "seed": log.seed,
@@ -542,13 +629,7 @@ def write_outputs(log: MetricsLog, out_dir):
     }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, default=float) + "\n")
-    # a chunk of lines is encoded as one JSON array of objects; event values
-    # are numbers, None or lists of numbers, so "}, {" only joins two lines
     with open(out_dir / "events.jsonl", "w") as fh:
         for chunk in _chunked(log.events, _LINE_WIDTH):
-            text = _encode([dict(zip(_LINE_KEYS[e.kind],
-                                     (round(float(e.t), 9), e.kind, *e.values)))
-                            for e in chunk])
-            fh.write(text[1:-1].replace("}, {", "}\n{"))
-            fh.write("\n")
+            fh.write(_event_lines(chunk))
     return summary

@@ -1,22 +1,26 @@
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import pickle
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedqueue import metrics
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 from fedqueue.learn import QuadraticObjective
-from fedqueue.metrics import (ArrivalRecord, MetricsLog,
+from fedqueue.metrics import (EVENT_FIELDS, ArrivalRecord, MetricsLog,
                               StalenessBoundParams, admission_summary,
                               budget_collapse_rho, delay_statistics,
                               delta_threshold, prediction_error_stats,
@@ -427,6 +431,111 @@ def test_streamed_checksum_matches_the_whole_document(name, reference_logs, tmp_
     assert log.checksum() == expected
     assert write_outputs(log, tmp_path)["checksum"] == expected
     assert json.loads((tmp_path / "summary.json").read_text())["checksum"] == expected
+
+
+def reference_events(log) -> bytes:
+    """events.jsonl as one json.dumps of a dict per line."""
+    return "".join(json.dumps({"t": round(float(e.t), 9), "kind": e.kind, **e.fields},
+                              default=float) + "\n"
+                   for e in log.events).encode()
+
+
+def reference_csv_cells(record) -> list:
+    """rounds.csv cells of one RoundRecord, for csv.writer; a NaN cell is empty."""
+    (r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau,
+     *columns) = dataclasses.astuple(record)
+    cells = [r, f"{time:.6f}", f"{loss:.8f}",
+             "" if accuracy is None else f"{accuracy:.6f}",
+             admitted, deferred, f"{mean_tau:.4f}", max_tau]
+    cells += [v if v == v else "" for column in columns for v in column]
+    return cells
+
+
+def reference_rounds_csv(log) -> bytes:
+    """rounds.csv as csv.writer writes it, one row per RoundRecord."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(metrics.rounds_header(log.num_clients))
+    writer.writerows(map(reference_csv_cells, log.rounds))
+    return buf.getvalue().encode()
+
+
+def assert_outputs_match_the_oracles(log, out_dir):
+    assert write_outputs(log, out_dir)["checksum"] == reference_checksum(log)
+    assert (out_dir / "events.jsonl").read_bytes() == reference_events(log)
+    assert (out_dir / "rounds.csv").read_bytes() == reference_rounds_csv(log)
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_written_files_match_their_oracles(name, reference_logs, tmp_path):
+    assert_outputs_match_the_oracles(reference_logs[name], tmp_path)
+
+
+# values the templates must print as json.dumps and csv.writer do
+EDGE_FLOATS = (-0.0, 5e-324, 1e16, 1e22, 0.1, 2.5)
+finite = st.sampled_from(EDGE_FLOATS) | st.floats(-1e6, 1e6)
+any_float = finite | st.sampled_from((math.nan, math.inf, -math.inf)) | st.floats()
+
+
+@st.composite
+def edge_logs(draw):
+    """A hand-built log of up to 12 events with edge values: non-finite or
+    None eta and q_hat, non-finite losses, None accuracies and aggregates
+    of no updates."""
+    k = draw(st.integers(1, 3))
+    log = empty_log(algo=draw(st.sampled_from(["fedqueue", "fedasync"])), num_clients=k)
+    kinds = sorted(EVENT_FIELDS)
+    if log.algo != "fedqueue":
+        kinds.remove("skipped_round")          # only fedqueue skips rounds
+    values = {"client": st.integers(0, k - 1), "round": st.integers(0, 1),
+              "steps": st.integers(0, 8), "q": finite}
+    updates = st.builds(ArrivalRecord, client=values["client"],
+                        submit_round=values["round"], submit_time=finite,
+                        q=finite, q_hat=finite | st.just(math.nan),
+                        compute_seconds=finite, arrival=finite,
+                        agg_round=values["round"], tau=st.integers(0, 3),
+                        steps_done=values["steps"])
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        t = draw(st.sampled_from(EDGE_FLOATS) | st.floats(0, 1e6))
+        if kind == "eval":
+            accuracy = st.none() | st.sampled_from(EDGE_FLOATS) | st.floats(0, 1)
+            log.event(t, kind, loss=draw(any_float), accuracy=draw(accuracy))
+        elif kind == "dispatch":
+            log.event(t, kind, data=draw(finite), client=draw(values["client"]),
+                      round=draw(values["round"]), steps=draw(values["steps"]),
+                      eta=draw(any_float | st.none()), q_hat=draw(any_float | st.none()))
+        elif kind == "aggregate":
+            applied = draw(st.lists(updates, max_size=3))
+            log.event(t, kind, data=applied, round=draw(values["round"]),
+                      clients=[a.client for a in applied], taus=[a.tau for a in applied])
+        else:
+            log.event(t, kind, **{name: draw(values[name]) for name in EVENT_FIELDS[kind]})
+    return log
+
+
+def _nonfinite_round():
+    # K = 1: a round row with infinite and None per-client cells, no
+    # accuracy, closed by an aggregate of no updates
+    log = empty_log(num_clients=1)
+    log.event(1.0, "dispatch", data=-0.0, client=0, round=0, steps=1,
+              eta=math.inf, q_hat=-math.inf)
+    log.event(2.0, "dispatch", data=5e-324, client=0, round=1, steps=1,
+              eta=None, q_hat=math.nan)
+    log.event(3.0, "eval", loss=math.inf, accuracy=None)
+    log.event(5.0, "aggregate", data=[], round=0, clients=[], taus=[])
+    log.event(6.0, "skipped_round", round=1)
+    return log
+
+
+@given(edge_logs())
+@example(empty_log(num_clients=1))
+@example(_nonfinite_round())
+@settings(max_examples=150, deadline=None)
+def test_edge_values_print_as_the_oracles_do(log):
+    assert log.checksum() == reference_checksum(log)
+    with tempfile.TemporaryDirectory() as out_dir:
+        assert_outputs_match_the_oracles(log, Path(out_dir))
 
 
 def chunked_sections(log) -> dict:

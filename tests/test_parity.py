@@ -57,3 +57,23 @@ def test_corpus_events_follow_the_declared_schema(pooled):
             assert _keys(line) == ["t", "kind", *EVENT_FIELDS[event.kind]]
             kinds.add(event.kind)
     assert kinds == set(EVENT_FIELDS)
+
+
+def _plain(value) -> bool:
+    return value is None or type(value) in (int, float)
+
+
+def test_writer_inputs_are_plain_scalars(pooled):
+    # the writer prints each value once and shares the token between JSON
+    # and CSV; a numpy scalar would print differently in each (np.int64 as
+    # 3.0 through json's default=float, as 3 through csv)
+    for log, _, _ in pooled.values():
+        for e in log.events:
+            assert type(e.t) is float
+            for value in e.values:
+                assert _plain(value) or (type(value) is list and all(map(_plain, value)))
+        for a in log.arrivals:
+            assert all(_plain(getattr(a, name)) for name in a.__slots__)
+        for row in log._round_rows():
+            assert all(map(_plain, row[:8]))
+            assert all(_plain(v) for column in row[8:] for v in column)
