@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Scalability of the method comparison in the number of clients.
 
-Repeats the high-variance non-IID comparison at K in {4, 8, 12}; per-client
-vectors are tiled from the 4-client profile since the config layer validates
-lengths strictly.  The runs go through `fedqueue.run_many`, one worker per
-usable core.
+Repeats the heavy-tailed comparison of `configs/heavy_tail.ini` at K in
+{4, 8, 12}; its 4-client vectors are tiled to K since the config layer
+validates lengths strictly.  The runs go through `fedqueue.run_many`, one
+worker per usable core.
 """
 import argparse
 import csv
@@ -16,42 +16,40 @@ from pathlib import Path
 import fedqueue as fq
 from fedqueue.streams import spawn_seed
 
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "heavy_tail.ini"
 METHODS = ("fedqueue", "fedavg", "fedasync", "fedbuff", "fedcompass")
-BASE_MEANS = (1.0, 2.0, 4.0, 8.0)
-BASE_FEDAVG_STEPS = (67, 155, 147, 15)
+# the config's per-client vectors, as (section, field)
+PER_CLIENT = (("fedqueue", "queue_means"), ("fedqueue", "queue_fixed"),
+              ("fedqueue", "slowdown"), ("fedqueue", "throughput"),
+              ("fedavg", "num_local_steps"))
 
 
 def tile(base, k):
     return tuple(base[i % len(base)] for i in range(k))
 
 
-def study_configs(clients, trials, rounds=120):
+def study_configs(clients, trials, rounds=None):
     """(K, method, config) of every run, for each K every method over the
-    same seeds."""
+    same seeds; `rounds`, if given, replaces the config's round count."""
+    base = fq.load_config(CONFIG)
     runs = []
     for k in clients:
         for method in METHODS:
             for trial in range(trials):
-                cfg = fq.default_config()
+                cfg = base.copy()
                 cfg.protocol.num_clients = k
                 cfg.protocol.algo = method
-                cfg.fedqueue.queue_rho = 0.9
-                cfg.fedqueue.queue_means = tile(BASE_MEANS, k)
-                cfg.fedqueue.queue_fixed = tile(cfg.fedqueue.queue_fixed, k)
-                cfg.fedqueue.slowdown = (1.0,) * k
-                cfg.fedqueue.throughput = (60.0,) * k
-                cfg.fedqueue.e_floor = 20
-                cfg.fedavg.num_local_steps = tile(BASE_FEDAVG_STEPS, k)
-                cfg.workload.dim = 16
-                cfg.workload.class_sep = 4.5
-                cfg.workload.noise = 1.5
-                cfg.protocol.num_rounds = rounds
+                for section, name in PER_CLIENT:
+                    part = getattr(cfg, section)
+                    setattr(part, name, tile(getattr(part, name), k))
+                if rounds is not None:
+                    cfg.protocol.num_rounds = rounds
                 cfg.protocol.seed = spawn_seed(42, "scal", k, trial)
                 runs.append((k, method, cfg))
     return runs
 
 
-def study(clients, trials, target, rounds=120):
+def study(clients, trials, target, rounds=None):
     """The logs of every run, in `study_configs` order, and the table: one
     row per (K, method).  A run that never reaches the target counts as
     infinitely late, so the median time is None unless more than half of

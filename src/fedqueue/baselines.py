@@ -178,7 +178,7 @@ class FedCompassOrchestrator(_CohortBase):
         self.assigned = None          # per-client steps of the current cohort
 
     def _observe(self, msg: protocol.ClientUpdate) -> None:
-        elapsed = msg.arrival - msg.submit_time - msg.observed_q
+        elapsed = msg.compute_seconds
         if msg.steps_done > 0 and elapsed > 0:
             m = self.cfg.compass.speed_momentum
             self.speeds[msg.client] = (m * self.speeds[msg.client]

@@ -159,6 +159,8 @@ def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
     if args.trials < 1:
         raise argparse.ArgumentError(None, f"--trials must be >= 1, got {args.trials}")
+    if args.jobs < 1:
+        raise argparse.ArgumentError(None, f"--jobs must be >= 1, got {args.jobs}")
     out = _out_path(args.out)
     _prepare_dir(out, args.force)
     results = run_sweep(cfg, grid, trials=args.trials, jobs=args.jobs)

@@ -37,8 +37,8 @@ __all__ = ["Simulation", "Orchestrator", "FedQueueOrchestrator",
 
 # event ranks: arrivals strictly before round boundaries at equal times.  A
 # heap entry's rank names its kind; its key is the client (job start,
-# arrival) or the boundary index (round), and its payload the submit round
-# (job start), the ClientUpdate (arrival) or the boundary index (round).
+# arrival) or the boundary index (round), and its payload the job's
+# ClientUpdate (job start, arrival) or the boundary index (round).
 RANK_JOB_START = 0
 RANK_ARRIVAL = 1
 RANK_ROUND = 2
@@ -98,8 +98,7 @@ class Simulation:
             if rank == RANK_ROUND:
                 client, r = None, key
             else:
-                client = key
-                r = payload.submit_round if rank == RANK_ARRIVAL else payload
+                client, r = key, payload.submit_round
             raise InvariantError(f"{_KINDS[rank]} event scheduled before the "
                                  f"clock {self.now}", time, client, r)
         heapq.heappush(self._heap, (time, rank, key, self._seq, payload))
@@ -116,8 +115,7 @@ class Simulation:
         return float(fq.throughput[k]) / float(fq.slowdown[k])
 
     def submit_job(self, k: int, w: np.ndarray, submit_round: int, eta: float,
-                   step_budget: int,
-                   q_hat_used: float = float("nan")) -> None:
+                   step_budget: int, q_hat: float = float("nan")) -> None:
         """Broadcast + job submission: draws the admission delay, prices the
         job's compute time, schedules its start and arrival, and queues the
         job."""
@@ -130,20 +128,19 @@ class Simulation:
         steps = int(step_budget)
         arrival = self.now + q + queue_sim.compute_time(fq, k, steps)
         msg = protocol.ClientUpdate(
-            client=k, submit_round=submit_round, delta=None, observed_q=q,
-            arrival=arrival, steps_done=steps, q_hat_used=q_hat_used,
-            submit_time=self.now)
+            client=k, submit_round=submit_round, delta=None, q=q,
+            arrival=arrival, steps_done=steps, q_hat=q_hat, submit_time=self.now)
         # the orchestrator may rebind its model before the job runs
         self._queued.append((msg, (k, w.copy(), eta, steps, rng),
                              (len(self.log.events), self.log.total_local_steps)))
-        self.schedule(self.now + q, RANK_JOB_START, k, submit_round)
+        self.schedule(self.now + q, RANK_JOB_START, k, msg)
         self.schedule(arrival, RANK_ARRIVAL, k, msg)
         self.log.total_local_steps += steps
         # the drawn delay rides along: fedqueue's round rows show it for
         # jobs still in flight at the horizon
         self.log.event(self.now, "dispatch", data=q, client=k,
                        round=submit_round, steps=step_budget, eta=eta,
-                       q_hat=q_hat_used)
+                       q_hat=q_hat)
 
     def _run_queued_jobs(self) -> None:
         """Run every queued job in one stacked local update and attach each
@@ -176,14 +173,14 @@ class Simulation:
 
     def aggregated(self, w: np.ndarray, round: int, updates, taus) -> None:
         """A new global model `w`: count the version, evaluate it, and log
-        the aggregate with the arrival records of the updates it applied."""
+        the aggregate with the updates it applied, each now the record of
+        its arrival: its round and staleness set, its delta dropped."""
         self.version += 1
         self.evaluate(w)
-        self.log.event(
-            self.now, "aggregate",
-            data=[metrics.ArrivalRecord.of(m, round, tau)
-                  for m, tau in zip(updates, taus)],
-            round=round, clients=[m.client for m in updates], taus=list(taus))
+        for m, tau in zip(updates, taus):
+            m.agg_round, m.tau, m.delta = round, tau, None
+        self.log.event(self.now, "aggregate", data=list(updates), round=round,
+                       clients=[m.client for m in updates], taus=list(taus))
 
     # ---- main loop -------------------------------------------------------
     def run(self, orchestrator) -> None:
@@ -225,7 +222,7 @@ class Simulation:
             elif rank == RANK_ARRIVAL:
                 msg = payload
                 self.log.event(time, "arrival", client=msg.client,
-                               round=msg.submit_round, q=msg.observed_q,
+                               round=msg.submit_round, q=msg.q,
                                steps=msg.steps_done)
                 if msg.delta is None:
                     self._run_queued_jobs()
@@ -309,7 +306,7 @@ class FedQueueOrchestrator(Orchestrator):
         else:
             eta = fq.lr_base
         # the floor may exceed what fits in J; the job runs it anyway
-        self.sim.submit_job(k, self.w, r, eta, steps, q_hat_used=q_hat)
+        self.sim.submit_job(k, self.w, r, eta, steps, q_hat=q_hat)
 
     def dispatch_round(self, r: int) -> None:
         cohort = sorted(self.pool)
@@ -326,7 +323,7 @@ class FedQueueOrchestrator(Orchestrator):
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
         sim, fq = self.sim, self.cfg.fedqueue
         # an observed delay is information even when the update buffers
-        self.predictor.observe(msg.client, msg.observed_q)
+        self.predictor.observe(msg.client, msg.q)
         self.buffer.append(msg)
         if fq.broadcast_when == "immediate" and self._can_dispatch():
             s = min(int(math.floor(sim.now / fq.t_sync + _TIME_EPS)),

@@ -246,15 +246,16 @@ class ClassifyObjective:
     def __init__(self, x_train, y_train, x_test, y_test, partition,
                  classes: int, model: str = "linear", weight_mode: str = "equal",
                  init_rng: np.random.Generator | None = None):
-        self.x_train = np.asarray(x_train, dtype=float)
+        # the features are kept only as the staged rows below
+        x_train = np.asarray(x_train, dtype=float)
+        x_test = np.asarray(x_test, dtype=float)
         self.y_train = np.asarray(y_train, dtype=int)
-        self.x_test = np.asarray(x_test, dtype=float)
         self.y_test = np.asarray(y_test, dtype=int)
         self.partition = [np.asarray(p, dtype=int) for p in partition]
         self.classes = classes
         self.model = model
         self.hidden = 32
-        self.feature_dim = self.x_train.shape[1]
+        self.feature_dim = x_train.shape[1]
         self.num_clients = len(self.partition)
         d, h = self.feature_dim, self.hidden
         # every client's rows, staged once in one array: batches index into it
@@ -264,11 +265,11 @@ class ClassifyObjective:
         self._rows = []                 # each client's block of staged rows
         for p, start in zip(self.partition, self._offsets):
             rows = self._staged[start:start + len(p)]
-            rows[:, :d] = self.x_train[p]
+            rows[:, :d] = x_train[p]
             rows[:, d] = 1.0
             rows[np.arange(len(p)), d + 1 + self.y_train[p]] = 1.0
             self._rows.append(rows)
-        self._test_rows = np.hstack([self.x_test, np.ones((len(self.x_test), 1))])
+        self._test_rows = np.hstack([x_test, np.ones((len(x_test), 1))])
         if model == "linear":
             shapes = [(classes, d)]
         elif model == "mlp":

@@ -28,7 +28,7 @@ from . import protocol
 from .streams import substream
 
 __all__ = [
-    "EVENT_FIELDS", "Event", "RoundRecord", "ArrivalRecord", "MetricsLog",
+    "EVENT_FIELDS", "Event", "RoundRecord", "MetricsLog",
     "StalenessBoundParams", "time_to_target", "delay_statistics",
     "admission_summary", "delta_threshold",
     "budget_collapse_rho", "staleness_bound_violation_rate", "prediction_error_stats",
@@ -62,7 +62,7 @@ class Event:
     """One entry of a run's record: `values` are what events.jsonl writes
     after the time and kind, in the order of EVENT_FIELDS[kind]; `data` is
     what the derived tables need beyond them (a dispatch's drawn delay, an
-    aggregate's ArrivalRecords)."""
+    aggregate's applied ClientUpdates)."""
     t: float                       # virtual time, unrounded
     kind: str
     values: tuple
@@ -89,33 +89,6 @@ class RoundRecord:
     steps_budget: list             # per-client E
     eta: list
     steps_done: list
-
-
-@dataclass(slots=True)
-class ArrivalRecord:
-    client: int
-    submit_round: int
-    submit_time: float
-    q: float
-    q_hat: float                  # prediction the dispatch was budgeted with
-    compute_seconds: float
-    arrival: float
-    agg_round: int
-    tau: int
-    steps_done: int
-
-    @classmethod
-    def of(cls, msg, agg_round: int, tau: int) -> "ArrivalRecord":
-        """Record of a ClientUpdate applied in `agg_round` with staleness tau."""
-        return cls(client=msg.client, submit_round=msg.submit_round,
-                   submit_time=msg.submit_time, q=msg.observed_q,
-                   q_hat=msg.q_hat_used,
-                   compute_seconds=msg.arrival - msg.submit_time - msg.observed_q,
-                   arrival=msg.arrival, agg_round=agg_round, tau=tau,
-                   steps_done=msg.steps_done)
-
-    def ratio(self, t_sync: float) -> float:
-        return (self.arrival - self.submit_time) / t_sync
 
 
 # The writer prints each number once: a chunk of records is flattened into
@@ -164,8 +137,10 @@ def _hash_records(h, records, template: str, values_of, each_chunk=None) -> None
     h.update(b"]" if sep == b", " else b"[]")
 
 
-# The checksum's records are JSON objects with sorted keys.
-_ARRIVAL_KEYS = tuple(sorted(f.name for f in fields(ArrivalRecord)))
+# The checksum's records are JSON objects with sorted keys; an arrival
+# record is these attributes of an applied ClientUpdate.
+_ARRIVAL_KEYS = ("agg_round", "arrival", "client", "compute_seconds", "q",
+                 "q_hat", "steps_done", "submit_round", "submit_time", "tau")
 _arrival_sorted = attrgetter(*_ARRIVAL_KEYS)
 _ARRIVAL_RECORD = _object((key, "%s") for key in _ARRIVAL_KEYS)
 _ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
@@ -235,7 +210,7 @@ class MetricsLog:
 
     @property
     def arrivals(self) -> list:
-        """ArrivalRecords of the applied updates, in order of application."""
+        """The applied ClientUpdates, in order of application."""
         return list(self._arrivals())
 
     @property
@@ -297,7 +272,8 @@ class MetricsLog:
 
     def checksum(self, each_rounds_chunk=None) -> str:
         """sha256 of json.dumps({"rounds": [vars(r) for r in rounds],
-        "arrivals": [vars(a) for a in arrivals], "evals": evals},
+        "arrivals": [{key: getattr(a, key) for key in _ARRIVAL_KEYS}
+        for a in arrivals], "evals": evals},
         sort_keys=True, default=float), hashed a chunk of records at a time
         as it is printed.  `each_rounds_chunk`, if given, is called with each
         chunk of round rows (see `_round_rows`) once it is hashed, and with

@@ -52,19 +52,30 @@ class StalenessDecay:
         return cls(mode=HARMONIC, beta=0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientUpdate:
-    """The message a client returns: (k, submit round, delta, observed q).
-    The engine fills in `delta` when the update is first needed."""
+    """One job, from its dispatch to its aggregation, and once applied the
+    log's record of its arrival.  The engine fills in `delta` when the
+    update is first needed and clears it once the update is applied, when
+    it sets `agg_round` and `tau`."""
 
     client: int
     submit_round: int
     delta: np.ndarray | None
-    observed_q: float
+    q: float                    # the drawn admission delay
     arrival: float              # absolute seconds on the server clock
     steps_done: int
-    q_hat_used: float = float("nan")  # prediction the dispatch was budgeted with
+    q_hat: float = float("nan")  # prediction the dispatch was budgeted with
     submit_time: float = float("nan")
+    agg_round: int | None = None
+    tau: int | None = None
+
+    @property
+    def compute_seconds(self) -> float:
+        return self.arrival - self.submit_time - self.q
+
+    def ratio(self, t_sync: float) -> float:
+        return (self.arrival - self.submit_time) / t_sync
 
 
 def compute_budget(t_sync: float, q_hat: float, delta: float, c_k: float,

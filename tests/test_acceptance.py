@@ -271,7 +271,7 @@ def test_criterion_6_protocol_invariants():
     for _ in range(200):
         msgs = [protocol.ClientUpdate(client=int(rng.integers(4)), submit_round=0,
                                       delta=np.zeros(1),
-                                      observed_q=0.0,
+                                      q=0.0,
                                       arrival=float(rng.uniform(0, 50)),
                                       steps_done=1, submit_time=0.0)
                 for _ in range(int(rng.integers(0, 20)))]

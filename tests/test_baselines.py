@@ -177,7 +177,7 @@ def test_compass_speed_momentum_update():
 
     def update(k, steps, q, arrival):
         return protocol.ClientUpdate(
-            client=k, submit_round=0, delta=np.zeros_like(orch.w), observed_q=q,
+            client=k, submit_round=0, delta=np.zeros_like(orch.w), q=q,
             arrival=arrival, steps_done=steps, submit_time=0.0)
 
     sim.now = 3.0
@@ -229,7 +229,7 @@ def arrive(sim, orch, k, submit_round, delta, steps=155, q=0.5, submit_time=0.0)
     """One arrival at t + 1; returns the server model after it."""
     sim.now += 1.0
     orch.on_arrival(protocol.ClientUpdate(
-        client=k, submit_round=submit_round, delta=np.array(delta), observed_q=q,
+        client=k, submit_round=submit_round, delta=np.array(delta), q=q,
         arrival=sim.now, steps_done=steps, submit_time=submit_time))
     return orch.w.tolist()
 

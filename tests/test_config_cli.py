@@ -366,6 +366,10 @@ BAD_ARGUMENTS = {
     "sweep-no-values": (["sweep", "--axis", "queue_rho", "--values", ","], "--values"),
     "sweep-zero-trials": (["sweep", "--axis", "queue_rho", "--values", "0.1",
                            "--trials", "0"], "--trials"),
+    "sweep-zero-jobs": (["sweep", "--axis", "queue_rho", "--values", "0.1",
+                         "--jobs", "0"], "--jobs"),
+    "sweep-negative-jobs": (["sweep", "--axis", "queue_rho", "--values", "0.1",
+                             "--jobs", "-2"], "--jobs"),
     "sweep-repeated-value": (["sweep", "--axis", "queue_rho", "--values",
                               "0.1,0.5,0.1"], "--values"),
     "sweep-unpaired-values": (["sweep", "--axis", "queue_rho", "--values", "0.1",

@@ -382,9 +382,10 @@ def test_deferred_jobs_run_stacked_when_first_needed(monkeypatch):
 
 
 # time-valued entries of an event: its fields by kind, its dispatch delay,
-# and the fields of an aggregate's arrival records
+# and the fields of an aggregate's applied updates (their compute_seconds
+# follows from these)
 _TIME_FIELDS = {"dispatch": ("q_hat",), "arrival": ("q",), "warmup_probe": ("q",)}
-_RECORD_TIMES = ("submit_time", "q", "q_hat", "compute_seconds", "arrival")
+_RECORD_TIMES = ("submit_time", "q", "q_hat", "arrival")
 
 
 def _with_times_scaled(event, scale):

@@ -1,5 +1,6 @@
 """Pinned run checksums and output digests: a refactor that keeps behaviour
-keeps these values.
+keeps these values.  The plain grid of algorithms, workloads and broadcast
+modes is checked against its pins in `parity_corpus.json`.
 
 Each case is a small config (10 rounds, 400 training samples, or 100 in
 the cases where every client holds fewer samples than a minibatch).  Each
@@ -19,39 +20,6 @@ from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 from fedqueue.learn import build_objective
 from fedqueue.streams import substream
-
-GOLDEN = {
-    ("fedqueue", "synthetic", "linear", "next_round"): (
-        "540ff0eb002910d873edc7fbf2a295509f77c8085bc0bf511515ec9cc71a5572",
-        "862f4d3352717fa83501cee440213d33a64b9ae019045b5da817310a65a16fbf"),
-    ("fedavg", "synthetic", "linear", "next_round"): (
-        "15e78a8646a31c785e05d9fddb0a2519b549b49489059d2ac85358ecbcb489e9",
-        "7763478ee9694e3bf049463403556d26b27e80d2d5ca8596c377ebf74c1bdff6"),
-    ("fedasync", "synthetic", "linear", "next_round"): (
-        "ef707b59e25ab3ec87960f9f3027c6a43e8858904826534bde26ccd092d00f6a",
-        "c6fcbcabec1000137a75111a2c4fb55481b016296d3e522e1d08654862127ef0"),
-    ("fedbuff", "synthetic", "linear", "next_round"): (
-        "565ae2ef710a6b5309212f08831152254a723483b71b2cedecf61d2fd60b61b5",
-        "3caa5e8c2878b4b36e8afe0b689f2dff5ea9c5b287a4cb107fa1859a41fe6474"),
-    ("fedcompass", "synthetic", "linear", "next_round"): (
-        "8bd7bd4770ffa304dfb670d8b364bf82ea26f7d199549b622fd1deae6b56501f",
-        "76809031429a15f2c112336d749d5a58dddfdd728b50874952bfb5863ddb626b"),
-    ("fedqueue", "synthetic", "mlp", "next_round"): (
-        "984fdbe23524575cbc7e44db1f3531fceb8567ea2ed8a4cacce5bcbf0f10544e",
-        "e5aacddeaa4a010f1ed085498f6968b1d04809dc6f8c4247d9ce88e47e012bdd"),
-    ("fedasync", "synthetic", "mlp", "next_round"): (
-        "8fe67bbd3b36bfa989fbab1ce23733b66d204a8f0fe72814c5e15fc947135e2c",
-        "e99cb58ab098f89c4a9046a2609b9233fdf9f3080b64e83c4d49db03fc285b05"),
-    ("fedbuff", "synthetic", "mlp", "next_round"): (
-        "a69bf84123cfda5426f9996169c032c10f98b9682bec4c931466638412526afe",
-        "268a9a0f49c68dedf5b44518c2778243ac401b9a0950fe0836f1432dff3647cf"),
-    ("fedqueue", "quadratic", "linear", "next_round"): (
-        "8b77cc927862a9b93017f724396f41ec3529812c5757933e855fa2b2dc4128d7",
-        "de3fa84ed5e12a0364d43df085a897e6d474d50d104a70078556f89ac2085cdf"),
-    ("fedqueue", "synthetic", "linear", "immediate"): (
-        "429373a765702111ba470d2bd451e464117256d622fe2afccfb5cce2ed0d16a5",
-        "bcdea7d9023c0ff320b768f309d0c7e31f5b79f6137bd8ce74a0e069e874c5e4"),
-}
 
 
 # 100 training samples over 4 Dirichlet clients, batch_size 64: every
@@ -92,11 +60,39 @@ def output_digest(log, out_dir) -> str:
     return h.hexdigest()
 
 
+def corpus_pin(name):
+    """(checksum, output digest) pinned for the parity-corpus variant `name`."""
+    import parity_corpus     # here: it imports this module's builders
+
+    pin = json.loads(parity_corpus.PINS.read_text())[name]
+    return pin["checksum"], pin["outputs"]
+
+
+# (algo, dataset, model, broadcast) -> the parity-corpus variant that pins
+# the same run: small_config's own learning rate is 0.003
+GOLDEN = {
+    case: (f"mlp-{case[0]}-lr0.003" if case[2] == "mlp"
+           else f"grid-{case[0]}-{case[1]}-{case[3]}-lr0.003")
+    for case in [
+        ("fedqueue", "synthetic", "linear", "next_round"),
+        ("fedavg", "synthetic", "linear", "next_round"),
+        ("fedasync", "synthetic", "linear", "next_round"),
+        ("fedbuff", "synthetic", "linear", "next_round"),
+        ("fedcompass", "synthetic", "linear", "next_round"),
+        ("fedqueue", "synthetic", "mlp", "next_round"),
+        ("fedasync", "synthetic", "mlp", "next_round"),
+        ("fedbuff", "synthetic", "mlp", "next_round"),
+        ("fedqueue", "quadratic", "linear", "next_round"),
+        ("fedqueue", "synthetic", "linear", "immediate"),
+    ]
+}
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
 def test_golden_checksum(case, tmp_path):
     log = run_experiment(small_config(*case))
     assert not log.failed
-    assert (log.checksum(), output_digest(log, tmp_path)) == GOLDEN[case]
+    assert (log.checksum(), output_digest(log, tmp_path)) == corpus_pin(GOLDEN[case])
 
 
 @pytest.mark.parametrize("algo", sorted(SMALL_CLIENTS))
@@ -394,11 +390,12 @@ def test_golden_diverging_runs(name, tmp_path):
     assert (log.checksum(), output_digest(log, tmp_path)) == pins
 
 
-# name -> (pinned case, whether its jobs draw minibatches or gradient noise)
+# name -> (pinned case, whether its jobs draw minibatches or gradient noise);
+# a case is an EDGE_CASES name or a parity-corpus variant
 SUBSTREAM_CASES = {
-    "classify-lognormal": (("fedqueue", "synthetic", "linear", "next_round"), True),
+    "classify-lognormal": ("grid-fedqueue-synthetic-next_round-lr0.003", True),
     "classify-fixed": ("skipped-rounds-next_round", True),
-    "quadratic-noise-free": (("fedqueue", "quadratic", "linear", "next_round"), False),
+    "quadratic-noise-free": ("grid-fedqueue-quadratic-next_round-lr0.003", False),
     "quadratic-noisy": ("noisy-quadratic-fedasync-immediate", True),
     "quadratic-fixed": ("fixed-queue-quadratic", False),
 }
@@ -410,7 +407,9 @@ def test_sgd_substreams_are_derived_only_when_drawn_from(name, monkeypatch, tmp_
     if case in EDGE_CASES:
         make, *_, pins = EDGE_CASES[case]
     else:
-        make, pins = (lambda: small_config(*case)), GOLDEN[case]
+        import parity_corpus
+
+        make, pins = (lambda: parity_corpus.config(case)), corpus_pin(case)
     derived = Counter()
     real, real_block = engine.substream, streams.Substreams.__call__
 

@@ -1,10 +1,14 @@
+import gc
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedqueue.config import default_config, load_config
 from fedqueue.learn import (ClassifyObjective, QuadraticObjective,
-                            _softmax_inplace, dirichlet_partition,
+                            _softmax_inplace, build_objective, dirichlet_partition,
                             heterogeneity_stats, iid_partition,
                             make_mixture_data)
 from fedqueue.streams import substream
@@ -12,18 +16,22 @@ from fedqueue.streams import substream
 
 def small_classify(model="linear", n=600, dim=8, classes=4, seed=0,
                    alpha=0.5, clients=3):
+    """(objective, training features, test features): the objective keeps
+    its features only as staged rows."""
     rng = substream(seed, "data")
     x, y, _ = make_mixture_data(n + 200, dim, classes, rng)
     parts = dirichlet_partition(y[:n], clients, alpha, rng)
-    return ClassifyObjective(x[:n], y[:n], x[n:], y[n:], parts,
-                             classes=classes, model=model, init_rng=rng)
+    return (ClassifyObjective(x[:n], y[:n], x[n:], y[n:], parts,
+                              classes=classes, model=model, init_rng=rng),
+            x[:n], x[n:])
 
 
 def benchmark_shaped_classify(model="linear"):
-    """The benchmark's classify shapes: d = 16, C = 10, every client > 64 rows."""
-    obj = small_classify(model, n=1200, dim=16, classes=10, clients=4)
-    assert min(len(p) for p in obj.partition) > 64
-    return obj
+    """The benchmark's classify shapes: d = 16, C = 10, every client > 64
+    rows; returned as `small_classify` returns them."""
+    built = small_classify(model, n=1200, dim=16, classes=10, clients=4)
+    assert min(len(p) for p in built[0].partition) > 64
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +126,7 @@ def family_objective(family):
     if family.startswith("quadratic"):
         sigma = 0.5 if family.endswith("noisy") else 0.0
         return QuadraticObjective.diagonal(3, 2, substream(1, "q"), noise_sigma=sigma)
-    return small_classify(family)
+    return small_classify(family)[0]
 
 
 @pytest.mark.parametrize("family", ["quadratic", "quadratic-noisy",
@@ -149,7 +157,7 @@ def test_overwriting_the_returned_gradient_changes_nothing(family):
                                     "linear-benchmark-shape"])
 def test_one_binding_over_64_steps_matches_each_lane_alone_bitwise(family):
     # the binding's views follow W as the steps update it in place
-    obj = benchmark_shaped_classify() if family.endswith("shape") \
+    obj = benchmark_shaped_classify()[0] if family.endswith("shape") \
         else family_objective(family)
     ks = [0, 1, 0, 1]
     etas = np.array([0.05, 0.1, 0.02, 0.07])[:, None]
@@ -241,17 +249,17 @@ def reference_pass(obj, w, x, y):
                                   "mlp-benchmark-shape"])
 def test_full_client_passes_match_a_plain_reference_bitwise(case):
     model = case.split("-")[0]
-    obj = benchmark_shaped_classify(model) if case.endswith("shape") \
-        else small_classify(model)
+    obj, x_train, x_test = benchmark_shaped_classify(model) \
+        if case.endswith("shape") else small_classify(model)
     rng = substream(5, "w")
     # w = 0 ties every logit
     for w in (np.zeros(obj.dimension), obj.init_point(),
               obj.init_point() + rng.standard_normal(obj.dimension)):
         for k, part in enumerate(obj.partition):
-            loss, _, g = reference_pass(obj, w, obj.x_train[part], obj.y_train[part])
+            loss, _, g = reference_pass(obj, w, x_train[part], obj.y_train[part])
             assert np.array_equal(obj.client_gradient(k, w), g)
             assert obj.client_loss(k, w) == loss
-        loss, acc, _ = reference_pass(obj, w, obj.x_test, obj.y_test)
+        loss, acc, _ = reference_pass(obj, w, x_test, obj.y_test)
         assert obj.evaluate(w) == (loss, acc)
 
 
@@ -301,7 +309,7 @@ def test_smoothness_is_max_eigenvalue():
 # ---------------------------------------------------------------------------
 
 def test_random_model_sits_at_chance_level():
-    obj = small_classify(n=2000, classes=4)
+    obj = small_classify(n=2000, classes=4)[0]
     rng = substream(3, "w")
     accs = [obj.evaluate(rng.standard_normal(obj.dimension) * 0.01)[1]
             for _ in range(40)]
@@ -312,7 +320,7 @@ def test_random_model_sits_at_chance_level():
 
 
 def test_accuracy_bounded():
-    obj = small_classify()
+    obj = small_classify()[0]
     for seed in range(5):
         w = substream(seed, "w").standard_normal(obj.dimension)
         loss, acc = obj.evaluate(w)
@@ -320,13 +328,13 @@ def test_accuracy_bounded():
 
 
 def test_evaluate_is_pure():
-    obj = small_classify()
+    obj = small_classify()[0]
     w = substream(9, "w").standard_normal(obj.dimension)
     assert obj.evaluate(w) == obj.evaluate(w)
 
 
 def test_training_improves_over_init():
-    obj = small_classify(n=1200)
+    obj = small_classify(n=1200)[0]
     w = obj.init_point()
     rng = substream(0, "sgd")
     for batch in obj.sample_batches(0, 400, 32, rng):
@@ -338,7 +346,7 @@ def test_training_improves_over_init():
 
 @pytest.mark.parametrize("model", ["linear", "mlp"])
 def test_classify_gradient_matches_finite_differences(model):
-    obj = small_classify(model=model, n=200, dim=5, classes=3, clients=2)
+    obj = small_classify(model=model, n=200, dim=5, classes=3, clients=2)[0]
     rng = substream(4, "fd")
     for _ in range(3):
         w = rng.standard_normal(obj.dimension) * 0.5
@@ -368,6 +376,28 @@ def test_quadratic_gradient_matches_finite_differences():
             fd[i] = (obj.loss(wp) - obj.loss(wm)) / (2 * h)
         assert np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12) < 1e-5
 
+
+CONTROLLED = Path(__file__).resolve().parents[1] / "configs" / "controlled.ini"
+
+
+@pytest.mark.parametrize("name", ["default", "controlled"])
+def test_objective_holds_its_staged_rows_and_little_else(name):
+    # the features live only in the staged rows: beyond them the objective
+    # holds its labels and partition, two int64 per sample, and a few
+    # small arrays, not the generated feature matrix
+    cfg = default_config() if name == "default" else load_config(CONTROLLED)
+    build_objective(cfg, substream(cfg.protocol.seed, "data"))   # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        obj = build_objective(cfg, substream(cfg.protocol.seed, "data"))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    samples = cfg.workload.train_size + cfg.workload.test_size
+    assert held < obj._staged.nbytes + obj._test_rows.nbytes + 16 * samples + 16384
 
 # ---------------------------------------------------------------------------
 # assumption-constant estimation

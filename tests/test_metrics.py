@@ -16,11 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedqueue import metrics
+from fedqueue import metrics, protocol
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 from fedqueue.learn import QuadraticObjective
-from fedqueue.metrics import (EVENT_FIELDS, ArrivalRecord, MetricsLog,
+from fedqueue.metrics import (EVENT_FIELDS, MetricsLog,
                               StalenessBoundParams, admission_summary,
                               budget_collapse_rho, delay_statistics,
                               delta_threshold, prediction_error_stats,
@@ -39,10 +39,10 @@ def empty_log(**kw):
 
 
 def arrival(k, s, arrival_t, q=1.0, q_hat=float("nan"), tau=0, t_sync=10.0):
-    return ArrivalRecord(client=k, submit_round=s, submit_time=s * t_sync,
-                         q=q, q_hat=q_hat, compute_seconds=1.0,
-                         arrival=arrival_t, agg_round=s + tau, tau=tau,
-                         steps_done=10)
+    return protocol.ClientUpdate(client=k, submit_round=s, delta=None,
+                                 submit_time=s * t_sync, q=q, q_hat=q_hat,
+                                 arrival=arrival_t, agg_round=s + tau, tau=tau,
+                                 steps_done=10)
 
 
 def add_evals(log, evals):
@@ -379,11 +379,16 @@ def test_log_survives_pickle_unchanged(tmp_path):
                 == (tmp_path / "original" / name).read_bytes())
 
 
+# the names of a pinned checksum document's arrival records
+ARRIVAL_RECORD = ("client", "submit_round", "submit_time", "q", "q_hat",
+                  "compute_seconds", "arrival", "agg_round", "tau", "steps_done")
+
+
 def reference_checksum(log) -> str:
     """The checksum as one document: sha256 of the whole JSON string."""
     payload = {
         "rounds": [vars(r) for r in log.rounds],
-        "arrivals": [{f.name: getattr(a, f.name) for f in dataclasses.fields(a)}
+        "arrivals": [{name: getattr(a, name) for name in ARRIVAL_RECORD}
                      for a in log.arrivals],
         "evals": log.evals,
     }
@@ -489,10 +494,10 @@ def edge_logs(draw):
         kinds.remove("skipped_round")          # only fedqueue skips rounds
     values = {"client": st.integers(0, k - 1), "round": st.integers(0, 1),
               "steps": st.integers(0, 8), "q": finite}
-    updates = st.builds(ArrivalRecord, client=values["client"],
-                        submit_round=values["round"], submit_time=finite,
-                        q=finite, q_hat=finite | st.just(math.nan),
-                        compute_seconds=finite, arrival=finite,
+    updates = st.builds(protocol.ClientUpdate, client=values["client"],
+                        submit_round=values["round"], delta=st.none(),
+                        submit_time=finite, q=finite,
+                        q_hat=finite | st.just(math.nan), arrival=finite,
                         agg_round=values["round"], tau=st.integers(0, 3),
                         steps_done=values["steps"])
     for _ in range(draw(st.integers(0, 12))):

@@ -77,3 +77,21 @@ def test_writer_inputs_are_plain_scalars(pooled):
         for row in log._round_rows():
             assert all(map(_plain, row[:8]))
             assert all(_plain(v) for column in row[8:] for v in column)
+
+
+def test_applied_updates_are_the_logs_arrival_records(pooled):
+    # each aggregate's data is the updates it applied, each set to the
+    # aggregate's round and its own staleness, its delta dropped
+    applied = 0
+    for log, _, _ in pooled.values():
+        for e in log.events:
+            if e.kind != "aggregate":
+                continue
+            r, clients, taus = e.values
+            assert [(m.client, m.agg_round, m.tau) for m in e.data] == \
+                [(k, r, tau) for k, tau in zip(clients, taus)]
+            for m in e.data:
+                assert m.delta is None
+                assert m.compute_seconds == m.arrival - m.submit_time - m.q
+            applied += len(e.data)
+    assert applied > 0

@@ -17,7 +17,7 @@ from fedqueue.streams import substream
 def make_msg(k, s, arrival, delta=None):
     return protocol.ClientUpdate(
         client=k, submit_round=s, delta=delta if delta is not None else np.zeros(2),
-        observed_q=0.0, arrival=arrival, steps_done=1, submit_time=s * 10.0)
+        q=0.0, arrival=arrival, steps_done=1, submit_time=s * 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +293,22 @@ def test_diverging_job_fails_without_numpy_warnings():
 
 
 def small_classify(model, n=120, clients=3, seed=0, dim=5, classes=3):
+    """(objective, training features, test features): the objective keeps
+    its features only as staged rows."""
     rng = substream(seed, "data")
     x, y, _ = learn.make_mixture_data(n + 40, dim, classes, rng)
     parts = learn.dirichlet_partition(y[:n], clients, 0.5, rng)
-    return learn.ClassifyObjective(x[:n], y[:n], x[n:], y[n:], parts,
-                                   classes=classes, model=model, init_rng=rng)
+    return (learn.ClassifyObjective(x[:n], y[:n], x[n:], y[n:], parts,
+                                    classes=classes, model=model, init_rng=rng),
+            x[:n], x[n:])
 
 
 def benchmark_shaped_classify(model="linear"):
-    """The benchmark's classify shapes: d = 16, C = 10, every client > 64 rows."""
-    obj = small_classify(model, n=1200, clients=4, dim=16, classes=10)
-    assert min(len(p) for p in obj.partition) > 64
-    return obj
+    """The benchmark's classify shapes: d = 16, C = 10, every client > 64
+    rows; returned as `small_classify` returns them."""
+    built = small_classify(model, n=1200, clients=4, dim=16, classes=10)
+    assert min(len(p) for p in built[0].partition) > 64
+    return built
 
 
 def reference_classify_grad(obj, w, x, y):
@@ -341,8 +345,9 @@ def reference_classify_grad(obj, w, x, y):
     return g
 
 
-def reference_local_update(obj, k, w_start, eta, steps, batch_size, rng):
-    """Per-step draws and gradients: the loop the kernel must reproduce."""
+def reference_local_update(obj, x_train, k, w_start, eta, steps, batch_size, rng):
+    """Per-step draws and gradients: the loop the kernel must reproduce;
+    `x_train` holds a classify objective's training features."""
     w = w_start.copy()
     for _ in range(steps):
         if isinstance(obj, learn.QuadraticObjective):
@@ -353,7 +358,7 @@ def reference_local_update(obj, k, w_start, eta, steps, batch_size, rng):
         else:
             pool = obj.partition[k]
             idx = pool[rng.integers(0, len(pool), size=min(batch_size, len(pool)))]
-            g = reference_classify_grad(obj, w, obj.x_train[idx], obj.y_train[idx])
+            g = reference_classify_grad(obj, w, x_train[idx], obj.y_train[idx])
         w -= eta * g
     return w - w_start
 
@@ -364,12 +369,12 @@ def test_local_update_matches_per_step_reference_bitwise(case):
     if case == "quadratic-noisy":
         obj = learn.QuadraticObjective.diagonal(5, 3, substream(1, "q"),
                                                 noise_sigma=0.7)
-        batch_size = 8
+        x_train, batch_size = None, 8
     elif case == "linear-benchmark-shape":
-        obj = benchmark_shaped_classify()
+        obj, x_train, _ = benchmark_shaped_classify()
         batch_size = 64
     else:
-        obj = small_classify(case.split("-")[0])
+        obj, x_train, _ = small_classify(case.split("-")[0])
         sizes = [len(p) for p in obj.partition]
         # a batch larger than every client's data, or smaller than any
         batch_size = max(sizes) + 1 if case.endswith("small-client") else min(sizes) - 1
@@ -378,23 +383,24 @@ def test_local_update_matches_per_step_reference_bitwise(case):
         delta, steps = run_alone(obj, k, w0, 0.05, 37, batch_size,
                                  substream(2, "sgd", k))
         assert steps == 37
-        ref = reference_local_update(obj, k, w0, 0.05, 37, batch_size,
+        ref = reference_local_update(obj, x_train, k, w0, 0.05, 37, batch_size,
                                      substream(2, "sgd", k))
         assert np.array_equal(delta, ref)
 
 
 def stacked_case(case):
-    """(objective, batch size) of a stacked-lane case.  The classify cases
-    give two clients fewer rows than the batch, each a width of its own."""
+    """(objective, batch size, training features or None) of a stacked-lane
+    case.  The classify cases give two clients fewer rows than the batch,
+    each a width of its own."""
     if case.startswith("quadratic"):
         sigma = {"quadratic": 0.0, "quadratic-noisy": 0.7,
                  "quadratic-mixed": np.array([0.0, 0.7, 0.3, 0.0])}[case]
         return learn.QuadraticObjective.diagonal(5, 4, substream(1, "q"),
-                                                 noise_sigma=sigma), 8
-    obj = small_classify(case, n=240, clients=4)
+                                                 noise_sigma=sigma), 8, None
+    obj, x_train, _ = small_classify(case, n=240, clients=4)
     sizes = sorted(len(p) for p in obj.partition)
     assert sizes[0] < sizes[1] < sizes[2]
-    return obj, sizes[1] + 1
+    return obj, sizes[1] + 1, x_train
 
 
 @pytest.mark.parametrize("lanes", [1, 4, 8, 12])
@@ -404,7 +410,7 @@ def test_stacked_lanes_match_each_job_run_alone_bitwise(case, lanes):
     # budgets from 0 to 149 steps, so that lanes draw up to three chunks of
     # batches, and an eta per lane; lanes cycle over the clients, each from
     # a start of its own
-    obj, batch_size = stacked_case(case)
+    obj, batch_size, x_train = stacked_case(case)
     rng = substream(7, "lanes", lanes)
     jobs = []
     for i in range(lanes):
@@ -417,7 +423,7 @@ def test_stacked_lanes_match_each_job_run_alone_bitwise(case, lanes):
     assert lane_steps == sum(steps for _, _, _, steps, _ in jobs)
     for i, ((k, w, eta, steps, _), delta) in enumerate(zip(jobs, deltas)):
         assert np.array_equal(w, starts[i])
-        ref = reference_local_update(obj, k, w, eta, steps, batch_size,
+        ref = reference_local_update(obj, x_train, k, w, eta, steps, batch_size,
                                      substream(3, "sgd", k, i))
         assert np.array_equal(delta, ref)
 
@@ -426,7 +432,7 @@ def test_one_gradient_call_per_step_of_each_stacks_longest_lane(monkeypatch):
     # a tracer wraps ClassifyObjective.stochastic_gradient on the class and
     # reads (deltas, lane_steps) from client_local_update's result; the
     # calls run the lanes still going at each step, longest budget first
-    obj, batch_size = stacked_case("linear")
+    obj, batch_size, _ = stacked_case("linear")
     widths = []
     real = learn.ClassifyObjective.stochastic_gradient
 
@@ -455,7 +461,7 @@ def test_draw_free_and_noisy_lanes_run_in_separate_stacks(monkeypatch):
     # clients 0 and 3 draw nothing: their lanes share a stack bound with None
     # batches, the noisy lanes another with arrays, and each lane's delta is
     # that of its job run alone
-    obj, batch_size = stacked_case("quadratic-mixed")
+    obj, batch_size, _ = stacked_case("quadratic-mixed")
     budgets = [5, 70, 0, 130, 9, 64, 3, 65]
     starts = [obj.init_point() + 0.01 * i for i in range(len(budgets))]
 
@@ -536,17 +542,17 @@ def reference_loss_and_accuracy(obj, w, x, y):
                                   "mlp-benchmark-shape"])
 def test_full_client_gradient_loss_and_evaluate_match_reference_bitwise(case):
     model = case.split("-")[0]
-    obj = benchmark_shaped_classify(model) if case.endswith("shape") \
-        else small_classify(model)
+    obj, x_train, x_test = benchmark_shaped_classify(model) \
+        if case.endswith("shape") else small_classify(model)
     rng = substream(4, "w")
     for scale in (0.0, 0.1, 1.0):
         w = obj.init_point() + scale * rng.standard_normal(obj.dimension)
         for k, part in enumerate(obj.partition):
-            x, y = obj.x_train[part], obj.y_train[part]
+            x, y = x_train[part], obj.y_train[part]
             assert np.array_equal(obj.client_gradient(k, w),
                                   reference_classify_grad(obj, w, x, y))
             assert obj.client_loss(k, w) == reference_loss_and_accuracy(obj, w, x, y)[0]
-        assert obj.evaluate(w) == reference_loss_and_accuracy(obj, w, obj.x_test,
+        assert obj.evaluate(w) == reference_loss_and_accuracy(obj, w, x_test,
                                                               obj.y_test)
 
 
@@ -556,7 +562,7 @@ def test_nonfinite_start_fails_the_job_and_names_the_client(case):
         obj = learn.QuadraticObjective.diagonal(4, 3, substream(1, "q"),
                                                 noise_sigma=0.3)
     else:
-        obj = small_classify(case)
+        obj = small_classify(case)[0]
     w_start = obj.init_point()
     w_start[1] = np.nan
     for steps in (1, 5):
