@@ -10,13 +10,25 @@ rerun reproduces the log bit for bit.
 
 A job's local SGD runs when its update is first needed, not at its
 dispatch: dispatch draws the delay, prices the job and schedules its
-events, and queues the job.  When an arrival whose update is not yet
-computed pops, every queued job runs in one stacked
-`protocol.client_local_update` call; the end of the run flushes the rest.
-Each job starts from a copy of the model it was dispatched with and draws
-from its own substream, so its update does not depend on when it runs.
-A diverging job cuts the log back to a mark taken at its dispatch, so the
-failed log stops there, as if the job had run at its dispatch.
+events, and queues the job.  A run is a generator
+(`Simulation.paused_run`) with two pause points: when an arrival whose
+update is not yet computed pops, and at the end while jobs are still
+queued.  There it yields the lanes of every queued job, and `_drive` runs
+them in one stacked `protocol.client_local_update` call and sends back
+their deltas and which of them diverged.  Each job starts from
+a copy of the model it was dispatched with and draws from its own
+substream, so its update does not depend on when it runs, nor on which
+other lanes share its stack.  A diverging job cuts the log back to a mark
+taken at its dispatch, so the failed log stops there, as if the job had
+run at its dispatch.
+
+`Simulation.run` and `run_experiment` drive one run.  `run_many` deals its
+configs round-robin into groups of at most `GROUP_SIZE` runs and drives
+each group in lockstep: every run advances to its next pause, then one
+`client_local_update` call serves the lanes of all paused runs, so the
+classify lanes of different runs share stacks.  Every log is bit-identical
+to its `run_experiment` log, also when a neighbour in its group diverges,
+stalls or ends early.
 """
 from __future__ import annotations
 
@@ -46,6 +58,9 @@ _KINDS = ("job_start", "arrival", "round")
 
 _TIME_EPS = 1e-9
 
+# runs that `run_many` drives in lockstep at most, sharing lane stacks
+GROUP_SIZE = 8
+
 # A run fails as stalled once more than this many events per client fall in
 # one round-length window [w T_sync, (w+1) T_sync) of virtual time, which
 # caps a run at that many times K (R + 1) events.  A clock that stops or
@@ -72,10 +87,11 @@ class Simulation:
     """Clock, event heap, and shared dispatch machinery for one experiment,
     with its objective and log built from `cfg`."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, staging=None):
         p, fq = cfg.protocol, cfg.fedqueue
         self.cfg = cfg
-        self.objective = learn.build_objective(cfg, substream(p.seed, "data"))
+        self.objective = learn.build_objective(cfg, substream(p.seed, "data"),
+                                               staging)
         # the ("queue", k, j), ("sgd", k, j) and ("warmup", k) substreams
         self.substreams = Substreams(p.seed)
         self.num_clients = p.num_clients
@@ -131,7 +147,9 @@ class Simulation:
             client=k, submit_round=submit_round, delta=None, q=q,
             arrival=arrival, steps_done=steps, q_hat=q_hat, submit_time=self.now)
         # the orchestrator may rebind its model before the job runs
-        self._queued.append((msg, (k, w.copy(), eta, steps, rng),
+        lane = (self.objective, self.cfg.protocol.batch_size, k, w.copy(), eta,
+                steps, rng)
+        self._queued.append((msg, lane,
                              (len(self.log.events), self.log.total_local_steps)))
         self.schedule(self.now + q, RANK_JOB_START, k, msg)
         self.schedule(arrival, RANK_ARRIVAL, k, msg)
@@ -142,25 +160,25 @@ class Simulation:
                        round=submit_round, steps=step_budget, eta=eta,
                        q_hat=q_hat)
 
-    def _run_queued_jobs(self) -> None:
-        """Run every queued job in one stacked local update and attach each
-        update to its message.  A diverging job fails the run as if it had
-        run at its dispatch: the log is cut back to the job's mark, its
-        final model is its start model, and the FloatingPointError
-        propagates."""
+    def _run_queued_jobs(self):
+        """Pause point: yield the lanes of every queued job, to be run in
+        one stacked local update, and take back (deltas, diverged), as
+        `protocol.client_local_update` returns them for these lanes; attach
+        each update to its message.  The first diverging job in queue
+        order fails the run as if it had run at its dispatch: the log is cut
+        back to the job's mark, its final model is its start model, and a
+        FloatingPointError naming its client is raised."""
         if not self._queued:
             return
         queued, self._queued = self._queued, []
-        try:
-            deltas, _ = protocol.client_local_update(
-                self.objective, [job for _, job, _ in queued],
-                self.cfg.protocol.batch_size)
-        except FloatingPointError as exc:
-            _, (_, w, *_), (events, steps) = queued[exc.lane]
+        deltas, diverged = yield [lane for _, lane, _ in queued]
+        if diverged:
+            _, (_, _, k, w, *_), (events, steps) = queued[diverged[0]]
             del self.log.events[events:]
             self.log.total_local_steps, self.log.final_model = steps, w
-            self.log.failed, self.log.failure_reason = True, str(exc)
-            raise
+            self.log.failed = True
+            self.log.failure_reason = f"non-finite iterate on client {k}"
+            raise FloatingPointError(self.log.failure_reason)
         for (msg, *_), delta in zip(queued, deltas):
             msg.delta = delta
 
@@ -184,22 +202,31 @@ class Simulation:
 
     # ---- main loop -------------------------------------------------------
     def run(self, orchestrator) -> None:
-        """Process events up to the horizon; a run whose clock stops or
+        """Drive this run alone to its end (see `paused_run`)."""
+        _drive([self.paused_run(orchestrator)])
+
+    def paused_run(self, orchestrator):
+        """The run as a generator that pauses where an arrival needs an
+        update not yet computed, and once more at the end if jobs are
+        still queued: it yields their lanes and takes back (deltas,
+        diverged) through `send`.
+
+        It processes events up to the horizon; a run whose clock stops or
         crawls is marked failed as stalled.  Jobs still queued when the
-        loop ends, also by an exception, run before this returns.  A diverging
-        job, also one dispatched just before the horizon, ends the run there,
-        failed, and the orchestrator does not finish."""
+        loop ends, also by an exception, run before it returns.  A
+        diverging job, also one dispatched just before the horizon, ends
+        the run there, failed, and the orchestrator does not finish."""
         try:
             try:
                 orchestrator.start()
-                self._process_events(orchestrator)
+                yield from self._process_events(orchestrator)
             finally:
-                self._run_queued_jobs()
+                yield from self._run_queued_jobs()
         except FloatingPointError:
             return
         orchestrator.finish()
 
-    def _process_events(self, orchestrator) -> None:
+    def _process_events(self, orchestrator):
         stall_limit = _STALL_EVENTS_PER_CLIENT_ROUND * self.num_clients
         t_sync, window, count = self.cfg.fedqueue.t_sync, 0.0, 0
         while self._heap:
@@ -225,10 +252,33 @@ class Simulation:
                                round=msg.submit_round, q=msg.q,
                                steps=msg.steps_done)
                 if msg.delta is None:
-                    self._run_queued_jobs()
+                    yield from self._run_queued_jobs()
                 orchestrator.on_arrival(msg)
             else:
                 orchestrator.on_round_boundary(payload)
+
+
+def _drive(runs) -> None:
+    """Run `paused_run` generators in lockstep: advance each until it
+    pauses or ends, run the lanes of every paused run in one
+    `protocol.client_local_update` call, hand each run back its own
+    deltas and diverged lanes, and repeat until every run has ended."""
+    waiting = [(run, None) for run in runs]
+    while waiting:
+        paused, lanes = [], []
+        for run, reply in waiting:
+            try:
+                queued = run.send(reply)
+            except StopIteration:
+                continue
+            paused.append((run, len(lanes)))
+            lanes += queued
+        if not paused:
+            return
+        deltas, _, diverged = protocol.client_local_update(lanes)
+        ends = [lo for _, lo in paused[1:]] + [len(lanes)]
+        waiting = [(run, (deltas[lo:hi], [i - lo for i in diverged if lo <= i < hi]))
+                   for (run, lo), hi in zip(paused, ends)]
 
 
 class Orchestrator:
@@ -363,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
 
     Identical config and seed give a bit-identical log.  Numerical divergence
     marks the log failed instead of raising; the failed log stops where the
-    diverging job was dispatched (see `Simulation.run`).
+    diverging job was dispatched (see `Simulation.paused_run`).
     """
     from .baselines import ORCHESTRATORS  # late import; baselines build on engine
 
@@ -371,6 +421,25 @@ def run_experiment(cfg: ExperimentConfig) -> metrics.MetricsLog:
     sim = Simulation(cfg)
     sim.run(ORCHESTRATORS[cfg.protocol.algo](sim))
     return sim.log
+
+
+def _run_group(cfgs) -> list[metrics.MetricsLog]:
+    """The logs of `cfgs`, run in lockstep (`_drive`) with their classify
+    rows staged in shared buffers (`learn.staging_blocks`), so that lanes
+    of different runs share stacks.  Each log is bit-identical to
+    `run_experiment` of its config."""
+    from .baselines import ORCHESTRATORS
+
+    for cfg in cfgs:
+        validate_config(cfg)
+    runs, logs = [], []
+    # built one after another: each build's transients go before the next
+    for cfg, staging in zip(cfgs, learn.staging_blocks(cfgs)):
+        sim = Simulation(cfg, staging)
+        runs.append(sim.paused_run(ORCHESTRATORS[cfg.protocol.algo](sim)))
+        logs.append(sim.log)
+    _drive(runs)
+    return logs
 
 
 def _openblas_threads():
@@ -418,26 +487,34 @@ def run_many(cfgs, jobs: int = 1) -> list[metrics.MetricsLog]:
     """Run independent experiments; the logs come back in the order of
     `cfgs`, each bit-identical to `run_experiment` of its config.
 
-    With `jobs` > 1 the runs are spread over min(jobs, len(cfgs)) worker
-    processes forked from this one, each with one OpenBLAS thread; this
-    process's own threads are left as they are.  Every worker has exited
-    when this returns.
+    The configs are dealt round-robin into max(workers, ceil(n / GROUP_SIZE))
+    groups, workers = min(jobs, n), and each group runs in lockstep
+    (`_run_group`).  With `jobs` > 1 the groups are spread over `workers`
+    worker processes forked from this one, each with one OpenBLAS thread;
+    this process's own threads are left as they are.  Every worker has
+    exited when this returns.
     """
     cfgs = list(cfgs)
+    if not cfgs:
+        return []
     workers = min(jobs, len(cfgs))
+    count = max(workers, math.ceil(len(cfgs) / GROUP_SIZE))
+    groups = [cfgs[g::count] for g in range(count)]
     if workers <= 1:
-        return [run_experiment(cfg) for cfg in cfgs]
-    # imported here: only a pool needs them, and every run pays for imports
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        done = [_run_group(group) for group in groups]
+    else:
+        # imported here: only a pool needs them, and every run pays for imports
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # fork: a spawn or forkserver pool leaves multiprocessing's resource
-    # tracker (and the fork server) running after it shuts down.  The pool
-    # forks all its workers before it starts its own thread.
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_one_blas_thread) as pool:
-        return list(pool.map(run_experiment, cfgs))
+        # fork: a spawn or forkserver pool leaves multiprocessing's resource
+        # tracker (and the fork server) running after it shuts down.  The
+        # pool forks all its workers before it starts its own thread.
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            done = list(pool.map(_run_group, groups))
+    return [done[i % count][i // count] for i in range(len(cfgs))]
 
 
 def run_sweep(cfg: ExperimentConfig, grid, trials: int = 1, jobs: int = 1):

@@ -20,6 +20,8 @@ that the caller may overwrite, valid until the next call on the same
 binding (the classifier's one buffer); each row is bit for bit the
 gradient of that lane computed alone.  A draw of shape (steps, ...) yields
 the same values as ``steps`` one-step draws from the same generator.
+Lanes of several objectives share one stack when the objectives'
+``stack_key``s are equal: any one of them binds and computes the stack.
 
 * ``QuadraticObjective`` -- F_k(w) = 0.5 (w - b_k)' A (w - b_k) with a shared
   PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
@@ -34,7 +36,8 @@ the same values as ``steps`` one-step draws from the same generator.
   softmax or one-hidden-layer tanh model trained by hand-written SGD, with
   Dirichlet non-IID partitioning across clients.  Stands in for image
   benchmarks at desk scale; comparisons target orderings, not absolute
-  accuracies.
+  accuracies.  Objectives whose rows are staged in one shared buffer
+  (``staging_blocks``) and whose layers have one shape share stacks.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ __all__ = [
     "iid_partition",
     "heterogeneity_stats",
     "make_mixture_data",
+    "staging_blocks",
     "build_objective",
 ]
 
@@ -72,6 +76,8 @@ class QuadraticObjective:
         self.noise_sigma = np.full(self.num_clients, float(sig)) if sig.ndim == 0 else sig
         self.weights = np.full(self.num_clients, 1.0 / self.num_clients)
         self.b_bar = self.weights @ self.b
+        # its lanes stack only with each other: bind reads its offsets
+        self.stack_key = id(self)
 
     @classmethod
     def diagonal(cls, dim: int, num_clients: int, rng: np.random.Generator,
@@ -237,7 +243,11 @@ class ClassifyObjective:
     and the test split as ``[x | 1]``: the minibatches of a stack of lanes
     are one gather of staged rows, the labels are subtracted as rows, and
     the data layer's weight and bias gradients come from one matmul against
-    ``[x | 1]``.  The forward and backward passes take a binding of a stack
+    ``[x | 1]``.  ``staging`` is ``(buffer, first row)``: the rows then fill
+    the buffer's block that starts there, and batch indices are rows of the
+    whole buffer, so the lanes of every objective staged in it gather from
+    one array.  Without it the objective stages into a buffer of its own.
+    The forward and backward passes take a binding of a stack
     ``(L, dim)`` and ``(L, n, ·)`` rows (full-client passes and evaluation
     are stacks of one); a stack runs ``(L, ·, ·)`` matmuls, one gemm per
     lane, and reduces over the same axes, so each lane's bits are its own.
@@ -245,7 +255,7 @@ class ClassifyObjective:
 
     def __init__(self, x_train, y_train, x_test, y_test, partition,
                  classes: int, model: str = "linear", weight_mode: str = "equal",
-                 init_rng: np.random.Generator | None = None):
+                 init_rng: np.random.Generator | None = None, staging=None):
         # the features are kept only as the staged rows below
         x_train = np.asarray(x_train, dtype=float)
         x_test = np.asarray(x_test, dtype=float)
@@ -260,8 +270,10 @@ class ClassifyObjective:
         d, h = self.feature_dim, self.hidden
         # every client's rows, staged once in one array: batches index into it
         sizes = [len(p) for p in self.partition]
-        self._offsets = np.cumsum([0] + sizes[:-1])
-        self._staged = np.zeros((sum(sizes), d + 1 + classes))
+        if staging is None:
+            staging = (np.zeros((sum(sizes), d + 1 + classes)), 0)
+        self._staged, first = staging
+        self._offsets = first + np.cumsum([0] + sizes[:-1])
         self._rows = []                 # each client's block of staged rows
         for p, start in zip(self.partition, self._offsets):
             rows = self._staged[start:start + len(p)]
@@ -284,6 +296,7 @@ class ClassifyObjective:
                                  (out, fan_in)))
             i += n + out
         self.dimension = i
+        self.stack_key = (id(self._staged), tuple(shapes))
         sizes = np.array(sizes, dtype=float)
         if weight_mode == "data_size":
             self.weights = sizes / sizes.sum()
@@ -444,8 +457,28 @@ def heterogeneity_stats(objective, probe_points, rng: np.random.Generator,
 # config-driven construction
 # ---------------------------------------------------------------------------
 
-def build_objective(cfg, rng: np.random.Generator):
-    """Materialize the configured workload from a data substream."""
+def staging_blocks(cfgs) -> list:
+    """Per config, the (buffer, first row) its classify objective stages
+    its training rows into, or None for the quadratic.  The configs whose
+    rows are equally wide share one zeroed buffer, each a block of
+    ``train_size`` rows in config order, so their lanes can share stacks."""
+    widths, starts, rows = [], [], {}
+    for cfg in cfgs:
+        wl = cfg.workload
+        width = None if wl.dataset == "quadratic" else wl.dim + 1 + wl.classes
+        widths.append(width)
+        starts.append(rows.get(width, 0))
+        rows[width] = starts[-1] + wl.train_size
+    buffers = {width: np.zeros((n, width)) for width, n in rows.items()
+               if width is not None}
+    return [None if width is None else (buffers[width], start)
+            for width, start in zip(widths, starts)]
+
+
+def build_objective(cfg, rng: np.random.Generator, staging=None):
+    """Materialize the configured workload from a data substream; a
+    classify objective stages its rows into `staging` if given (see
+    `ClassifyObjective`)."""
     wl = cfg.workload
     if wl.dataset == "quadratic":
         return QuadraticObjective.diagonal(
@@ -464,5 +497,5 @@ def build_objective(cfg, rng: np.random.Generator):
     return ClassifyObjective(x_train, y_train, x_test, y_test, parts,
                              classes=wl.classes, model=wl.model,
                              weight_mode=cfg.fedqueue.client_weight_mode,
-                             init_rng=rng)
+                             init_rng=rng, staging=staging)
 

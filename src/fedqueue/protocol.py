@@ -174,47 +174,48 @@ def aggregate(w: np.ndarray, admitted, decay: StalenessDecay) -> np.ndarray:
 _CHUNK_STEPS = 64
 
 
-def client_local_update(objective, lanes, batch_size: int):
-    """Local SGD for a stack of jobs ("lanes"), each a tuple (client k,
-    start model, eta, step budget, rng): lane i runs its budget of steps
-    from its start model on the minibatches it draws from its own rng.  A
-    lane whose objective `draws(k)` nothing has rng None and gets None
-    batches.
+def client_local_update(lanes):
+    """Local SGD for a stack of jobs ("lanes"), each a tuple (objective,
+    batch size, client k, start model, eta, step budget, rng): lane i runs
+    its budget of steps from its start model on the minibatches it draws
+    from its own rng through its own objective.  A lane whose objective
+    `draws(k)` nothing has rng None and gets None batches.
 
-    Returns (deltas, lane_steps): the lanes' model deltas in the order of
-    `lanes`, and the number of lane-steps run.  Each delta is bit for bit
-    that of the lane's job run alone: a lane draws its batches in chunks of
-    steps, and a draw of n steps equals n one-step draws.  Lanes whose
-    batches differ in shape run in separate stacks, longest budget first,
-    and the lanes that draw nothing in a stack of their own, with no batch
-    buffer: the lanes still running at a step are a prefix of the stack,
-    bound once per run of steps, and one `stochastic_gradient` call serves
-    them all.
+    Returns (deltas, lane_steps, diverged): the lanes' model deltas in the
+    order of `lanes`, the number of lane-steps run, and the indices, in
+    ascending order, of the lanes of at least one step that ended on a
+    non-finite iterate.  One check per lane suffices: with eta > 0, a
+    coordinate that turns non-finite under w -= eta * g stays so.
 
-    Raises FloatingPointError, naming the client of the first such lane
-    and carrying that lane's index as its `lane` attribute, when a lane of
-    at least one step ends on a non-finite iterate.  One check per lane
-    suffices: with eta > 0, a coordinate that turns non-finite under
-    w -= eta * g stays so.
+    Each delta is bit for bit that of the lane's job run alone: a lane
+    draws its batches in chunks of steps, and a draw of n steps equals n
+    one-step draws.  Lanes run in one stack when their objectives'
+    `stack_key`s are equal and their batches have one shape, longest budget
+    first; the lanes that draw nothing form stacks of their own, with no
+    batch buffer.  The lanes still running at a step are a prefix of the
+    stack, bound once per run of steps, and one `stochastic_gradient` call
+    of the stack's first objective serves them all.
     """
     if not lanes:
-        return [], 0
-    ks, starts, etas, budgets, rngs = zip(*lanes)
+        return [], 0, []
+    objectives, sizes, ks, starts, etas, budgets, rngs = zip(*lanes)
     if min(budgets) < 0:
         raise ValueError("step budget must be >= 0")
     if min(etas) <= 0:
         raise ValueError("eta must be > 0")
     # each lane's first chunk of batches shows the shape of its batches
-    chunks = [objective.sample_batches(k, min(steps, _CHUNK_STEPS), batch_size, rng)
-              for k, steps, rng in zip(ks, budgets, rngs)]
+    chunks = [obj.sample_batches(k, min(steps, _CHUNK_STEPS), size, rng)
+              for obj, size, k, steps, rng in zip(objectives, sizes, ks, budgets, rngs)]
     stacks = {}
-    for i, chunk in enumerate(chunks):
-        stacks.setdefault(None if chunk is None else np.shape(chunk)[1:], []).append(i)
+    for i, (obj, chunk) in enumerate(zip(objectives, chunks)):
+        shape = None if chunk is None else np.shape(chunk)[1:]
+        stacks.setdefault((obj.stack_key, shape), []).append(i)
     deltas, diverged = [None] * len(lanes), []
     # a diverging lane runs on to the check below without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for members in stacks.values():
             members.sort(key=lambda i: -budgets[i])
+            objective = objectives[members[0]]
             steps = [budgets[i] for i in members]
             start = np.array([starts[i] for i in members], dtype=float)
             w = start.copy()
@@ -232,8 +233,8 @@ def client_local_update(objective, lanes, batch_size: int):
                 if batches is not None:
                     for j, i in enumerate(members[:live]):
                         if t0:
-                            chunks[i] = objective.sample_batches(
-                                ks[i], min(steps[j] - t0, _CHUNK_STEPS), batch_size,
+                            chunks[i] = objectives[i].sample_batches(
+                                ks[i], min(steps[j] - t0, _CHUNK_STEPS), sizes[i],
                                 rngs[i])
                         batches[:len(chunks[i]), j] = chunks[i]
                 t, t1 = t0, min(t0 + _CHUNK_STEPS, steps[0])
@@ -256,9 +257,4 @@ def client_local_update(objective, lanes, batch_size: int):
                              if steps[j] and not finite[j]]
             for i, delta in zip(members, w - start):
                 deltas[i] = delta
-    if diverged:
-        lane = min(diverged)
-        exc = FloatingPointError(f"non-finite iterate on client {ks[lane]}")
-        exc.lane = lane
-        raise exc
-    return deltas, int(sum(budgets))
+    return deltas, int(sum(budgets)), sorted(diverged)

@@ -7,7 +7,7 @@ its `final_model` bytes, `total_local_steps` and event count, as pinned in
 through `run_many` with two workers.
 
 The corpus is the grid of 5 algorithms x both workloads x both broadcast
-modes x 5 learning rates on `test_golden.small_config`, plus mlp models,
+modes x 5 learning rates on `small_runs.small_config`, plus mlp models,
 fixed queues, the noisy quadratic, zero delays and extreme throughputs.
 
 Regenerate the pins only on purpose, with
@@ -28,7 +28,7 @@ HERE = Path(__file__).resolve().parent
 if __name__ == "__main__":
     sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from test_golden import output_digest, small_config  # noqa: E402
+from small_runs import output_digest, small_config  # noqa: E402
 
 PINS = HERE / "parity_corpus.json"
 

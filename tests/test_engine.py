@@ -5,6 +5,7 @@ import pkgutil
 import signal
 import subprocess
 import sys
+from collections import Counter
 from multiprocessing import resource_tracker
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import fedqueue
-from fedqueue import engine, metrics, protocol, queue_sim
+from fedqueue import engine, learn, metrics, protocol, queue_sim
 from fedqueue.config import default_config, ConfigError
 from fedqueue.engine import InvariantError, run_experiment, run_many, run_sweep
 from fedqueue.streams import spawn_seed
@@ -339,7 +340,7 @@ def test_deferred_stacks_equal_one_job_per_stack(name, monkeypatch, tmp_path):
 
     def at_dispatch(sim, *args, **kwargs):
         submit(sim, *args, **kwargs)
-        sim._run_queued_jobs()
+        engine._drive([sim._run_queued_jobs()])
 
     monkeypatch.setattr(engine.Simulation, "submit_job", at_dispatch)
     alone = run_experiment(cfg)
@@ -370,9 +371,9 @@ def test_deferred_jobs_run_stacked_when_first_needed(monkeypatch):
     stacks = []
     real = protocol.client_local_update
 
-    def spy(objective, lanes, batch_size):
-        stacks.append(sorted(k for k, *_ in lanes))
-        return real(objective, lanes, batch_size)
+    def spy(lanes):
+        stacks.append(sorted(k for _, _, k, *_ in lanes))
+        return real(lanes)
 
     monkeypatch.setattr(protocol, "client_local_update", spy)
     log = run_experiment(quick_config())
@@ -512,9 +513,118 @@ def test_run_many_pool_matches_in_process_and_leaves_nothing_running():
     assert resource_tracker._resource_tracker._pid == tracker   # none started
 
 
-def _blas_threads(cfg):
-    """Stands in for run_experiment in a pool worker."""
-    return engine._openblas_threads()[1]()
+def _stalled_config():
+    """The zero-delay reproducer of the stall test, at throughput 1e20."""
+    cfg = default_config()
+    cfg.protocol.algo = "fedasync"
+    cfg.protocol.num_rounds = 3
+    cfg.fedqueue.sim_queue = "fixed"
+    cfg.fedqueue.queue_fixed = (0.0,) * 4
+    cfg.fedqueue.throughput = (1e20,) * 4
+    cfg.fedasync.num_local_steps = 1
+    return cfg
+
+
+# diverging, stalled and healthy runs of both workloads, an odd count, so
+# that a doubled list deals every case into each of two groups
+LOCKSTEP_CASES = [
+    quick_config(**DIVERGING["fedqueue-diverges"]),
+    quick_config(**DIVERGING["fedbuff-classify-diverges"]),
+    _stalled_config(),
+    quick_config(),
+    quick_config(protocol__algo="fedasync", workload__model="mlp"),
+    quick_config(protocol__algo="fedcompass", workload__dataset="quadratic",
+                 workload__quad_sigma=0.5, fedqueue__broadcast_when="immediate"),
+    quick_config(protocol__algo="fedavg", protocol__seed=3),
+]
+
+
+def _facts(log, out_dir):
+    return (log.failure_reason, log.total_local_steps, log.checksum(),
+            log.final_model.tobytes(), _written(log, out_dir))
+
+
+def test_lockstep_runs_are_isolated_from_their_group(tmp_path):
+    cases = LOCKSTEP_CASES
+    alone = [_facts(run_experiment(cfg), tmp_path / "alone" / str(i))
+             for i, cfg in enumerate(cases)]
+    reasons = [facts[0].split(" ")[0] for facts in alone]
+    assert reasons == ["non-finite", "non-finite", "stalled:", "", "", "", ""]
+    assert len(cases) <= engine.GROUP_SIZE   # one group in process
+    for jobs, cfgs in ((1, cases), (2, cases + cases)):
+        logs = run_many(cfgs, jobs)
+        for i, log in enumerate(logs):
+            assert _facts(log, tmp_path / f"jobs{jobs}" / str(i)) == \
+                alone[i % len(cases)], (jobs, i)
+
+
+def test_lockstep_group_pools_the_gradient_calls(monkeypatch):
+    # three default runs in one group: each stack serves the lanes of all
+    # three, so the calls fall to at most half, for the same lane-steps
+    cfgs = [default_config() for _ in range(3)]
+    for i, cfg in enumerate(cfgs):
+        cfg.protocol.seed = spawn_seed(7, "lockstep", i)
+    counts = Counter()
+    real_grad = learn.ClassifyObjective.stochastic_gradient
+    real_update = protocol.client_local_update
+
+    def gradient(self, bound, batches):
+        counts["calls"] += 1
+        return real_grad(self, bound, batches)
+
+    def update(lanes):
+        result = real_update(lanes)
+        counts["lane_steps"] += result[1]
+        return result
+
+    monkeypatch.setattr(learn.ClassifyObjective, "stochastic_gradient", gradient)
+    monkeypatch.setattr(protocol, "client_local_update", update)
+    alone = [run_experiment(cfg) for cfg in cfgs]
+    alone_counts, counts = counts, Counter()
+    grouped = engine._run_group(cfgs)
+    assert counts["lane_steps"] == alone_counts["lane_steps"] > 0
+    assert 2 * counts["calls"] <= alone_counts["calls"]
+    for a, b in zip(alone, grouped):
+        assert not a.failed
+        assert a.checksum() == b.checksum()
+        assert a.final_model.tobytes() == b.final_model.tobytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_run_many_returns_logs_in_config_order(jobs):
+    # 17 configs are more than one group; both workloads, distinct seeds
+    cfgs = [quick_config(protocol__num_rounds=3, protocol__seed=seed,
+                         workload__dataset=("synthetic", "quadratic")[seed % 2],
+                         protocol__algo=("fedqueue", "fedbuff", "fedavg")[seed % 3])
+            for seed in range(17)]
+    expected = [run_experiment(cfg).checksum() for cfg in cfgs]
+    assert len(set(expected)) == len(cfgs)
+    for n in (1, 5, 17):
+        assert [log.checksum() for log in run_many(cfgs[:n], jobs)] == expected[:n]
+
+
+def _group_members(cfgs):
+    """Stands in for a group's run in a pool worker: each config's log is
+    the (rho, seed) of every config in its group."""
+    members = tuple((cfg.fedqueue.queue_rho, cfg.protocol.seed) for cfg in cfgs)
+    return [members] * len(cfgs)
+
+
+def test_run_many_deals_a_grid_one_trial_of_each_value_per_group(monkeypatch):
+    monkeypatch.setattr(engine, "_run_group", _group_members)
+    rows = run_sweep(quick_config(), [("queue_rho", [0.1, 0.5, 0.9])], trials=2,
+                     jobs=2)
+    trial_of = {row["seed"]: row["trial"] for row in rows}
+    groups = {row["log"] for row in rows}
+    assert len(groups) == 2
+    for group in groups:
+        assert sorted(rho for rho, _ in group) == [0.1, 0.5, 0.9]
+        assert len({trial_of[seed] for _, seed in group}) == 1
+
+
+def _blas_threads(cfgs):
+    """Stands in for a group's run in a pool worker."""
+    return [engine._openblas_threads()[1]()] * len(cfgs)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
@@ -522,7 +632,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     if control is None:
         pytest.skip("numpy loaded no OpenBLAS")
     parent = control[1]()
-    monkeypatch.setattr(engine, "run_experiment", _blas_threads)
+    monkeypatch.setattr(engine, "_run_group", _blas_threads)
     assert run_many([quick_config()] * 3, 2) == [1, 1, 1]
     assert control[1]() == parent     # the caller's own threads are left alone
 

@@ -15,11 +15,13 @@ from collections import Counter
 
 import pytest
 
-from fedqueue import engine, metrics, streams
-from fedqueue.config import default_config
+from fedqueue import engine, streams
 from fedqueue.engine import run_experiment
 from fedqueue.learn import build_objective
 from fedqueue.streams import substream
+
+import parity_corpus
+from small_runs import output_digest, small_config
 
 
 # 100 training samples over 4 Dirichlet clients, batch_size 64: every
@@ -34,36 +36,8 @@ SMALL_CLIENTS = {
 }
 
 
-def small_config(algo, dataset, model, broadcast_when):
-    cfg = default_config()
-    cfg.protocol.algo = algo
-    cfg.protocol.num_rounds = 10
-    cfg.workload.train_size = 400
-    cfg.workload.test_size = 200
-    cfg.workload.dim = 6
-    cfg.workload.classes = 4
-    cfg.workload.dataset = dataset
-    cfg.workload.model = model
-    cfg.fedqueue.broadcast_when = broadcast_when
-    return cfg
-
-
-def output_digest(log, out_dir) -> str:
-    """sha256 of what `write_outputs` writes: summary.json without its
-    checksum field, then rounds.csv and events.jsonl."""
-    metrics.write_outputs(log, out_dir)
-    summary = json.loads((out_dir / "summary.json").read_text())
-    del summary["checksum"]
-    h = hashlib.sha256(json.dumps(summary, sort_keys=True).encode())
-    for name in ("rounds.csv", "events.jsonl"):
-        h.update((out_dir / name).read_bytes())
-    return h.hexdigest()
-
-
 def corpus_pin(name):
     """(checksum, output digest) pinned for the parity-corpus variant `name`."""
-    import parity_corpus     # here: it imports this module's builders
-
     pin = json.loads(parity_corpus.PINS.read_text())[name]
     return pin["checksum"], pin["outputs"]
 
@@ -407,8 +381,6 @@ def test_sgd_substreams_are_derived_only_when_drawn_from(name, monkeypatch, tmp_
     if case in EDGE_CASES:
         make, *_, pins = EDGE_CASES[case]
     else:
-        import parity_corpus
-
         make, pins = (lambda: parity_corpus.config(case)), corpus_pin(case)
     derived = Counter()
     real, real_block = engine.substream, streams.Substreams.__call__
