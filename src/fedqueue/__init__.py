@@ -5,9 +5,9 @@ from .engine import run_experiment, run_many, run_sweep
 from .metrics import (MetricsLog, StalenessBoundParams, delta_threshold,
                       staleness_bound_violation_rate, time_to_target,
                       delay_statistics, admission_summary)
-from .protocol import (StalenessDecay, ClientUpdate, compute_budget,
-                       scale_learning_rate, staleness_weight,
-                       assign_aggregation_round, partition_admissions, aggregate)
+from .protocol import (STALENESS, staleness, ClientUpdate, compute_budget,
+                       scale_learning_rate, assign_aggregation_round,
+                       partition_admissions, aggregate)
 from .predictor import DelayPredictor
 from .queue_sim import sample_queue_delay, compute_time
 
@@ -16,8 +16,8 @@ __all__ = [
     "save_config", "run_experiment", "run_many", "run_sweep", "MetricsLog",
     "StalenessBoundParams", "delta_threshold", "staleness_bound_violation_rate",
     "time_to_target", "delay_statistics", "admission_summary",
-    "StalenessDecay", "ClientUpdate", "compute_budget",
-    "scale_learning_rate", "staleness_weight", "assign_aggregation_round",
+    "STALENESS", "staleness", "ClientUpdate", "compute_budget",
+    "scale_learning_rate", "assign_aggregation_round",
     "partition_admissions", "aggregate", "DelayPredictor",
     "sample_queue_delay", "compute_time",
 ]

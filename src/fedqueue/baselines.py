@@ -23,26 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import protocol
+from . import protocol, queue_sim
 from .engine import FedQueueOrchestrator, Orchestrator, Simulation
 
-__all__ = ["ORCHESTRATORS", "staleness_factor", "compass_assignments"]
-
-
-def staleness_factor(fn: str, kwargs: dict, tau: int) -> float:
-    """Server mixing attenuation s(tau) for the async family."""
-    if tau < 0:
-        raise ValueError("staleness must be >= 0")
-    if fn == "constant":
-        return 1.0
-    if fn == "polynomial":
-        a = float(kwargs.get("a", 1.0))
-        return (1.0 + tau) ** (-a)
-    if fn == "hinge":
-        a = float(kwargs.get("a", 10.0))
-        b = float(kwargs.get("b", 4.0))
-        return 1.0 if tau <= b else 1.0 / (a * (tau - b) + 1.0)
-    raise ValueError(f"unknown staleness_fn: {fn!r}")
+__all__ = ["ORCHESTRATORS", "compass_assignments"]
 
 
 def compass_assignments(speeds: np.ndarray, min_steps: int, max_steps: int,
@@ -62,7 +46,13 @@ class _BaselineBase(Orchestrator):
     """Shared dispatch; subclasses set the step count through `_steps`.
     Each aggregation makes one model version, so a job's round is the
     version it starts from, and its staleness at the server is
-    `sim.version - msg.submit_round`."""
+    `sim.version - msg.submit_round`.  The async pair weights an update by
+    `phi` of its staleness, their `staleness_fn`."""
+
+    def __init__(self, sim: Simulation):
+        super().__init__(sim)
+        az = self.cfg.fedasync
+        self.phi = protocol.staleness(az.staleness_fn, az.staleness_fn_kwargs)
 
     def start(self) -> None:
         self.sim.evaluate(self.w)
@@ -103,8 +93,8 @@ class _CohortBase(_BaselineBase):
         batch = [self.collected[k] for k in sorted(self.collected)]
         self.collected = {}
         weights = self.sim.objective.weights
-        entries = [(float(weights[m.client]), 0, m.delta) for m in batch]
-        self.w = protocol.aggregate(self.w, entries, protocol.StalenessDecay.flat())
+        self.w = protocol.aggregate(
+            self.w, [(float(weights[m.client]), m.delta) for m in batch])
         self.sim.aggregated(self.w, self.sim.version, batch, [0] * len(batch))
         if self._can_dispatch():
             self._dispatch_all()
@@ -134,10 +124,8 @@ class FedAsyncOrchestrator(_BaselineBase):
         super()._dispatch(k)
 
     def on_arrival(self, msg: protocol.ClientUpdate) -> None:
-        az = self.cfg.fedasync
         tau = self.sim.version - msg.submit_round
-        s = staleness_factor(az.staleness_fn, az.staleness_fn_kwargs, tau)
-        a = az.alpha * s
+        a = self.cfg.fedasync.alpha * self.phi(tau)
         w_client = self.dispatched_from[msg.client] + msg.delta
         self.w = (1.0 - a) * self.w + a * w_client
         self.sim.aggregated(self.w, self.sim.version, [msg], [tau])
@@ -154,13 +142,11 @@ class FedBuffOrchestrator(_BaselineBase):
         self.pending.append(msg)
         if len(self.pending) == self.cfg.fedbuff.k:
             flushed, self.pending = self.pending, []
-            az = self.cfg.fedasync
             taus = [self.sim.version - m.submit_round for m in flushed]
             mixed = np.zeros_like(self.w)
             for m, tau in zip(flushed, taus):
-                s = staleness_factor(az.staleness_fn, az.staleness_fn_kwargs, tau)
-                mixed += s * m.delta
-            self.w = self.w + az.alpha * mixed / len(flushed)
+                mixed += self.phi(tau) * m.delta
+            self.w = self.w + self.cfg.fedasync.alpha * mixed / len(flushed)
             self.sim.aggregated(self.w, self.sim.version, flushed, taus)
         if self._can_dispatch():
             self._dispatch(msg.client)
@@ -173,7 +159,7 @@ class FedCompassOrchestrator(_CohortBase):
     def __init__(self, sim: Simulation):
         super().__init__(sim)
         # profiled speeds in wall steps/second; refined by momentum EWMA
-        self.speeds = np.array([sim.effective_rate(k)
+        self.speeds = np.array([queue_sim.effective_rate(self.cfg.fedqueue, k)
                                 for k in range(sim.num_clients)])
         self.assigned = None          # per-client steps of the current cohort
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics
 from .config import (ConfigError, default_config, load_config, save_config,
                      resolve_axis)
-from .engine import run_experiment, run_sweep
+from .engine import run_experiment, run_many, run_sweep
 from .streams import spawn_seed
 
 OUTPUT_FILES = ("summary.json", "rounds.csv", "events.jsonl")
@@ -202,24 +202,26 @@ def cmd_ablate(args) -> int:
     out = _out_path(args.out)
     _prepare_dir(out, args.force)
     master = cfg.protocol.seed
-    rows = []
+    runs = []
     for name, toggle in ABLATION_VARIANTS:
         for trial in range(args.trials):
             variant = cfg.copy()
             if toggle is not None:
                 setattr(variant.ablation, toggle, False)
             variant.protocol.seed = spawn_seed(master, "ablate", trial)
-            log = run_experiment(variant)
-            s = log.summary()
-            rows.append({
-                "variant": name, "trial": trial, "seed": variant.protocol.seed,
-                "final_accuracy": s["final_accuracy"],
-                "max_accuracy": s["max_accuracy"],
-                "time_to_target": metrics.time_to_target(log.evals, args.target),
-                "p_late": s["p_late"],
-                "late_mean_ratio": s["late_mean_ratio"],
-                "max_delay_ratio": s["max_delay_ratio"],
-            })
+            runs.append((name, trial, variant))
+    rows = []
+    for (name, trial, variant), log in zip(runs, run_many([v for *_, v in runs], 1)):
+        s = log.summary()
+        rows.append({
+            "variant": name, "trial": trial, "seed": variant.protocol.seed,
+            "final_accuracy": s["final_accuracy"],
+            "max_accuracy": s["max_accuracy"],
+            "time_to_target": metrics.time_to_target(log.evals, args.target),
+            "p_late": s["p_late"],
+            "late_mean_ratio": s["late_mean_ratio"],
+            "max_delay_ratio": s["max_delay_ratio"],
+        })
     _write_csv(out / "ablate.csv", rows)
     header = (f"{'variant':<22}{'final_acc':>10}{'tta@' + str(args.target):>12}"
               f"{'reached':>9}{'P_late':>9}{'E_d':>7}{'R_d':>7}")

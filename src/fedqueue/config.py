@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Literal, get_args, get_origin
 
+from . import protocol
+
 __all__ = ["ConfigError", "ExperimentConfig", "default_config", "load_config",
            "loads_config", "save_config", "dumps_config", "set_key", "get_key"]
-
-StalenessFn = Literal["constant", "polynomial", "hinge"]
 
 
 class ConfigError(ValueError):
@@ -80,7 +80,7 @@ class FedQueueConfig:
     queue_means: tuple[float, ...] = (1.5, 2.5, 3.5, 4.5)
     queue_rho: float = 0.4
     slowdown: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
-    staleness_mode: Literal["harmonic", "exp"] = "harmonic"
+    staleness_mode: Literal[protocol.FEDQUEUE_STALENESS] = "harmonic"
     staleness_beta: float = 0.5
     admission_horizon: Literal["horizon", "all"] = "horizon"
     client_weight_mode: Literal["equal", "data_size"] = "equal"
@@ -93,7 +93,7 @@ class FedQueueConfig:
 @dataclass
 class AsyncConfig:
     num_local_steps: int = 155
-    staleness_fn: StalenessFn = "polynomial"
+    staleness_fn: Literal[protocol.ASYNC_STALENESS] = "polynomial"
     staleness_fn_kwargs: dict = field(default_factory=lambda: {"a": 1.0})
     alpha: float = 0.5                    # server mixing factor
     optimize_memory: bool = True          # accepted for compatibility; inert here
@@ -106,7 +106,7 @@ class FedBuffConfig:
 
 @dataclass
 class CompassConfig:
-    staleness_fn: StalenessFn = "polynomial"
+    staleness_fn: Literal[protocol.ASYNC_STALENESS] = "polynomial"
     staleness_fn_kwargs: dict = field(default_factory=dict)
     alpha: float = 0.5
     max_local_steps: int = 200
@@ -385,6 +385,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(all(v >= 1 for v in cfg.fedavg.num_local_steps),
              "fedavg num_local_steps must be >= 1")
     az, cp = cfg.fedasync, cfg.compass
+    read = {name for fn in protocol.ASYNC_STALENESS for name in protocol.STALENESS[fn][0]}
+    for name, value in az.staleness_fn_kwargs.items():
+        _require(name in read, f"[async] staleness_fn_kwargs: {name} is read by "
+                 f"none of {' | '.join(protocol.ASYNC_STALENESS)}")
+        _require(math.isfinite(value) and value >= 0, f"[async] staleness_fn_kwargs: "
+                 f"{name} must be finite and >= 0, got {value}")
     _require(az.num_local_steps >= 1, "async num_local_steps must be >= 1")
     _require(0.0 < az.alpha <= 1.0, "async alpha must be in (0, 1]")
     _require(cfg.fedbuff.k >= 1, "fedbuff K must be >= 1")

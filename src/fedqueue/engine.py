@@ -126,10 +126,6 @@ class Simulation:
             self.schedule(r * self.cfg.fedqueue.t_sync, RANK_ROUND, r, r)
 
     # ---- client jobs -----------------------------------------------------
-    def effective_rate(self, k: int) -> float:
-        fq = self.cfg.fedqueue
-        return float(fq.throughput[k]) / float(fq.slowdown[k])
-
     def submit_job(self, k: int, w: np.ndarray, submit_round: int, eta: float,
                    step_budget: int, q_hat: float = float("nan")) -> None:
         """Broadcast + job submission: draws the admission delay, prices the
@@ -176,11 +172,15 @@ class Simulation:
             _, (_, _, k, w, *_), (events, steps) = queued[diverged[0]]
             del self.log.events[events:]
             self.log.total_local_steps, self.log.final_model = steps, w
-            self.log.failed = True
-            self.log.failure_reason = f"non-finite iterate on client {k}"
+            self.fail(f"non-finite iterate on client {k}")
             raise FloatingPointError(self.log.failure_reason)
         for (msg, *_), delta in zip(queued, deltas):
             msg.delta = delta
+
+    def fail(self, reason: str) -> None:
+        """Mark the run failed for `reason`: no event after the one being
+        processed runs."""
+        self.log.failed, self.log.failure_reason = True, reason
 
     def evaluate(self, w: np.ndarray) -> None:
         # a diverging model can be finite while its loss overflows: the loss
@@ -212,7 +212,8 @@ class Simulation:
         diverged) through `send`.
 
         It processes events up to the horizon; a run whose clock stops or
-        crawls is marked failed as stalled.  Jobs still queued when the
+        crawls is marked failed as stalled, and a run the orchestrator
+        fails (`fail`) ends after that event.  Jobs still queued when the
         loop ends, also by an exception, run before it returns.  A
         diverging job, also one dispatched just before the horizon, ends
         the run there, failed, and the orchestrator does not finish."""
@@ -229,7 +230,8 @@ class Simulation:
     def _process_events(self, orchestrator):
         stall_limit = _STALL_EVENTS_PER_CLIENT_ROUND * self.num_clients
         t_sync, window, count = self.cfg.fedqueue.t_sync, 0.0, 0
-        while self._heap:
+        log = self.log
+        while self._heap and not log.failed:
             time, rank, key, _, payload = heapq.heappop(self._heap)
             if time > self.horizon + _TIME_EPS:
                 break
@@ -237,11 +239,9 @@ class Simulation:
                 window, count = time // t_sync, 0
             count += 1
             if count > stall_limit:
-                self.log.failed = True
-                self.log.failure_reason = (
-                    f"stalled: {count} events in the round window "
-                    f"[{window * t_sync}, {(window + 1) * t_sync}) s "
-                    f"of virtual time, the clock at t={time}")
+                self.fail(f"stalled: {count} events in the round window "
+                          f"[{window * t_sync}, {(window + 1) * t_sync}) s "
+                          f"of virtual time, the clock at t={time}")
                 break
             self.now = time
             if rank == RANK_JOB_START:
@@ -283,7 +283,7 @@ def _drive(runs) -> None:
 
 class Orchestrator:
     """Server side of one algorithm: the global model `w` and the hooks
-    `Simulation.run` calls (`start`, `on_arrival(msg)`,
+    `Simulation.paused_run` calls (`start`, `on_arrival(msg)`,
     `on_round_boundary(boundary)`, `finish`)."""
 
     def __init__(self, sim: Simulation):
@@ -306,10 +306,9 @@ class FedQueueOrchestrator(Orchestrator):
         super().__init__(sim)
         cfg = self.cfg
         fq = cfg.fedqueue
-        if cfg.ablation.use_staleness_decay:
-            self.decay = protocol.StalenessDecay(fq.staleness_mode, fq.staleness_beta)
-        else:
-            self.decay = protocol.StalenessDecay.flat()
+        # the decay-off ablation weights every update alike
+        fn = fq.staleness_mode if cfg.ablation.use_staleness_decay else "constant"
+        self.phi = protocol.staleness(fn, {"beta": fq.staleness_beta})
         if cfg.ablation.use_ewma:
             self.predictor = DelayPredictor(np.full(sim.num_clients, fq.q_init), fq.alpha)
         else:
@@ -342,7 +341,7 @@ class FedQueueOrchestrator(Orchestrator):
         fq = self.cfg.fedqueue
         q_hat = self.predictor.predict(k)
         return q_hat, protocol.compute_budget(
-            fq.t_sync, q_hat, self.delta_eff, self.sim.effective_rate(k), fq.e_floor)
+            fq.t_sync, q_hat, self.delta_eff, queue_sim.effective_rate(fq, k), fq.e_floor)
 
     def _submit(self, k: int, r: int, q_hat: float, steps: int) -> None:
         fq = self.cfg.fedqueue
@@ -386,7 +385,7 @@ class FedQueueOrchestrator(Orchestrator):
         closing = boundary - 1
         admitted, self.buffer = protocol.partition_admissions(self.buffer, cutoff)
         if admitted:
-            entries, taus = [], []
+            weighted, taus = [], []
             for m in admitted:
                 r_formula, tau_formula = protocol.assign_aggregation_round(
                     m.submit_round, m.arrival, fq.t_sync)
@@ -397,8 +396,14 @@ class FedQueueOrchestrator(Orchestrator):
                         f"with the buffering rule ({r_formula}, tau {tau_formula})",
                         cutoff, m.client, m.submit_round)
                 taus.append(tau)
-                entries.append((float(sim.objective.weights[m.client]), tau, m.delta))
-            self.w = protocol.aggregate(self.w, entries, self.decay)
+                weighted.append((float(sim.objective.weights[m.client]) * self.phi(tau),
+                                 m.delta))
+            try:
+                self.w = protocol.aggregate(self.w, weighted)
+            except ZeroDivisionError:
+                sim.fail(f"zero total weight in round {closing}: the weights "
+                         f"of its admitted updates sum to 0")
+                return
             sim.aggregated(self.w, closing, admitted, taus)
             if fq.broadcast_when == "next_round":
                 self.pool.update(m.client for m in admitted)

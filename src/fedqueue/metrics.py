@@ -511,8 +511,8 @@ def delayed_quadratic_descent(objective, tau: int, rounds: int, eta: float,
             wk = w_ref.copy()
             for _ in range(steps_per_round):
                 wk = wk - eta * objective.client_gradient(k, wk)
-            deltas.append((float(objective.weights[k]), 0, wk - w_ref))
-        w = protocol.aggregate(w, deltas, protocol.StalenessDecay.flat())
+            deltas.append((float(objective.weights[k]), wk - w_ref))
+        w = protocol.aggregate(w, deltas)
         history.append(w.copy())
     return norms
 

@@ -2,10 +2,10 @@
 
 Server side: per-round step budgets from the current delay
 prediction, inverse learning-rate scaling across heterogeneous step budgets,
-deadline admission with buffering of late arrivals, and staleness-weighted
-delta aggregation.  Client side: local SGD over a step budget, returning a
-model delta, for a stack of jobs at once.  Everything here is pure over value
-inputs; the engine owns state.
+deadline admission with buffering of late arrivals, the staleness weights
+of every method, and weighted delta aggregation.  Client side: local SGD
+over a step budget, returning a model delta, for a stack of jobs at once.
+Everything here is pure over value inputs; the engine owns state.
 """
 from __future__ import annotations
 
@@ -17,39 +17,49 @@ import numpy as np
 
 
 __all__ = [
-    "StalenessDecay",
+    "STALENESS",
+    "FEDQUEUE_STALENESS",
+    "ASYNC_STALENESS",
+    "staleness",
     "ClientUpdate",
     "compute_budget",
     "effective_safety_buffer",
     "scale_learning_rate",
-    "staleness_weight",
     "assign_aggregation_round",
     "partition_admissions",
     "aggregate",
     "client_local_update",
 ]
 
-HARMONIC = "harmonic"
-EXPONENTIAL = "exp"
+# The weight phi(tau) of an update tau rounds (fedqueue) or model versions
+# (the async pair) stale, by name: the parameters it reads, with their
+# defaults, and its expression.  Every parameter ranges over [0, inf), where
+# phi(0) = 1 and phi falls in tau to no less than 0.
+STALENESS = {
+    "harmonic": ({"beta": 0.5}, lambda tau, beta: 1.0 / (1.0 + beta * tau)),
+    "exp": ({"beta": 0.5}, lambda tau, beta: math.exp(-beta * tau)),
+    "constant": ({}, lambda tau: 1.0),
+    "polynomial": ({"a": 1.0}, lambda tau, a: (1.0 + tau) ** (-a)),
+    "hinge": ({"a": 10.0, "b": 4.0},
+              lambda tau, a, b: 1.0 if tau <= b else 1.0 / (a * (tau - b) + 1.0)),
+}
+# the names [fedqueue] staleness_mode takes, its beta being staleness_beta,
+# and those [async] staleness_fn takes, its parameters staleness_fn_kwargs
+FEDQUEUE_STALENESS = ("harmonic", "exp")
+ASYNC_STALENESS = ("constant", "polynomial", "hinge")
 
 
-@dataclass(frozen=True)
-class StalenessDecay:
-    """Weight phi(tau) applied to an update tau rounds stale; phi(0) = 1."""
+def staleness(fn: str, params: dict):
+    """phi of the table's function `fn`, as a function of tau, with each
+    parameter it reads taken from `params`, or its default if not there."""
+    defaults, phi = STALENESS[fn]
+    bound = {name: float(params.get(name, value)) for name, value in defaults.items()}
 
-    mode: str = HARMONIC
-    beta: float = 0.5
-
-    def __post_init__(self):
-        if self.mode not in (HARMONIC, EXPONENTIAL):
-            raise ValueError(f"unknown staleness decay mode: {self.mode!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-
-    @classmethod
-    def flat(cls) -> "StalenessDecay":
-        """phi(tau) = 1 for all tau (the decay-off ablation)."""
-        return cls(mode=HARMONIC, beta=0.0)
+    def weight(tau: int) -> float:
+        if tau < 0:
+            raise ValueError("staleness must be >= 0")
+        return phi(tau, **bound)
+    return weight
 
 
 @dataclass(slots=True)
@@ -116,15 +126,6 @@ def scale_learning_rate(eta_base: float, e_min: int, e_k: int) -> float:
     return eta_base * e_min / e_k
 
 
-def staleness_weight(decay: StalenessDecay, tau: int) -> float:
-    """Harmonic: 1/(1 + beta tau).  Exponential: exp(-beta tau)."""
-    if tau < 0:
-        raise ValueError("staleness must be >= 0")
-    if decay.mode == HARMONIC:
-        return 1.0 / (1.0 + decay.beta * tau)
-    return math.exp(-decay.beta * tau)
-
-
 def assign_aggregation_round(submit_round: int, arrival: float,
                              t_sync: float) -> tuple[int, int]:
     """First round whose cutoff the arrival meets, and the staleness.
@@ -151,21 +152,19 @@ def partition_admissions(buffer, cutoff: float):
     return admitted, remaining
 
 
-def aggregate(w: np.ndarray, admitted, decay: StalenessDecay) -> np.ndarray:
-    """w + (1/S) sum_k p_k phi(tau_k) delta_k with S = sum_k p_k phi(tau_k).
-
-    `admitted` is a nonempty sequence of (p_k, tau_k, delta_k) triples.
-    """
-    if not admitted:
-        raise ValueError("aggregate requires a nonempty admitted set")
+def aggregate(w: np.ndarray, weighted) -> np.ndarray:
+    """w + (1/S) sum_k c_k delta_k with S = sum_k c_k, the weighted average
+    of a sequence of (c_k, delta_k) pairs added to `w`.  Raises a
+    ZeroDivisionError when S is 0, as it is for no pairs."""
     s = 0.0
     total = np.zeros_like(w)
-    for p_k, tau, delta in admitted:
+    for coef, delta in weighted:
         if delta.shape != w.shape:
             raise ValueError("update dimension does not match the global model")
-        coef = p_k * staleness_weight(decay, tau)
         s += coef
         total = total + coef * delta
+    if s == 0.0:
+        raise ZeroDivisionError("the aggregation weights sum to 0")
     return w + total / s
 
 

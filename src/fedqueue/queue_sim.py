@@ -5,8 +5,9 @@ Admission delays are either fixed per client (``queue_fixed``) or lognormal
 around per-client location parameters (``queue_means``): q = exp(ln(mu_k) +
 rho * Z) with Z standard normal, so mu_k is the median of the delay and rho
 (``queue_rho``) sweeps the tail weight without moving the typical delay;
-``queue_mean_mode = arithmetic`` reads mu_k as the mean instead.  E local
-steps take E / throughput_k * slowdown_k seconds.
+``queue_mean_mode = arithmetic`` reads mu_k as the mean instead, shifting
+the draw by -rho^2/2 in log space so that E[q] = mu_k.  E local steps take
+E / throughput_k * slowdown_k seconds.
 """
 from __future__ import annotations
 
@@ -16,14 +17,7 @@ import numpy as np
 
 from .config import FedQueueConfig
 
-__all__ = ["lognormal_delay", "sample_queue_delay", "compute_time"]
-
-
-def lognormal_delay(mu: float, rho: float, z: float, mean_mode: str = "median") -> float:
-    """Delay kernel: exp(ln mu + rho z), optionally mean-corrected: the
-    "arithmetic" mode shifts the draw by -rho^2/2 in log space so E[q] = mu."""
-    shift = -0.5 * rho * rho if mean_mode == "arithmetic" else 0.0
-    return float(mu * math.exp(rho * z + shift))
+__all__ = ["sample_queue_delay", "compute_time", "effective_rate"]
 
 
 def sample_queue_delay(fq: FedQueueConfig, k: int, rng: np.random.Generator) -> float:
@@ -32,9 +26,9 @@ def sample_queue_delay(fq: FedQueueConfig, k: int, rng: np.random.Generator) -> 
         return float(fq.queue_fixed[k])
     if fq.sim_queue != "lognormal":
         raise ValueError(f"unknown sim_queue: {fq.sim_queue!r}")
-    z = float(rng.standard_normal())
-    return lognormal_delay(float(fq.queue_means[k]), fq.queue_rho, z,
-                           fq.queue_mean_mode)
+    z, rho = float(rng.standard_normal()), fq.queue_rho
+    shift = -0.5 * rho * rho if fq.queue_mean_mode == "arithmetic" else 0.0
+    return float(fq.queue_means[k]) * math.exp(rho * z + shift)
 
 
 def compute_time(fq: FedQueueConfig, k: int, steps: int) -> float:
@@ -42,3 +36,8 @@ def compute_time(fq: FedQueueConfig, k: int, steps: int) -> float:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     return steps / float(fq.throughput[k]) * float(fq.slowdown[k])
+
+
+def effective_rate(fq: FedQueueConfig, k: int) -> float:
+    """Client k's local steps per wall second."""
+    return float(fq.throughput[k]) / float(fq.slowdown[k])

@@ -8,7 +8,8 @@ through `run_many` with two workers.
 
 The corpus is the grid of 5 algorithms x both workloads x both broadcast
 modes x 5 learning rates on `small_runs.small_config`, plus mlp models,
-fixed queues, the noisy quadratic, zero delays and extreme throughputs.
+fixed queues, the noisy quadratic, zero delays, extreme throughputs and
+staleness weights other than each method's default.
 
 Regenerate the pins only on purpose, with
 
@@ -81,6 +82,19 @@ def _variants():
         out[f"fast-throughput-{algo}"] = (
             algo, "synthetic", "linear", "next_round",
             dict(fedqueue__throughput=(1e8,) * 4))
+    # staleness weights other than each method's default
+    for broadcast in BROADCASTS:
+        out[f"staleness-fedqueue-exp-{broadcast}"] = (
+            "fedqueue", "synthetic", "linear", broadcast,
+            dict(fedqueue__staleness_mode="exp"))
+    for name, algo, over in (
+            ("fedasync-constant", "fedasync", dict(fedasync__staleness_fn="constant")),
+            ("fedasync-hinge", "fedasync",
+             dict(fedasync__staleness_fn="hinge",
+                  fedasync__staleness_fn_kwargs={"a": 10.0, "b": 1.0})),
+            ("fedbuff-polynomial", "fedbuff",
+             dict(fedasync__staleness_fn_kwargs={"a": 0.5}))):
+        out[f"staleness-{name}"] = (algo, "synthetic", "linear", "next_round", over)
     out["stalled-fedasync"] = (
         "fedasync", "quadratic", "linear", "next_round",
         dict(fedqueue__sim_queue="fixed", fedqueue__queue_fixed=(0.0,) * 4,

@@ -250,20 +250,19 @@ def test_criterion_6_protocol_invariants():
     for _ in range(50):
         w = rng.standard_normal(6)
         deltas = [rng.standard_normal(6) for _ in range(4)]
-        fresh = [(0.25, 0, d) for d in deltas]
-        lhs = protocol.aggregate(w, fresh, protocol.StalenessDecay("harmonic", 0.5))
+        phi = protocol.staleness("harmonic", {"beta": 0.5})
+        lhs = protocol.aggregate(w, [(0.25 * phi(0), d) for d in deltas])
         rhs = w + sum(0.25 * d for d in deltas)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     # aggregation coefficients are a convex combination, 1 ulp per term
-    decay = protocol.StalenessDecay("harmonic", 0.5)
+    phi = protocol.staleness("harmonic", {"beta": 0.5})
     for _ in range(200):
         n = int(rng.integers(1, 9))
         entries = [(float(rng.uniform(0.01, 1)), int(rng.integers(0, 6)))
                    for _ in range(n)]
-        s = sum(p * protocol.staleness_weight(decay, tau) for p, tau in entries)
-        coefs = [p * protocol.staleness_weight(decay, tau) / s
-                 for p, tau in entries]
+        s = sum(p * phi(tau) for p, tau in entries)
+        coefs = [p * phi(tau) / s for p, tau in entries]
         assert abs(sum(coefs) - 1.0) <= n * np.spacing(1.0)
         assert all(c >= 0 for c in coefs)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fedqueue import baselines, engine, protocol
-from fedqueue.baselines import compass_assignments, staleness_factor
+from fedqueue.baselines import compass_assignments
+from fedqueue.protocol import staleness
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 
@@ -29,22 +30,22 @@ def quick_config(algo, **over):
 # ---------------------------------------------------------------------------
 
 def test_polynomial_factor_fresh():
-    assert staleness_factor("polynomial", {"a": 1.0}, 0) == 1.0
+    assert staleness("polynomial", {"a": 1.0})(0) == 1.0
 
 
 def test_polynomial_factor_decays():
-    assert staleness_factor("polynomial", {"a": 1.0}, 3) == pytest.approx(0.25)
+    assert staleness("polynomial", {"a": 1.0})(3) == pytest.approx(0.25)
 
 
 def test_constant_factor():
     for tau in (0, 1, 7):
-        assert staleness_factor("constant", {}, tau) == 1.0
+        assert staleness("constant", {})(tau) == 1.0
 
 
 def test_hinge_factor():
     kw = {"a": 10.0, "b": 4.0}
-    assert staleness_factor("hinge", kw, 4) == 1.0
-    assert staleness_factor("hinge", kw, 6) == pytest.approx(1.0 / 21.0)
+    assert staleness("hinge", kw)(4) == 1.0
+    assert staleness("hinge", kw)(6) == pytest.approx(1.0 / 21.0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +81,7 @@ def test_fedavg_aggregate_matches_protocol_core():
     w = rng.standard_normal(5)
     deltas = [rng.standard_normal(5) for _ in range(4)]
     manual = w + sum(0.25 * d for d in deltas)
-    via_protocol = protocol.aggregate(
-        w, [(0.25, 0, d) for d in deltas], protocol.StalenessDecay.flat())
+    via_protocol = protocol.aggregate(w, [(0.25, d) for d in deltas])
     assert np.allclose(via_protocol, manual, rtol=1e-12)
 
 
@@ -136,10 +136,9 @@ def test_full_buffer_with_synchronous_arrivals_reduces_to_fedavg_average():
     rng = np.random.default_rng(1)
     w = rng.standard_normal(4)
     deltas = [rng.standard_normal(4) for _ in range(4)]
-    mixed = sum(staleness_factor("constant", {}, 0) * d for d in deltas)
+    mixed = sum(staleness("constant", {})(0) * d for d in deltas)
     fedbuff_step = w + 1.0 * mixed / 4
-    fedavg_step = protocol.aggregate(
-        w, [(0.25, 0, d) for d in deltas], protocol.StalenessDecay.flat())
+    fedavg_step = protocol.aggregate(w, [(0.25, d) for d in deltas])
     assert np.allclose(fedbuff_step, fedavg_step, rtol=1e-12)
 
 

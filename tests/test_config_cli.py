@@ -129,6 +129,19 @@ def test_non_finite_float_rejected_with_key_name(section, key, value):
         loads_config(f"[{section}]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("algo, fn, kwargs, name", [
+    ("fedasync", "hinge", "{a=-1,b=0}", "a"),    # a ZeroDivisionError once run
+    ("fedbuff", "polynomial", "{a=-2000}", "a"),  # an OverflowError once run
+    ("fedasync", "polynomial", "{zzz=3}", "zzz"),  # read by no function
+    ("fedasync", "polynomial", "{a=nan}", "a"),
+    ("fedbuff", "hinge", "{a=10,b=-1}", "b"),
+])
+def test_staleness_kwargs_outside_the_table_rejected(algo, fn, kwargs, name):
+    with pytest.raises(ConfigError, match=rf"^\[async\] staleness_fn_kwargs: {name} "):
+        loads_config(f"[protocol]\nalgo.name = {algo}\n[async]\n"
+                     f"staleness_fn = {fn}\nstaleness_fn_kwargs = {kwargs}\n")
+
+
 def test_non_finite_sweep_value_rejected():
     cfg = default_config()
     set_key(cfg, "Tsync", "nan")

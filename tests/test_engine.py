@@ -5,6 +5,7 @@ import pkgutil
 import signal
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from multiprocessing import resource_tracker
 from pathlib import Path
@@ -297,6 +298,26 @@ def test_divergence_marks_run_failed():
     log = run_experiment(cfg)
     assert log.failed
     assert "non-finite" in log.failure_reason
+
+
+def test_zero_total_weight_fails_the_run_naming_its_round():
+    # exp(-1000 tau) reads 0 for every stale update: the first round that
+    # admits only stale updates has no weight to average by
+    cfg = default_config()
+    cfg.fedqueue.staleness_mode, cfg.fedqueue.staleness_beta = "exp", 1000.0
+    cfg.fedqueue.queue_rho = 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = run_experiment(cfg)
+        grouped = run_many([cfg, default_config()])
+    assert log.failed
+    assert log.failure_reason == ("zero total weight in round 2: the weights "
+                                  "of its admitted updates sum to 0")
+    # the run ends at that round's cutoff with the model from before it
+    assert max(e.t for e in log.events) <= 3 * cfg.fedqueue.t_sync
+    assert np.isfinite(log.final_model).all()
+    assert grouped[0].checksum() == log.checksum()
+    assert not grouped[1].failed
 
 
 def _written(log, out_dir):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedqueue import learn, protocol
-from fedqueue.protocol import (StalenessDecay, aggregate,
-                               assign_aggregation_round, client_local_update,
-                               compute_budget, partition_admissions,
-                               scale_learning_rate, staleness_weight)
+from fedqueue.protocol import (STALENESS, aggregate, assign_aggregation_round,
+                               client_local_update, compute_budget,
+                               partition_admissions, scale_learning_rate,
+                               staleness)
 from fedqueue.streams import substream
 
 
@@ -77,29 +77,46 @@ def test_lr_scaling_linear_in_base(eta, e_min, extra, lam):
 # ---------------------------------------------------------------------------
 
 def test_weight_is_one_at_zero_staleness():
-    for mode in ("harmonic", "exp"):
-        assert staleness_weight(StalenessDecay(mode, 0.5), 0) == 1.0
+    for fn in STALENESS:
+        assert staleness(fn, {})(0) == 1.0
 
 
 def test_harmonic_weight():
-    assert staleness_weight(StalenessDecay("harmonic", 0.5), 2) == pytest.approx(0.5)
+    assert staleness("harmonic", {"beta": 0.5})(2) == pytest.approx(0.5)
 
 
 def test_exponential_weight():
-    assert staleness_weight(StalenessDecay("exp", 1.0), 1) == pytest.approx(math.exp(-1))
+    assert staleness("exp", {"beta": 1.0})(1) == pytest.approx(math.exp(-1))
 
 
 def test_negative_staleness_rejected():
-    with pytest.raises(ValueError):
-        staleness_weight(StalenessDecay("harmonic", 0.5), -1)
+    for fn in STALENESS:
+        with pytest.raises(ValueError):
+            staleness(fn, {})(-1)
 
 
 @given(st.sampled_from(["harmonic", "exp"]), st.floats(0, 5), st.integers(0, 60))
 @settings(max_examples=200)
 def test_weight_positive_and_nonincreasing(mode, beta, tau):
-    decay = StalenessDecay(mode, beta)
-    w0, w1 = staleness_weight(decay, tau), staleness_weight(decay, tau + 1)
+    phi = staleness(mode, {"beta": beta})
+    w0, w1 = phi(tau), phi(tau + 1)
     assert 0.0 < w1 <= w0 <= 1.0
+
+
+@given(st.sampled_from(sorted(STALENESS)), st.floats(0, 1e300), st.floats(0, 1e300),
+       st.integers(0, 10**6))
+@settings(max_examples=300)
+def test_every_weight_in_range_over_the_parameters_range(fn, a, b, tau):
+    # anywhere in the declared range each weight is a number in [0, 1]
+    # that does not rise with staleness
+    phi = staleness(fn, {"a": a, "b": b, "beta": a})
+    assert 0.0 <= phi(tau + 1) <= phi(tau) <= 1.0
+
+
+def test_unset_parameters_read_their_defaults():
+    assert staleness("polynomial", {})(3) == pytest.approx(0.25)
+    assert staleness("hinge", {})(6) == pytest.approx(1.0 / 21.0)
+    assert staleness("harmonic", {})(2) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -189,36 +206,43 @@ def test_partition_is_a_set_partition(arrivals, cutoff):
 
 def test_fresh_two_client_average():
     w = np.zeros(2)
-    admitted = [(0.5, 0, np.array([1.0, 0.0])), (0.5, 0, np.array([0.0, 1.0]))]
-    out = aggregate(w, admitted, StalenessDecay("harmonic", 0.5))
+    admitted = [(0.5, np.array([1.0, 0.0])), (0.5, np.array([0.0, 1.0]))]
+    out = aggregate(w, admitted)
     assert np.allclose(out, [0.5, 0.5])
 
 
 def test_single_client_normalization_cancels():
     w = np.array([1.0, -2.0])
     delta = np.array([0.25, 0.75])
-    out = aggregate(w, [(0.3, 7, delta)], StalenessDecay("harmonic", 0.9))
+    out = aggregate(w, [(0.3 * staleness("harmonic", {"beta": 0.9})(7), delta)])
     assert np.allclose(out, w + delta)
 
 
 def test_hand_computed_harmonic_mix():
+    phi = staleness("harmonic", {"beta": 0.5})
     out = aggregate(np.zeros(1),
-                    [(0.5, 0, np.array([2.0])), (0.5, 2, np.array([0.0]))],
-                    StalenessDecay("harmonic", 0.5))
+                    [(0.5 * phi(0), np.array([2.0])), (0.5 * phi(2), np.array([0.0]))])
     assert out[0] == pytest.approx(4.0 / 3.0)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        aggregate(np.zeros(2), [(1.0, 0, np.zeros(3))], StalenessDecay())
+        aggregate(np.zeros(2), [(1.0, np.zeros(3))])
+
+
+def test_zero_total_weight_raises_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError):
+            aggregate(np.ones(2), [(0.5 * math.exp(-1000.0), np.ones(2))] * 2)
 
 
 def test_reduces_to_plain_delta_averaging_when_fresh():
     rng = np.random.default_rng(0)
     w = rng.standard_normal(5)
     deltas = [rng.standard_normal(5) for _ in range(4)]
-    admitted = [(0.25, 0, d) for d in deltas]
-    out = aggregate(w, admitted, StalenessDecay("harmonic", 0.5))
+    admitted = [(0.25 * staleness("harmonic", {"beta": 0.5})(0), d) for d in deltas]
+    out = aggregate(w, admitted)
     assert np.allclose(out, w + sum(0.25 * d for d in deltas), rtol=1e-12)
 
 
@@ -226,9 +250,9 @@ def test_reduces_to_plain_delta_averaging_when_fresh():
                 min_size=1, max_size=8))
 @settings(max_examples=200)
 def test_coefficients_normalize_to_one(entries):
-    decay = StalenessDecay("harmonic", 0.5)
-    s = sum(p * staleness_weight(decay, tau) for p, tau in entries)
-    coefs = [p * staleness_weight(decay, tau) / s for p, tau in entries]
+    phi = staleness("harmonic", {"beta": 0.5})
+    s = sum(p * phi(tau) for p, tau in entries)
+    coefs = [p * phi(tau) / s for p, tau in entries]
     assert sum(coefs) == pytest.approx(1.0, abs=len(entries) * np.spacing(1.0))
     assert all(c >= 0 for c in coefs)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedqueue.config import FedQueueConfig
-from fedqueue.queue_sim import compute_time, lognormal_delay, sample_queue_delay
+from fedqueue.queue_sim import compute_time, effective_rate, sample_queue_delay
 from fedqueue.streams import substream
 
 
@@ -30,10 +30,18 @@ def test_lognormal_zero_noise_collapses_to_the_mean_parameter():
         assert sample_queue_delay(model, 2, substream(1, "q", 2)) == pytest.approx(3.5)
 
 
+class UnitNormal:
+    """A stand-in substream whose every standard normal draw is 1."""
+
+    def standard_normal(self):
+        return 1.0
+
+
 def test_lognormal_kernel_at_unit_z():
     # exp(ln 1.5 + 0.4) evaluated with 30-digit arithmetic
-    assert lognormal_delay(1.5, 0.4, 1.0) == pytest.approx(2.2377370464619055, rel=1e-12)
-    assert lognormal_delay(1.5, 0.4, 1.0) == pytest.approx(1.5 * math.exp(0.4))
+    q = sample_queue_delay(lognormal_model(), 0, UnitNormal())
+    assert q == pytest.approx(2.2377370464619055, rel=1e-12)
+    assert q == pytest.approx(1.5 * math.exp(0.4))
 
 
 def test_arithmetic_mean_mode_matches_target_mean():
@@ -96,3 +104,8 @@ def test_compute_time_zero_steps():
 def test_compute_time_slowdown_multiplier():
     assert compute_time(profile(), 1, 60) == pytest.approx(12.0)
 
+
+
+def test_effective_rate_is_throughput_over_slowdown():
+    assert effective_rate(profile(), 0) == 10.0
+    assert effective_rate(profile(), 1) == 5.0
