@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics
 from .config import (ConfigError, default_config, load_config, save_config,
                      resolve_axis)
-from .engine import run_experiment, run_many, run_sweep
+from .engine import _one_blas_thread, run_experiment, run_many, run_sweep
 from .streams import spawn_seed
 
 OUTPUT_FILES = ("summary.json", "rounds.csv", "events.jsonl")
@@ -347,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the command owns its process: its runs, in process or in pool
+    # workers, use one OpenBLAS thread each (see engine._one_blas_thread)
+    _one_blas_thread()
     try:
         return args.func(args)
     except ConfigError as exc:

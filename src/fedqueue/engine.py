@@ -33,6 +33,7 @@ stalls or ends early.
 from __future__ import annotations
 
 import ctypes
+import functools
 import heapq
 import math
 import os
@@ -141,7 +142,8 @@ class Simulation:
         arrival = self.now + q + queue_sim.compute_time(fq, k, steps)
         msg = protocol.ClientUpdate(
             client=k, submit_round=submit_round, delta=None, q=q,
-            arrival=arrival, steps_done=steps, q_hat=q_hat, submit_time=self.now)
+            arrival=arrival, steps_done=steps, eta=eta, q_hat=q_hat,
+            submit_time=self.now)
         # the orchestrator may rebind its model before the job runs
         lane = (self.objective, self.cfg.protocol.batch_size, k, w.copy(), eta,
                 steps, rng)
@@ -150,11 +152,7 @@ class Simulation:
         self.schedule(self.now + q, RANK_JOB_START, k, msg)
         self.schedule(arrival, RANK_ARRIVAL, k, msg)
         self.log.total_local_steps += steps
-        # the drawn delay rides along: fedqueue's round rows show it for
-        # jobs still in flight at the horizon
-        self.log.event(self.now, "dispatch", data=q, client=k,
-                       round=submit_round, steps=step_budget, eta=eta,
-                       q_hat=q_hat)
+        self.log.event(self.now, "dispatch", msg)
 
     def _run_queued_jobs(self):
         """Pause point: yield the lanes of every queued job, to be run in
@@ -162,7 +160,8 @@ class Simulation:
         `protocol.client_local_update` returns them for these lanes; attach
         each update to its message.  The first diverging job in queue
         order fails the run as if it had run at its dispatch: the log is cut
-        back to the job's mark, its final model is its start model, and a
+        back to the job's mark, where a job applied after the mark shows as
+        in flight, its final model is the job's start model, and a
         FloatingPointError naming its client is raised."""
         if not self._queued:
             return
@@ -170,6 +169,10 @@ class Simulation:
         deltas, diverged = yield [lane for _, lane, _ in queued]
         if diverged:
             _, (_, _, k, w, *_), (events, steps) = queued[diverged[0]]
+            for e in self.log.events[events:]:
+                if e.kind == "aggregate":
+                    for m in e.data:
+                        m.agg_round = m.tau = None
             del self.log.events[events:]
             self.log.total_local_steps, self.log.final_model = steps, w
             self.fail(f"non-finite iterate on client {k}")
@@ -189,16 +192,17 @@ class Simulation:
             loss, acc = self.objective.evaluate(w)
         self.log.event(self.now, "eval", loss=loss, accuracy=acc)
 
-    def aggregated(self, w: np.ndarray, round: int, updates, taus) -> None:
+    def aggregated(self, w: np.ndarray, round: int, updates: list, taus) -> None:
         """A new global model `w`: count the version, evaluate it, and log
-        the aggregate with the updates it applied, each now the record of
-        its arrival: its round and staleness set, its delta dropped."""
+        the aggregate with the list of updates it applied; the log keeps
+        that list itself, so the caller must not change it afterwards.
+        Each update is now the record of its arrival: its round and
+        staleness set, its delta dropped."""
         self.version += 1
         self.evaluate(w)
         for m, tau in zip(updates, taus):
             m.agg_round, m.tau, m.delta = round, tau, None
-        self.log.event(self.now, "aggregate", data=list(updates), round=round,
-                       clients=[m.client for m in updates], taus=list(taus))
+        self.log.event(self.now, "aggregate", updates)
 
     # ---- main loop -------------------------------------------------------
     def run(self, orchestrator) -> None:
@@ -216,16 +220,23 @@ class Simulation:
         fails (`fail`) ends after that event.  Jobs still queued when the
         loop ends, also by an exception, run before it returns.  A
         diverging job, also one dispatched just before the horizon, ends
-        the run there, failed, and the orchestrator does not finish."""
+        the run there, failed, and the orchestrator does not finish.  The
+        run ends with no delta left in its log."""
         try:
             try:
                 orchestrator.start()
                 yield from self._process_events(orchestrator)
             finally:
                 yield from self._run_queued_jobs()
+            orchestrator.finish()
         except FloatingPointError:
-            return
-        orchestrator.finish()
+            pass
+        # a job that ran but was never applied (in flight at the horizon,
+        # buffered past the last cutoff, or before a diverging job) would
+        # keep its delta reachable through its dispatch event
+        for e in self.log.events:
+            if e.kind == "dispatch":
+                e.data.delta = None
 
     def _process_events(self, orchestrator):
         stall_limit = _STALL_EVENTS_PER_CLIENT_ROUND * self.num_clients
@@ -245,15 +256,12 @@ class Simulation:
                 break
             self.now = time
             if rank == RANK_JOB_START:
-                self.log.event(time, "job_start", client=key)
+                log.event(time, "job_start", payload)
             elif rank == RANK_ARRIVAL:
-                msg = payload
-                self.log.event(time, "arrival", client=msg.client,
-                               round=msg.submit_round, q=msg.q,
-                               steps=msg.steps_done)
-                if msg.delta is None:
+                log.event(time, "arrival", payload)
+                if payload.delta is None:
                     yield from self._run_queued_jobs()
-                orchestrator.on_arrival(msg)
+                orchestrator.on_arrival(payload)
             else:
                 orchestrator.on_round_boundary(payload)
 
@@ -447,9 +455,11 @@ def _run_group(cfgs) -> list[metrics.MetricsLog]:
     return logs
 
 
+@functools.cache
 def _openblas_threads():
     """(set, get) of the thread count of the OpenBLAS this process loaded,
-    or None when it loaded none.
+    or None when it loaded none; looked up once per process, and a forked
+    worker inherits the lookup.
 
     The library is found among the process's mapped files, as threadpoolctl
     does.  numpy's wheels bundle scipy-openblas, whose symbols carry a
@@ -479,10 +489,12 @@ def _openblas_threads():
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: cap this worker's OpenBLAS at one thread.  The
-    workers already fill the cores, and by default each worker's OpenBLAS
-    starts a thread per core, which oversubscribes them; one run's matrices
-    are too small for BLAS threads to pay."""
+    """Cap this process's OpenBLAS at one thread: one run's matrices are
+    too small for BLAS threads to pay.  The pool initializer of `run_many`
+    calls it, since the workers already fill the cores and by default each
+    worker's OpenBLAS starts a thread per core, which oversubscribes them;
+    so does `cli.main`, which owns its process.  A library call leaves the
+    caller's threads as they are."""
     control = _openblas_threads()
     if control is not None:
         control[0](1)

@@ -4,8 +4,10 @@ A MetricsLog records one experiment as one stream of events; its round
 rows, arrival records, dispatches and evaluations are views of that stream,
 and every reported quantity (staleness distribution, admission statistics,
 normalized delays, time-to-quality, prediction-error statistics) is a pure
-function over the finished log.  An event keeps its values as one tuple in
-the order its kind declares in EVENT_FIELDS, and `write_outputs` streams the
+function over the finished log.  A job is one record in it: its dispatch,
+job_start and arrival events hold its ClientUpdate, an aggregate holds the
+list of updates it applied, and each event reads the values its kind
+declares in EVENT_FIELDS from what it holds.  `write_outputs` streams the
 output files a chunk of records at a time, so a run's memory is about its
 log.  The bound checks live here too: the closed form for the required
 safety buffer and its Monte Carlo verification.
@@ -40,8 +42,8 @@ TARGETS = (0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)
 
 
 # The field names of each event kind, in the order events.jsonl writes them
-# after "t" and "kind".  `MetricsLog.event` takes exactly these names, and an
-# Event stores its values in this order.
+# after "t" and "kind".  `MetricsLog.event` takes exactly these names for
+# the kinds that hold their values, not a record.
 EVENT_FIELDS = {
     "warmup_probe": ("client", "q"),
     "eval": ("loss", "accuracy"),
@@ -52,6 +54,28 @@ EVENT_FIELDS = {
     "skipped_round": ("round",),
 }
 
+# the kinds whose event holds a job's ClientUpdate
+_JOB_KINDS = ("dispatch", "job_start", "arrival")
+
+
+def _own(values: tuple) -> tuple:
+    return values
+
+
+# The getter of each kind's values from what its event holds: a job's
+# ClientUpdate, an aggregate's applied updates (all of its round), or the
+# values themselves.
+_VALUES = {
+    "warmup_probe": _own,
+    "eval": _own,
+    "dispatch": attrgetter("client", "submit_round", "steps_done", "eta", "q_hat"),
+    "job_start": lambda m: (m.client,),
+    "arrival": attrgetter("client", "submit_round", "q", "steps_done"),
+    "aggregate": lambda applied: (applied[0].agg_round, [m.client for m in applied],
+                                  [m.tau for m in applied]),
+    "skipped_round": _own,
+}
+
 # JSON values per encoder call: enough to spread the call's own cost, few
 # enough that the encoder's pieces stay small next to the log
 CHUNK_VALUES = 512
@@ -59,14 +83,18 @@ CHUNK_VALUES = 512
 
 @dataclass(slots=True)
 class Event:
-    """One entry of a run's record: `values` are what events.jsonl writes
-    after the time and kind, in the order of EVENT_FIELDS[kind]; `data` is
-    what the derived tables need beyond them (a dispatch's drawn delay, an
-    aggregate's applied ClientUpdates)."""
+    """One entry of a run's record.  `data` is what it holds: a dispatch's,
+    job start's or arrival's ClientUpdate, the list of ClientUpdates an
+    aggregate applied, or, for the other kinds, the values themselves."""
     t: float                       # virtual time, unrounded
     kind: str
-    values: tuple
-    data: object = None
+    data: object
+
+    @property
+    def values(self) -> tuple:
+        """What events.jsonl writes after the time and kind, in the order
+        of EVENT_FIELDS[kind], read from `data`."""
+        return _VALUES[self.kind](self.data)
 
     @property
     def fields(self) -> MappingProxyType:
@@ -187,14 +215,31 @@ class MetricsLog:
     final_model: object = None   # ending global parameter vector
 
     def event(self, t: float, kind: str, data=None, **values) -> None:
-        """Record an event; `values` are its kind's EVENT_FIELDS, in order."""
-        if EVENT_FIELDS.get(kind) != tuple(values):
+        """Record an event: `data` is the job's ClientUpdate for a dispatch,
+        job_start or arrival, and for an aggregate the non-empty list of the
+        updates it applied, all of one round; for the other kinds `values`
+        are the kind's EVENT_FIELDS, in order."""
+        if kind in _JOB_KINDS:
+            if values or type(data) is not protocol.ClientUpdate:
+                raise ValueError(f"event {kind!r} holds a ClientUpdate and no "
+                                 f"fields; got {type(data).__name__} and "
+                                 f"{tuple(values)}")
+        elif kind == "aggregate":
+            rounds = {m.agg_round if type(m) is protocol.ClientUpdate else None
+                      for m in data} if type(data) is list else set()
+            if values or len(rounds) != 1 or None in rounds:
+                raise ValueError("event 'aggregate' holds a non-empty list of "
+                                 "ClientUpdates applied in one round, and no "
+                                 "fields")
+        elif data is None and EVENT_FIELDS.get(kind) == tuple(values):
+            data = tuple(values.values())
+        else:
             raise ValueError(f"event {kind!r} with fields {tuple(values)}; "
                              f"declared: {EVENT_FIELDS.get(kind)}")
-        self.events.append(Event(t, kind, tuple(values.values()), data))
+        self.events.append(Event(t, kind, data))
 
     def _evals(self):
-        return ((e.t, *e.values) for e in self.events if e.kind == "eval")
+        return ((e.t, *e.data) for e in self.events if e.kind == "eval")
 
     @property
     def evals(self) -> list:
@@ -232,20 +277,24 @@ class MetricsLog:
         for e in self.events:
             kind = e.kind
             if kind == "eval":
-                loss, accuracy = e.values
+                loss, accuracy = e.data
             elif kind == "dispatch":
                 if by_submit:
-                    k, r, steps, eta, q_hat = e.values
+                    m = e.data
                     # (q, q_hat, steps_budget, eta, steps_done)
-                    cols.setdefault(r, {})[k] = (e.data, q_hat, steps, eta, steps)
+                    cols.setdefault(m.submit_round, {})[m.client] = (
+                        m.q, m.q_hat, m.steps_done, m.eta, m.steps_done)
             elif kind == "aggregate" or kind == "skipped_round":
-                r = e.values[0]
-                taus = e.values[2] if kind == "aggregate" else ()
+                if kind == "aggregate":
+                    applied = e.data
+                    r, taus = applied[0].agg_round, [a.tau for a in applied]
+                else:
+                    (r,), applied, taus = e.data, (), ()
                 if by_submit:
                     mine, deferred = cols.pop(r, {}), stale[r]
                 else:
                     mine = {a.client: (a.q, nan, nan, nan, a.steps_done)
-                            for a in e.data}
+                            for a in applied}
                     deferred = sum(1 for tau in taus if tau >= 1)
                 yield (r, e.t, loss, accuracy, len(taus), deferred,
                        sum(taus) / len(taus) if taus else 0.0,
@@ -289,20 +338,33 @@ class MetricsLog:
         return h.hexdigest()
 
     def summary(self) -> dict:
-        arrivals, evals = self.arrivals, self.evals
+        arrivals = self.arrivals
         p_late, e_hat_d, r_d = delay_statistics(self, arrivals)
         taus = [a.tau for a in arrivals]
-        dispatches = len(self.dispatches)
-        accs = [a for _, _, a in evals if a is not None]
+        dispatches = sum(1 for e in self.events if e.kind == "dispatch")
+        # one pass over the evaluations; TARGETS ascend, so those reached
+        # are a prefix of them
+        max_acc = final_acc = final_loss = None
+        reached = []
+        for t, loss, acc in self._evals():
+            final_loss = loss
+            if acc is None:
+                continue
+            if max_acc is None or acc > max_acc:      # as max() picks
+                max_acc = acc
+            final_acc = acc
+            while len(reached) < len(TARGETS) and acc >= TARGETS[len(reached)]:
+                reached.append(t)
+        reached += [None] * (len(TARGETS) - len(reached))
         return {
             "algo": self.algo,
             "seed": self.seed,
             "failed": self.failed,
             "failure_reason": self.failure_reason,
-            "max_accuracy": max(accs) if accs else None,
-            "final_accuracy": accs[-1] if accs else None,
-            "final_loss": evals[-1][1] if evals else None,
-            "time_to_target": {str(t): time_to_target(evals, t) for t in TARGETS},
+            "max_accuracy": max_acc,
+            "final_accuracy": final_acc,
+            "final_loss": final_loss,
+            "time_to_target": {str(t): at for t, at in zip(TARGETS, reached)},
             "dispatches": dispatches,
             "transfers": 2 * dispatches,
             "total_local_steps": self.total_local_steps,
@@ -561,9 +623,9 @@ _LINE_WIDTH = 1 + max(map(len, EVENT_FIELDS.values()))    # values per line, lis
 
 
 @cache
-def _aggregate_line(clients: int, taus: int) -> str:
-    return _event_line("aggregate", {"round": "%s", "clients": _list(clients),
-                                     "taus": _list(taus)})
+def _aggregate_line(applied: int) -> str:
+    return _event_line("aggregate", {"round": "%s", "clients": _list(applied),
+                                     "taus": _list(applied)})
 
 
 def _event_lines(chunk) -> str:
@@ -571,13 +633,15 @@ def _event_lines(chunk) -> str:
     templates, values = [], []
     for e in chunk:
         values.append(round(float(e.t), 9))
-        if e.kind == "aggregate":
-            r, clients, taus = e.values
-            templates.append(_aggregate_line(len(clients), len(taus)))
+        kind = e.kind
+        held = _VALUES[kind](e.data)          # e.values, without the call
+        if kind == "aggregate":
+            r, clients, taus = held
+            templates.append(_aggregate_line(len(clients)))
             values += (r, *clients, *taus)
         else:
-            templates.append(_EVENT_LINES[e.kind])
-            values += e.values
+            templates.append(_EVENT_LINES[kind])
+            values += held
     return "".join(templates) % _tokens(values)
 
 

@@ -64,10 +64,11 @@ def staleness(fn: str, params: dict):
 
 @dataclass(slots=True)
 class ClientUpdate:
-    """One job, from its dispatch to its aggregation, and once applied the
-    log's record of its arrival.  The engine fills in `delta` when the
-    update is first needed and clears it once the update is applied, when
-    it sets `agg_round` and `tau`."""
+    """One job, from its dispatch to its aggregation, and the log's one
+    record of it: its dispatch, job_start and arrival events hold it, and
+    once applied its aggregate does too.  The engine fills in `delta` when
+    the update is first needed and clears it once the update is applied,
+    when it sets `agg_round` and `tau`, or when the run ends."""
 
     client: int
     submit_round: int
@@ -75,6 +76,7 @@ class ClientUpdate:
     q: float                    # the drawn admission delay
     arrival: float              # absolute seconds on the server clock
     steps_done: int
+    eta: float = float("nan")    # the job's learning rate
     q_hat: float = float("nan")  # prediction the dispatch was budgeted with
     submit_time: float = float("nan")
     agg_round: int | None = None

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import multiprocessing
 import os
 import pkgutil
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import fedqueue
-from fedqueue import engine, learn, metrics, protocol, queue_sim
+from fedqueue import cli, engine, learn, metrics, protocol, queue_sim
 from fedqueue.config import default_config, ConfigError
 from fedqueue.engine import InvariantError, run_experiment, run_many, run_sweep
 from fedqueue.streams import spawn_seed
@@ -403,25 +404,26 @@ def test_deferred_jobs_run_stacked_when_first_needed(monkeypatch):
     assert len(stacks) < len(log.dispatches)
 
 
-# time-valued entries of an event: its fields by kind, its dispatch delay,
-# and the fields of an aggregate's applied updates (their compute_seconds
-# follows from these)
-_TIME_FIELDS = {"dispatch": ("q_hat",), "arrival": ("q",), "warmup_probe": ("q",)}
+# time-valued fields of a job's record (its compute_seconds follows from
+# these); a warmup probe's delay is the other time an event holds
 _RECORD_TIMES = ("submit_time", "q", "q_hat", "arrival")
+
+
+def _times_scaled(rec, scale):
+    return dataclasses.replace(rec, **{f: getattr(rec, f) * scale for f in _RECORD_TIMES})
 
 
 def _with_times_scaled(event, scale):
     """repr of an event with every time in it multiplied by `scale`."""
-    fields = {key: value * scale if key in _TIME_FIELDS.get(event.kind, ()) else value
-              for key, value in event.fields.items()}
     data = event.data
-    if event.kind == "dispatch":
-        data = data * scale
+    if event.kind in ("dispatch", "job_start", "arrival"):
+        data = _times_scaled(data, scale)
     elif event.kind == "aggregate":
-        data = [dataclasses.replace(rec, **{f: getattr(rec, f) * scale
-                                            for f in _RECORD_TIMES})
-                for rec in data]
-    return repr((event.t * scale, event.kind, fields, data))
+        data = [_times_scaled(rec, scale) for rec in data]
+    elif event.kind == "warmup_probe":
+        k, q = data
+        data = (k, q * scale)
+    return repr((event.t * scale, event.kind, data))
 
 
 @pytest.mark.parametrize("algo", ["fedqueue", "fedavg", "fedasync", "fedbuff",
@@ -444,6 +446,90 @@ def test_power_of_two_time_scaling_leaves_the_run_unchanged(algo):
         [_with_times_scaled(e, 1.0) for e in log.events]
     assert twice.total_local_steps == log.total_local_steps
     assert twice.final_model.tobytes() == log.final_model.tobytes()
+
+
+# a job's events in the order the log records them
+_JOB_EVENTS = ("dispatch", "job_start", "arrival", "aggregate")
+
+
+def _buffered_past_the_last_cutoff():
+    """A fedqueue run whose last job of client 0 arrives 5e-10 s after the
+    last cutoff, within the clock's tolerance of the horizon: it arrives
+    and buffers, and no cutoff is left to admit it."""
+    cfg = quick_config(protocol__num_rounds=3, fedqueue__sim_queue="fixed",
+                       fedqueue__queue_fixed=(9.0000000005, 0.5, 1.5, 2.4),
+                       fedqueue__throughput=(1.0, 10.0, 10.0, 10.0))
+    return cfg, lambda log: any(
+        e.data.agg_round is None and e.data.arrival > log.horizon
+        for e in log.events if e.kind == "arrival")
+
+
+def _in_flight_at_the_horizon(log):
+    return any(e.data.arrival > log.horizon for e in log.dispatches)
+
+
+def _admitted_late(log):
+    return any(a.tau >= 1 for a in log.arrivals)
+
+
+def _diverged(log):
+    return log.failure_reason.startswith("non-finite")
+
+
+def _one_record_cases():
+    """Params (config, what its run must show), one per case."""
+    # fedqueue dispatches with next_round broadcast only at a boundary,
+    # so that its jobs arrive before the horizon
+    cases = [pytest.param(quick_config(protocol__algo=algo,
+                                       fedqueue__broadcast_when=broadcast),
+                          _admitted_late if (algo, broadcast) == ("fedqueue", "next_round")
+                          else _in_flight_at_the_horizon, id=f"{algo}-{broadcast}")
+             for algo in ("fedqueue", "fedavg", "fedasync", "fedbuff", "fedcompass")
+             for broadcast in ("next_round", "immediate")]
+    cases.append(pytest.param(*_buffered_past_the_last_cutoff(),
+                              id="fedqueue-buffered-past-the-last-cutoff"))
+    for algo in ("fedqueue", "fedasync"):
+        cases.append(pytest.param(
+            quick_config(protocol__algo=algo, workload__dataset="quadratic",
+                         fedqueue__broadcast_when="immediate", fedqueue__lr_base=3.0),
+            _diverged, id=f"{algo}-diverged"))
+    return cases
+
+
+def _held(root) -> list:
+    """Every object reachable from `root`, classes aside."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            if not isinstance(obj, np.ndarray):
+                stack += [r for r in gc.get_referents(obj) if not isinstance(r, type)]
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("cfg, shows", _one_record_cases())
+def test_a_job_is_one_record_and_a_finished_log_holds_no_delta(cfg, shows):
+    log = run_experiment(cfg)
+    assert shows(log)
+    kinds = {}          # id of a record -> the kinds of the events holding it
+    for e in log.events:
+        if e.kind == "aggregate":
+            for rec in e.data:
+                kinds.setdefault(id(rec), []).append(e.kind)
+        elif e.kind in _JOB_EVENTS:
+            kinds.setdefault(id(e.data), []).append(e.kind)
+    records = {id(e.data): e.data for e in log.dispatches}
+    assert kinds.keys() == records.keys()
+    for key, rec in records.items():
+        # each job's events hold its one record, the aggregate too once
+        # it is applied, which sets its round
+        held = kinds[key]
+        assert held == list(_JOB_EVENTS[:len(held)])
+        assert (held[-1] == "aggregate") == (rec.agg_round is not None)
+    reachable = _held(log.events)
+    assert sum(type(o) is protocol.ClientUpdate for o in reachable) == len(records)
+    assert not [o for o in reachable if isinstance(o, np.ndarray)]
 
 
 def _spy_on_aggregations(monkeypatch):
@@ -658,6 +744,27 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert control[1]() == parent     # the caller's own threads are left alone
 
 
+def test_the_cli_runs_one_blas_thread_and_library_calls_keep_the_callers(tmp_path):
+    control = engine._openblas_threads()
+    if control is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert engine._openblas_threads() is control        # looked up once
+    set_threads, get_threads = control
+    before = get_threads()
+    try:
+        set_threads(2)
+        if get_threads() != 2:
+            pytest.skip("OpenBLAS runs at most one thread here")
+        cfg = quick_config(protocol__num_rounds=2)
+        run_experiment(cfg)
+        run_many([cfg, cfg], 1)
+        assert get_threads() == 2
+        assert cli.main(["run", "--out", str(tmp_path / "run")]) == 0
+        assert get_threads() == 1
+    finally:
+        set_threads(before)
+
+
 def test_sweep_values_independent_of_order():
     cfg = quick_config(protocol__num_rounds=5)
     fwd = run_sweep(cfg, [("delta", [1.0, 4.0])], trials=1)
@@ -693,7 +800,7 @@ def test_algorithms_in_a_grid_meet_the_same_queue_draws():
         """client -> the drawn q of its dispatches, in submission order"""
         q = {}
         for e in log.dispatches:
-            q.setdefault(e.fields["client"], []).append(e.data)
+            q.setdefault(e.data.client, []).append(e.data.q)
         return q
 
     for rho in (0.1, 0.9):

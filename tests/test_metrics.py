@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import pickle
@@ -51,10 +52,10 @@ def add_evals(log, evals):
 
 
 def add_arrivals(log, arrivals):
-    # one aggregate applying them all; only the arrival records matter here
-    log.event(0.0, "aggregate", data=arrivals, round=0,
-              clients=[a.client for a in arrivals],
-              taus=[a.tau for a in arrivals])
+    # one aggregate per run of arrivals applied in one round; only the
+    # arrival records matter here
+    for _, applied in itertools.groupby(arrivals, key=lambda a: a.agg_round):
+        log.event(0.0, "aggregate", list(applied))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +354,10 @@ def test_log_rebuilt_from_its_events_alone(tmp_path, algo, broadcast_when,
 
 def test_event_takes_exactly_its_declared_names():
     log = empty_log()
-    log.event(1.0, "dispatch", data=0.5, client=0, round=0, steps=3, eta=0.1,
-              q_hat=0.2)
+    job = protocol.ClientUpdate(client=0, submit_round=0, delta=None, q=0.5,
+                                arrival=2.0, steps_done=3, eta=0.1, q_hat=0.2,
+                                submit_time=1.0)
+    log.event(1.0, "dispatch", job)
     assert dict(log.events[0].fields) == dict(client=0, round=0, steps=3,
                                               eta=0.1, q_hat=0.2)
     with pytest.raises(TypeError):
@@ -365,7 +368,22 @@ def test_event_takes_exactly_its_declared_names():
                   {"q": 1.0, "client": 0}, {"client": 0, "qq": 1.0}):
         with pytest.raises(ValueError, match="warmup_probe"):
             log.event(0.0, "warmup_probe", **names)
-    assert len(log.events) == 1
+    # a job's events hold its record and no fields
+    for kind in ("dispatch", "job_start", "arrival"):
+        for data, names in ((None, {"client": 0}), (job, {"client": 0}),
+                            (dataclasses.astuple(job), {}), ([job], {})):
+            with pytest.raises(ValueError, match=kind):
+                log.event(1.0, kind, data, **names)
+    # an aggregate holds the records it applied, at least one, all of one round
+    applied = dataclasses.replace(job, agg_round=1, tau=1)
+    for data, names in (([], {}), ([job], {}), (job, {}), ((applied,), {}),
+                        ([applied, dataclasses.replace(applied, agg_round=2)], {}),
+                        ([applied, 0.5], {}), ([applied], {"round": 1})):
+        with pytest.raises(ValueError, match="aggregate"):
+            log.event(3.0, "aggregate", data, **names)
+    log.event(3.0, "aggregate", [applied])
+    assert dict(log.events[1].fields) == dict(round=1, clients=[0], taus=[1])
+    assert len(log.events) == 2
 
 
 def test_log_survives_pickle_unchanged(tmp_path):
@@ -485,8 +503,7 @@ any_float = finite | st.sampled_from((math.nan, math.inf, -math.inf)) | st.float
 @st.composite
 def edge_logs(draw):
     """A hand-built log of up to 12 events with edge values: non-finite or
-    None eta and q_hat, non-finite losses, None accuracies and aggregates
-    of no updates."""
+    None eta and q_hat, non-finite losses and None accuracies."""
     k = draw(st.integers(1, 3))
     log = empty_log(algo=draw(st.sampled_from(["fedqueue", "fedasync"])), num_clients=k)
     kinds = sorted(EVENT_FIELDS)
@@ -494,41 +511,47 @@ def edge_logs(draw):
         kinds.remove("skipped_round")          # only fedqueue skips rounds
     values = {"client": st.integers(0, k - 1), "round": st.integers(0, 1),
               "steps": st.integers(0, 8), "q": finite}
-    updates = st.builds(protocol.ClientUpdate, client=values["client"],
-                        submit_round=values["round"], delta=st.none(),
-                        submit_time=finite, q=finite,
-                        q_hat=finite | st.just(math.nan), arrival=finite,
-                        agg_round=values["round"], tau=st.integers(0, 3),
-                        steps_done=values["steps"])
+
+    def jobs(q_hat, **applied):
+        """Job records; an applied one's reported statistics need a finite
+        or NaN q_hat."""
+        return st.builds(protocol.ClientUpdate, client=values["client"],
+                         submit_round=values["round"], delta=st.none(),
+                         submit_time=finite, q=finite, q_hat=q_hat, arrival=finite,
+                         steps_done=values["steps"], eta=any_float | st.none(),
+                         **applied)
+
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(kinds))
         t = draw(st.sampled_from(EDGE_FLOATS) | st.floats(0, 1e6))
         if kind == "eval":
             accuracy = st.none() | st.sampled_from(EDGE_FLOATS) | st.floats(0, 1)
             log.event(t, kind, loss=draw(any_float), accuracy=draw(accuracy))
-        elif kind == "dispatch":
-            log.event(t, kind, data=draw(finite), client=draw(values["client"]),
-                      round=draw(values["round"]), steps=draw(values["steps"]),
-                      eta=draw(any_float | st.none()), q_hat=draw(any_float | st.none()))
+        elif kind in ("dispatch", "job_start", "arrival"):
+            log.event(t, kind, draw(jobs(any_float | st.none())))
         elif kind == "aggregate":
-            applied = draw(st.lists(updates, max_size=3))
-            log.event(t, kind, data=applied, round=draw(values["round"]),
-                      clients=[a.client for a in applied], taus=[a.tau for a in applied])
+            applied = jobs(finite | st.just(math.nan), tau=st.integers(0, 3),
+                           agg_round=st.just(draw(values["round"])))
+            log.event(t, kind, draw(st.lists(applied, min_size=1, max_size=3)))
         else:
             log.event(t, kind, **{name: draw(values[name]) for name in EVENT_FIELDS[kind]})
     return log
 
 
 def _nonfinite_round():
-    # K = 1: a round row with infinite and None per-client cells, no
-    # accuracy, closed by an aggregate of no updates
+    # K = 1: a round row with infinite and None per-client cells and no
+    # accuracy, closed by an aggregate of its first job
     log = empty_log(num_clients=1)
-    log.event(1.0, "dispatch", data=-0.0, client=0, round=0, steps=1,
-              eta=math.inf, q_hat=-math.inf)
-    log.event(2.0, "dispatch", data=5e-324, client=0, round=1, steps=1,
-              eta=None, q_hat=math.nan)
+    first = protocol.ClientUpdate(client=0, submit_round=0, delta=None, q=-0.0,
+                                  arrival=4.0, steps_done=1, eta=math.inf,
+                                  q_hat=-math.inf, submit_time=1.0)
+    log.event(1.0, "dispatch", first)
+    log.event(2.0, "dispatch", protocol.ClientUpdate(
+        client=0, submit_round=1, delta=None, q=5e-324, arrival=12.0,
+        steps_done=1, eta=None, q_hat=math.nan, submit_time=2.0))
     log.event(3.0, "eval", loss=math.inf, accuracy=None)
-    log.event(5.0, "aggregate", data=[], round=0, clients=[], taus=[])
+    first.agg_round, first.tau = 0, 0
+    log.event(5.0, "aggregate", [first])
     log.event(6.0, "skipped_round", round=1)
     return log
 
