@@ -215,13 +215,13 @@ class Simulation:
         still queued: it yields their lanes and takes back (deltas,
         diverged) through `send`.
 
-        It processes events up to the horizon; a run whose clock stops or
-        crawls is marked failed as stalled, and a run the orchestrator
-        fails (`fail`) ends after that event.  Jobs still queued when the
-        loop ends, also by an exception, run before it returns.  A
-        diverging job, also one dispatched just before the horizon, ends
-        the run there, failed, and the orchestrator does not finish.  The
-        run ends with no delta left in its log."""
+        It processes the events at or before the horizon; a run whose clock
+        stops or crawls is marked failed as stalled, and a run the
+        orchestrator fails (`fail`) ends after that event.  Jobs still
+        queued when the loop ends, also by an exception, run before it
+        returns.  A diverging job, also one dispatched just before the
+        horizon, ends the run there, failed, and the orchestrator does not
+        finish.  The run ends with no delta left in its log."""
         try:
             try:
                 orchestrator.start()
@@ -232,8 +232,8 @@ class Simulation:
         except FloatingPointError:
             pass
         # a job that ran but was never applied (in flight at the horizon,
-        # buffered past the last cutoff, or before a diverging job) would
-        # keep its delta reachable through its dispatch event
+        # or before a diverging job) would keep its delta reachable
+        # through its dispatch event
         for e in self.log.events:
             if e.kind == "dispatch":
                 e.data.delta = None
@@ -244,7 +244,7 @@ class Simulation:
         log = self.log
         while self._heap and not log.failed:
             time, rank, key, _, payload = heapq.heappop(self._heap)
-            if time > self.horizon + _TIME_EPS:
+            if time > self.horizon:
                 break
             if time // t_sync != window:
                 window, count = time // t_sync, 0

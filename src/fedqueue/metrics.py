@@ -1,8 +1,8 @@
 """Run logs, reported metrics, and numerical checks of the staleness bound.
 
-A MetricsLog records one experiment as one stream of events; its round
-rows, arrival records, dispatches and evaluations are views of that stream,
-and every reported quantity (staleness distribution, admission statistics,
+A MetricsLog records one experiment as one stream of events; its arrival
+records, evaluations and skipped rounds are views of that stream, and
+every reported quantity (staleness distribution, admission statistics,
 normalized delays, time-to-quality, prediction-error statistics) is a pure
 function over the finished log.  A job is one record in it: its dispatch,
 job_start and arrival events hold its ClientUpdate, an aggregate holds the
@@ -18,11 +18,10 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, islice
 from operator import attrgetter, itemgetter
-from types import MappingProxyType
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from . import protocol
 from .streams import substream
 
 __all__ = [
-    "EVENT_FIELDS", "Event", "RoundRecord", "MetricsLog",
+    "EVENT_FIELDS", "Event", "MetricsLog",
     "StalenessBoundParams", "time_to_target", "delay_statistics",
     "admission_summary", "delta_threshold",
     "budget_collapse_rho", "staleness_bound_violation_rate", "prediction_error_stats",
@@ -96,28 +95,6 @@ class Event:
         of EVENT_FIELDS[kind], read from `data`."""
         return _VALUES[self.kind](self.data)
 
-    @property
-    def fields(self) -> MappingProxyType:
-        """The values by field name, read-only."""
-        return MappingProxyType(dict(zip(EVENT_FIELDS[self.kind], self.values)))
-
-
-@dataclass
-class RoundRecord:
-    round: int
-    time: float
-    loss: float
-    accuracy: float | None
-    admitted: int                  # updates aggregated this round
-    deferred: int                  # see MetricsLog.rounds
-    mean_tau: float
-    max_tau: int
-    q: list                        # per-client observed delay (nan if no dispatch)
-    q_hat: list                    # per-client prediction used at dispatch
-    steps_budget: list             # per-client E
-    eta: list
-    steps_done: list
-
 
 # The writer prints each number once: a chunk of records is flattened into
 # one list of plain scalars, printed by one encoder call, and the resulting
@@ -171,7 +148,10 @@ _ARRIVAL_KEYS = ("agg_round", "arrival", "client", "compute_seconds", "q",
                  "q_hat", "steps_done", "submit_round", "submit_time", "tau")
 _arrival_sorted = attrgetter(*_ARRIVAL_KEYS)
 _ARRIVAL_RECORD = _object((key, "%s") for key in _ARRIVAL_KEYS)
-_ROUND_FIELDS = tuple(f.name for f in fields(RoundRecord))
+# the fields of a round row (see MetricsLog._round_rows), in order
+_ROUND_FIELDS = ("round", "time", "loss", "accuracy", "admitted", "deferred",
+                 "mean_tau", "max_tau", "q", "q_hat", "steps_budget", "eta",
+                 "steps_done")
 _CLIENT_COLUMNS = _ROUND_FIELDS[8:]       # one value per client each
 
 
@@ -246,10 +226,6 @@ class MetricsLog:
         """(time, loss, accuracy) of every evaluation, in order."""
         return list(self._evals())
 
-    @property
-    def dispatches(self) -> list:
-        return [e for e in self.events if e.kind == "dispatch"]
-
     def _arrivals(self):
         return (a for e in self.events if e.kind == "aggregate" for a in e.data)
 
@@ -263,8 +239,18 @@ class MetricsLog:
         return sum(1 for e in self.events if e.kind == "skipped_round")
 
     def _round_rows(self):
-        """The `rounds` rows as tuples in RoundRecord field order, each
-        per-client column a tuple, one row at a time."""
+        """One row per aggregation or skipped round, in order: a tuple of
+        the _ROUND_FIELDS, each per-client column (observed q, predicted
+        q_hat, budget E, eta, steps done) a tuple over the clients, NaN
+        where the row has no value for a client.  `admitted` counts the
+        updates aggregated, and mean_tau and max_tau are their staleness.
+
+        Fedqueue keys a row by submit round: the dispatch columns of the jobs
+        submitted in it (a client's last one wins), and `deferred` counts
+        those admitted to a later round.  A baseline's row is one
+        aggregation: the applied updates' q and steps, and `deferred` counts
+        the stale ones among them.
+        """
         # one row meaning for both families changes the pinned outputs; the
         # deliberate re-pin that does it (ROADMAP.md) removes this branch
         by_submit = self.algo == "fedqueue"
@@ -301,28 +287,10 @@ class MetricsLog:
                        max(taus) if taus else 0,
                        *zip(*[mine.get(k, blank) for k in clients]))
 
-    @property
-    def rounds(self) -> list:
-        """One RoundRecord per aggregation or skipped round, in order.
-
-        Fedqueue keys a row by submit round: the dispatch columns of the jobs
-        submitted in it (a client's last one wins), and `deferred` counts
-        those admitted to a later round.  A baseline's row is one
-        aggregation: the applied updates' q and steps, and `deferred` counts
-        the stale ones among them.
-        """
-        return [RoundRecord(*row[:8], *map(list, row[8:]))
-                for row in self._round_rows()]
-
-    @property
-    def final_accuracy(self) -> float | None:
-        accs = [a for _, _, a in self._evals() if a is not None]
-        return accs[-1] if accs else None
-
     def checksum(self, each_rounds_chunk=None) -> str:
-        """sha256 of json.dumps({"rounds": [vars(r) for r in rounds],
-        "arrivals": [{key: getattr(a, key) for key in _ARRIVAL_KEYS}
-        for a in arrivals], "evals": evals},
+        """sha256 of json.dumps({"rounds": [dict(zip(_ROUND_FIELDS, row))
+        for row in _round_rows()], "arrivals": [{key: getattr(a, key) for
+        key in _ARRIVAL_KEYS} for a in arrivals], "evals": evals},
         sort_keys=True, default=float), hashed a chunk of records at a time
         as it is printed.  `each_rounds_chunk`, if given, is called with each
         chunk of round rows (see `_round_rows`) once it is hashed, and with

@@ -1,7 +1,9 @@
 """The small run config and the output digest that the golden pins
-(`test_golden.py`) and the parity corpus (`parity_corpus.py`) share."""
+(`test_golden.py`) and the parity corpus (`parity_corpus.py`) share, and
+the tests' readers of a run log's round rows and dispatches."""
 import hashlib
 import json
+from collections import namedtuple
 
 from fedqueue import metrics
 from fedqueue.config import default_config
@@ -31,3 +33,19 @@ def output_digest(log, out_dir) -> str:
     for name in ("rounds.csv", "events.jsonl"):
         h.update((out_dir / name).read_bytes())
     return h.hexdigest()
+
+
+# a round row of `MetricsLog._round_rows`, its per-client columns as lists
+Round = namedtuple("Round", ("round", "time", "loss", "accuracy", "admitted",
+                             "deferred", "mean_tau", "max_tau", "q", "q_hat",
+                             "steps_budget", "eta", "steps_done"))
+
+
+def rounds(log) -> list:
+    """One Round per aggregation or skipped round of `log`, in order."""
+    return [Round(*row[:8], *map(list, row[8:])) for row in log._round_rows()]
+
+
+def dispatches(log) -> list:
+    """The dispatch events of `log`, in order."""
+    return [e for e in log.events if e.kind == "dispatch"]

@@ -26,6 +26,8 @@ from fedqueue import learn, metrics, protocol
 from fedqueue.engine import run_experiment, run_many, run_sweep
 from fedqueue.streams import spawn_seed, substream
 
+from small_runs import rounds
+
 EPS = 0.05
 TARGET = 0.84
 JOBS = len(os.sched_getaffinity(0))   # run_many workers for the study grids
@@ -181,18 +183,21 @@ def test_criterion_4_ablation_directionality():
                     JOBS)
     base_logs, ewma_logs, decay_logs, lr_logs = (logs[i:i + 7] for i in range(0, 28, 7))
     base_tta = statistics.median(tta_or_inf(log) for log in base_logs)
-    base_final = statistics.median(log.final_accuracy for log in base_logs)
+    base_final = statistics.median(log.summary()["final_accuracy"]
+                                   for log in base_logs)
 
     ewma_tta = statistics.median(tta_or_inf(log) for log in ewma_logs)
     assert ewma_tta > base_tta, \
         f"(a) static prediction should slow time-to-target: {ewma_tta} vs {base_tta}"
 
-    decay_final = statistics.median(log.final_accuracy for log in decay_logs)
+    decay_final = statistics.median(log.summary()["final_accuracy"]
+                                    for log in decay_logs)
     assert decay_final < base_final, \
         f"(b) flat staleness weights should cut final accuracy: " \
         f"{decay_final} vs {base_final}"
 
-    lr_final = statistics.median(log.final_accuracy for log in lr_logs)
+    lr_final = statistics.median(log.summary()["final_accuracy"]
+                                 for log in lr_logs)
     assert lr_final < base_final, \
         f"(c) unscaled learning rates should cut final accuracy: " \
         f"{lr_final} vs {base_final}"
@@ -246,7 +251,7 @@ def test_criterion_6_protocol_invariants():
     cfg.fedqueue.delta = 0.0
     log = run_experiment(cfg)
     assert all(a.tau == 0 for a in log.arrivals)
-    assert all(r.admitted == 4 for r in log.rounds)
+    assert all(r.admitted == 4 for r in rounds(log))
     for _ in range(50):
         w = rng.standard_normal(6)
         deltas = [rng.standard_normal(6) for _ in range(4)]
@@ -299,7 +304,7 @@ def test_criterion_6_protocol_invariants():
     cfg2.fedqueue.queue_rho = 0.9
     log2 = run_experiment(cfg2)
     stale = sum(1 for a in log2.arrivals if a.tau >= 1)
-    assert stale == sum(r.deferred for r in log2.rounds)
+    assert stale == sum(r.deferred for r in rounds(log2))
     assert stale > 0
 
     # bit-identical reruns per seed

@@ -7,6 +7,8 @@ from fedqueue.protocol import staleness
 from fedqueue.config import default_config
 from fedqueue.engine import run_experiment
 
+from small_runs import dispatches, rounds
+
 
 def quick_config(algo, **over):
     cfg = default_config()
@@ -64,16 +66,16 @@ def test_fedavg_round_length_is_max_queue_plus_compute():
         fedavg__num_local_steps=(20, 20),
         workload__classes=2)
     log = run_experiment(cfg)
-    assert log.rounds[0].time == pytest.approx(7.0)
+    assert rounds(log)[0].time == pytest.approx(7.0)
     # stationary inter-round gap equals the same blocking length
-    gaps = np.diff([r.time for r in log.rounds])
+    gaps = np.diff([r.time for r in rounds(log)])
     assert np.allclose(gaps, 7.0)
 
 
 def test_fedavg_never_stale():
     log = run_experiment(quick_config("fedavg", fedqueue__queue_rho=0.9))
     assert all(a.tau == 0 for a in log.arrivals)
-    assert all(r.max_tau == 0 for r in log.rounds)
+    assert all(r.max_tau == 0 for r in rounds(log))
 
 
 def test_fedavg_aggregate_matches_protocol_core():
@@ -93,7 +95,7 @@ def test_fedasync_aggregates_every_arrival():
     log = run_experiment(quick_config("fedasync"))
     aggregates = sum(1 for e in log.events if e.kind == "aggregate")
     assert aggregates == len(log.arrivals)
-    assert all(r.admitted == 1 for r in log.rounds)
+    assert all(r.admitted == 1 for r in rounds(log))
 
 
 def test_fedasync_staleness_counted_in_versions():
@@ -114,11 +116,11 @@ def test_fedbuff_flushes_each_run_of_k_arrivals_in_event_order():
                                       fedqueue__queue_rho=0.9))
     arrivals = [i for i, e in enumerate(log.events) if e.kind == "arrival"]
     aggregates = [i for i, e in enumerate(log.events) if e.kind == "aggregate"]
-    clients = [log.events[i].fields["client"] for i in arrivals]
+    clients = [log.events[i].data.client for i in arrivals]
     assert len(arrivals) % 3 != 0     # the run ends with a partial buffer
     assert len(aggregates) == len(arrivals) // 3 > 0
     for j, at in enumerate(aggregates):
-        assert log.events[at].fields["clients"] == clients[3 * j: 3 * j + 3]
+        assert [m.client for m in log.events[at].data] == clients[3 * j: 3 * j + 3]
         assert arrivals[3 * j + 2] < at
         assert 3 * j + 3 == len(arrivals) or at < arrivals[3 * j + 3]
 
@@ -126,8 +128,8 @@ def test_fedbuff_flushes_each_run_of_k_arrivals_in_event_order():
 def test_buffer_of_one_behaves_like_fedasync_cadence():
     async_log = run_experiment(quick_config("fedasync"))
     buff_log = run_experiment(quick_config("fedbuff", fedbuff__k=1))
-    assert len(buff_log.rounds) == len(async_log.rounds)
-    assert [r.admitted for r in buff_log.rounds] == [1] * len(buff_log.rounds)
+    assert len(rounds(buff_log)) == len(rounds(async_log))
+    assert [r.admitted for r in rounds(buff_log)] == [1] * len(rounds(buff_log))
 
 
 def test_full_buffer_with_synchronous_arrivals_reduces_to_fedavg_average():
@@ -172,7 +174,7 @@ def test_compass_speed_momentum_update():
     orch = baselines.FedCompassOrchestrator(sim)
     orch.start()
     assert orch.speeds.tolist() == [10.0] * 4
-    assert [d.fields["steps"] for d in log.dispatches] == [200] * 4
+    assert [d.data.steps_done for d in dispatches(log)] == [200] * 4
 
     def update(k, steps, q, arrival):
         return protocol.ClientUpdate(
@@ -187,21 +189,21 @@ def test_compass_speed_momentum_update():
     orch.on_arrival(update(1, 0, 3.0, 3.0))
     assert orch.speeds[1] == 10.0
     orch.on_arrival(update(2, 20, 1.0, 3.0))
-    assert not log.rounds                  # cohort still waits for client 3
+    assert not rounds(log)                 # cohort still waits for client 3
     orch.on_arrival(update(3, 20, 1.0, 3.0))
     assert orch.speeds.tolist() == pytest.approx([11.6, 10.0, 10.0, 10.0])
     # the full cohort aggregates once, then re-dispatches on the new speeds
-    assert [r.admitted for r in log.rounds] == [4]
+    assert [r.admitted for r in rounds(log)] == [4]
     expected = compass_assignments(orch.speeds, 20, 200, 1.1).tolist()
     assert expected == [200, 189, 189, 189]
-    assert [d.fields["steps"] for d in log.dispatches[4:]] == expected
+    assert [d.data.steps_done for d in dispatches(log)[4:]] == expected
 
 
 def test_compass_assignment_bounds_hold_in_run():
     cfg = quick_config("fedcompass", fedqueue__queue_rho=0.9)
     log = run_experiment(cfg)
-    for d in log.dispatches:
-        assert 20 <= d.fields["steps"] <= 200
+    for d in dispatches(log):
+        assert 20 <= d.data.steps_done <= 200
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def test_fedbuff_arrivals_match_hand_computed_oracle_bitwise():
 def test_fedcompass_arrivals_match_hand_computed_oracle_bitwise():
     # speeds [10, 20]: a window of 1.1 * 200 / 20 = 11 s, steps [110, 200]
     sim, orch = two_client_server("fedcompass")
-    assert [d.fields["steps"] for d in sim.log.dispatches] == [110, 200]
+    assert [d.data.steps_done for d in dispatches(sim.log)] == [110, 200]
     # client 1: 200 steps in 9 - 1 = 8 s, 25 steps/s: 0.6 * 20 + 0.4 * 25
     sim.now = 8.0
     assert arrive(sim, orch, 1, 0, [-1.0, 0.5], steps=200, q=1.0) == [1.0, -2.0]
@@ -275,7 +277,7 @@ def test_fedcompass_arrivals_match_hand_computed_oracle_bitwise():
     assert orch.speeds.tolist() == [10.0, 22.0]
     # the next cohort's window: 1.1 * 200 / 22 s, floor(22 * 10.000000000000002)
     # = 220 clipped to 200
-    assert [d.fields["steps"] for d in sim.log.dispatches] == [110, 200, 100, 200]
+    assert [d.data.steps_done for d in dispatches(sim.log)] == [110, 200, 100, 200]
     # one arrival of the new cohort does not aggregate
     assert arrive(sim, orch, 0, 1, [0.5, 0.5], steps=100) == [0.75, -1.625]
     assert [a.tau for a in sim.log.arrivals] == [0, 0] and sim.version == 1

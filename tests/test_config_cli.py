@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import fedqueue
 from fedqueue import cli, config
 from fedqueue.config import (ConfigError, default_config, dumps_config,
                              load_config, loads_config, resolve_axis,
                              save_config, set_key, validate_config)
+from fedqueue.metrics import MetricsLog
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +433,20 @@ def test_cli_entrypoint_runs_as_subprocess(tmp_path):
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_surface_names_resolve():
+    # every fq.NAME and log.NAME of the README's library block is a name of
+    # the package, or a method, view or field of a MetricsLog
+    block = re.search(r"^## Library surface\n+```python\n(.*?)^```",
+                      (REPO / "README.md").read_text(), re.M | re.S).group(1)
+    package = set(re.findall(r"\bfq\.(\w+)", block))
+    log = set(re.findall(r"\blog\.(\w+)", block))
+    assert package and log
+    assert [name for name in package if not hasattr(fedqueue, name)] == []
+    fields = {f.name for f in dataclasses.fields(MetricsLog)}
+    assert [name for name in log
+            if not hasattr(MetricsLog, name) and name not in fields] == []
 
 
 def documented_commands() -> list[list[str]]:

@@ -20,6 +20,8 @@ from fedqueue.config import default_config, ConfigError
 from fedqueue.engine import InvariantError, run_experiment, run_many, run_sweep
 from fedqueue.streams import spawn_seed
 
+from small_runs import dispatches, rounds
+
 
 def quick_config(**over):
     cfg = default_config()
@@ -53,7 +55,7 @@ def test_zero_delay_run_is_all_fresh():
     assert not log.failed
     assert len(log.arrivals) == 4 * cfg.protocol.num_rounds
     assert all(a.tau == 0 for a in log.arrivals)
-    assert all(r.admitted == 4 for r in log.rounds)
+    assert all(r.admitted == 4 for r in rounds(log))
 
 
 def test_rerun_is_bit_identical():
@@ -72,7 +74,7 @@ def test_perfect_prediction_budgets_match_hand_computation():
         fedqueue__queue_fixed=(0.5, 1.5, 2.4, 6.0))
     log = run_experiment(cfg)
     # warm-up probes observe the fixed delays, so round-0 predictions are exact
-    first = log.rounds[0]
+    first = rounds(log)[0]
     assert first.q_hat == pytest.approx([0.5, 1.5, 2.4, 6.0])
     # J = 10 - q - 2 and E = floor(10 * J)
     assert first.steps_budget == [75, 65, 56, 20]
@@ -81,8 +83,8 @@ def test_perfect_prediction_budgets_match_hand_computation():
 def test_round_cadence_and_count():
     cfg = quick_config()
     log = run_experiment(cfg)
-    assert len(log.rounds) == cfg.protocol.num_rounds
-    for r in log.rounds:
+    assert len(rounds(log)) == cfg.protocol.num_rounds
+    for r in rounds(log):
         assert r.time == pytest.approx((r.round + 1) * cfg.fedqueue.t_sync)
 
 
@@ -109,7 +111,7 @@ def test_staleness_ledger_conservation():
     cfg = quick_config(fedqueue__queue_rho=0.9, protocol__num_rounds=30)
     log = run_experiment(cfg)
     stale_admitted = sum(1 for a in log.arrivals if a.tau >= 1)
-    deferred_counts = sum(r.deferred for r in log.rounds)
+    deferred_counts = sum(r.deferred for r in rounds(log))
     assert stale_admitted == deferred_counts
 
 
@@ -150,7 +152,7 @@ def test_static_predictor_ablation_runs():
     cfg.ablation.use_ewma = False
     log = run_experiment(cfg)
     assert not log.failed
-    assert log.rounds[0].q_hat == pytest.approx(list(cfg.fedqueue.queue_means))
+    assert rounds(log)[0].q_hat == pytest.approx(list(cfg.fedqueue.queue_means))
 
 
 def test_quadratic_workload_converges():
@@ -170,7 +172,7 @@ def test_floor_budget_beyond_job_time_runs_every_step():
                        fedqueue__e_floor=123)
     log = run_experiment(cfg)
     dispatched = [(r.steps_budget[k], r.steps_done[k])
-                  for r in log.rounds for k in range(4)
+                  for r in rounds(log) for k in range(4)
                   if not np.isnan(r.steps_budget[k])]
     assert dispatched and all(pair == (123, 123) for pair in dispatched)
     assert all(a.steps_done == 123 for a in log.arrivals)
@@ -400,8 +402,8 @@ def test_deferred_jobs_run_stacked_when_first_needed(monkeypatch):
     monkeypatch.setattr(protocol, "client_local_update", spy)
     log = run_experiment(quick_config())
     assert stacks[0] == [0, 1, 2, 3]
-    assert sum(map(len, stacks)) == len(log.dispatches)
-    assert len(stacks) < len(log.dispatches)
+    assert sum(map(len, stacks)) == len(dispatches(log))
+    assert len(stacks) < len(dispatches(log))
 
 
 # time-valued fields of a job's record (its compute_seconds follows from
@@ -452,20 +454,32 @@ def test_power_of_two_time_scaling_leaves_the_run_unchanged(algo):
 _JOB_EVENTS = ("dispatch", "job_start", "arrival", "aggregate")
 
 
-def _buffered_past_the_last_cutoff():
-    """A fedqueue run whose last job of client 0 arrives 5e-10 s after the
-    last cutoff, within the clock's tolerance of the horizon: it arrives
-    and buffers, and no cutoff is left to admit it."""
-    cfg = quick_config(protocol__num_rounds=3, fedqueue__sim_queue="fixed",
-                       fedqueue__queue_fixed=(9.0000000005, 0.5, 1.5, 2.4),
-                       fedqueue__throughput=(1.0, 10.0, 10.0, 10.0))
-    return cfg, lambda log: any(
-        e.data.agg_round is None and e.data.arrival > log.horizon
-        for e in log.events if e.kind == "arrival")
+# per algorithm, the settings under which client 0's last job lands 5e-10 s
+# past the horizon of 3 rounds of 10 s
+_JUST_PAST_THE_HORIZON = {
+    "fedqueue": dict(fedqueue__queue_fixed=(9.0000000005, 0.5, 1.5, 2.4)),
+    "fedasync": dict(protocol__algo="fedasync", fedasync__num_local_steps=1,
+                     fedqueue__queue_fixed=(29.0000000005, 0.5, 1.5, 2.4)),
+}
+
+
+def _just_past_the_horizon(algo):
+    return quick_config(protocol__num_rounds=3, fedqueue__sim_queue="fixed",
+                        fedqueue__throughput=(1.0, 10.0, 10.0, 10.0),
+                        **_JUST_PAST_THE_HORIZON[algo])
 
 
 def _in_flight_at_the_horizon(log):
-    return any(e.data.arrival > log.horizon for e in log.dispatches)
+    return any(e.data.arrival > log.horizon for e in dispatches(log))
+
+
+@pytest.mark.parametrize("algo", sorted(_JUST_PAST_THE_HORIZON))
+def test_no_event_is_logged_after_the_horizon(algo):
+    # a job landing closer to the horizon than the clock's tolerance
+    # (engine._TIME_EPS) stays in flight, as any later one does
+    log = run_experiment(_just_past_the_horizon(algo))
+    assert _in_flight_at_the_horizon(log)
+    assert not [e for e in log.events if e.t > log.horizon]
 
 
 def _admitted_late(log):
@@ -486,8 +500,9 @@ def _one_record_cases():
                           else _in_flight_at_the_horizon, id=f"{algo}-{broadcast}")
              for algo in ("fedqueue", "fedavg", "fedasync", "fedbuff", "fedcompass")
              for broadcast in ("next_round", "immediate")]
-    cases.append(pytest.param(*_buffered_past_the_last_cutoff(),
-                              id="fedqueue-buffered-past-the-last-cutoff"))
+    cases.append(pytest.param(_just_past_the_horizon("fedqueue"),
+                              _in_flight_at_the_horizon,
+                              id="fedqueue-lands-just-past-the-horizon"))
     for algo in ("fedqueue", "fedasync"):
         cases.append(pytest.param(
             quick_config(protocol__algo=algo, workload__dataset="quadratic",
@@ -519,7 +534,7 @@ def test_a_job_is_one_record_and_a_finished_log_holds_no_delta(cfg, shows):
                 kinds.setdefault(id(rec), []).append(e.kind)
         elif e.kind in _JOB_EVENTS:
             kinds.setdefault(id(e.data), []).append(e.kind)
-    records = {id(e.data): e.data for e in log.dispatches}
+    records = {id(e.data): e.data for e in dispatches(log)}
     assert kinds.keys() == records.keys()
     for key, rec in records.items():
         # each job's events hold its one record, the aggregate too once
@@ -570,7 +585,7 @@ def test_fedqueue_equals_fedavg_in_the_synchronous_limit(dataset, throughput,
     fq_log = run_experiment(quick_config(protocol__algo="fedqueue", **common))
     avg_log = run_experiment(quick_config(protocol__algo="fedavg", **common))
     assert not fq_log.failed and not avg_log.failed
-    assert {e.fields["steps"] for e in fq_log.dispatches} == {steps}
+    assert {e.data.steps_done for e in dispatches(fq_log)} == {steps}
     assert [m[:3] for m in models["fedqueue"]] == \
         [(r, [0, 1, 2, 3], [0] * 4) for r in range(10)]
     assert models["fedqueue"] == models["fedavg"]
@@ -799,7 +814,7 @@ def test_algorithms_in_a_grid_meet_the_same_queue_draws():
     def draws(log):
         """client -> the drawn q of its dispatches, in submission order"""
         q = {}
-        for e in log.dispatches:
+        for e in dispatches(log):
             q.setdefault(e.data.client, []).append(e.data.q)
         return q
 

@@ -21,7 +21,7 @@ from fedqueue.learn import build_objective
 from fedqueue.streams import substream
 
 import parity_corpus
-from small_runs import output_digest, small_config
+from small_runs import dispatches, output_digest, rounds, small_config
 
 
 # 100 training samples over 4 Dirichlet clients, batch_size 64: every
@@ -317,9 +317,9 @@ def test_golden_edge_cases(name, tmp_path):
     make, failed, rows, skipped, pins = EDGE_CASES[name]
     log = run_experiment(make())
     assert log.failed == failed
-    assert len(log.rounds) == rows and log.skipped_rounds == skipped
+    assert len(rounds(log)) == rows and log.skipped_rounds == skipped
     if name in DISPATCHES:
-        assert len(log.dispatches) == DISPATCHES[name]
+        assert len(dispatches(log)) == DISPATCHES[name]
     if failed:
         assert final_model_sha(log) == FINAL_MODELS[name]
     assert (log.checksum(), output_digest(log, tmp_path)) == pins
@@ -332,7 +332,7 @@ def test_golden_diverging_runs(name, tmp_path):
     make, reason, rows, events, steps, pins = DIVERGING[name]
     log = run_experiment(make())
     assert log.failed and log.failure_reason == reason
-    assert (len(log.rounds), len(log.events), log.total_local_steps) == (rows, events, steps)
+    assert (len(rounds(log)), len(log.events), log.total_local_steps) == (rows, events, steps)
     assert final_model_sha(log) == FINAL_MODELS[name]
     assert (log.checksum(), output_digest(log, tmp_path)) == pins
 
@@ -372,7 +372,7 @@ def test_sgd_substreams_are_derived_only_when_drawn_from(name, monkeypatch, tmp_
     monkeypatch.setattr(streams.Substreams, "__call__", counting_block)
     cfg = make()
     log = run_experiment(cfg)
-    jobs = len(log.dispatches)
+    jobs = len(dispatches(log))
     probes = cfg.protocol.num_clients if cfg.protocol.algo == "fedqueue" else 0
     expected = Counter(data=1, queue=jobs, warmup=probes, sgd=jobs if draws else 0)
     assert jobs > 0 and derived == +expected

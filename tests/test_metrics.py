@@ -30,6 +30,7 @@ from fedqueue.metrics import (EVENT_FIELDS, MetricsLog,
 from fedqueue.streams import substream
 
 import parity_corpus
+from small_runs import rounds
 
 
 def empty_log(**kw):
@@ -334,7 +335,7 @@ def test_log_rebuilt_from_its_events_alone(tmp_path, algo, broadcast_when,
                                            dataset, lr_base, failed):
     log = small_run(algo, broadcast_when, dataset, lr_base)
     assert log.failed == failed
-    assert sum(r.deferred for r in log.rounds) > 0     # stale admissions
+    assert sum(r.deferred for r in rounds(log)) > 0    # stale admissions
     rebuilt = MetricsLog(
         algo=log.algo, seed=log.seed, num_clients=log.num_clients,
         t_sync=log.t_sync, horizon=log.horizon, config=log.config,
@@ -352,16 +353,19 @@ def test_log_rebuilt_from_its_events_alone(tmp_path, algo, broadcast_when,
 # the record's schema, the streamed checksum and the writer's memory
 # ---------------------------------------------------------------------------
 
+def named_values(e) -> dict:
+    """An event's values by the field names its kind declares."""
+    return dict(zip(EVENT_FIELDS[e.kind], e.values))
+
+
 def test_event_takes_exactly_its_declared_names():
     log = empty_log()
     job = protocol.ClientUpdate(client=0, submit_round=0, delta=None, q=0.5,
                                 arrival=2.0, steps_done=3, eta=0.1, q_hat=0.2,
                                 submit_time=1.0)
     log.event(1.0, "dispatch", job)
-    assert dict(log.events[0].fields) == dict(client=0, round=0, steps=3,
-                                              eta=0.1, q_hat=0.2)
-    with pytest.raises(TypeError):
-        log.events[0].fields["steps"] = 4                   # a read-only view
+    assert named_values(log.events[0]) == dict(client=0, round=0, steps=3,
+                                               eta=0.1, q_hat=0.2)
     with pytest.raises(ValueError, match="undeclared"):
         log.event(1.0, "undeclared", client=0)
     for names in ({"client": 0}, {"client": 0, "q": 1.0, "round": 2},
@@ -382,7 +386,7 @@ def test_event_takes_exactly_its_declared_names():
         with pytest.raises(ValueError, match="aggregate"):
             log.event(3.0, "aggregate", data, **names)
     log.event(3.0, "aggregate", [applied])
-    assert dict(log.events[1].fields) == dict(round=1, clients=[0], taus=[1])
+    assert named_values(log.events[1]) == dict(round=1, clients=[0], taus=[1])
     assert len(log.events) == 2
 
 
@@ -405,7 +409,7 @@ ARRIVAL_RECORD = ("client", "submit_round", "submit_time", "q", "q_hat",
 def reference_checksum(log) -> str:
     """The checksum as one document: sha256 of the whole JSON string."""
     payload = {
-        "rounds": [vars(r) for r in log.rounds],
+        "rounds": [r._asdict() for r in rounds(log)],
         "arrivals": [{name: getattr(a, name) for name in ARRIVAL_RECORD}
                      for a in log.arrivals],
         "evals": log.evals,
@@ -458,15 +462,14 @@ def test_streamed_checksum_matches_the_whole_document(name, reference_logs, tmp_
 
 def reference_events(log) -> bytes:
     """events.jsonl as one json.dumps of a dict per line."""
-    return "".join(json.dumps({"t": round(float(e.t), 9), "kind": e.kind, **e.fields},
-                              default=float) + "\n"
+    return "".join(json.dumps({"t": round(float(e.t), 9), "kind": e.kind,
+                               **named_values(e)}, default=float) + "\n"
                    for e in log.events).encode()
 
 
-def reference_csv_cells(record) -> list:
-    """rounds.csv cells of one RoundRecord, for csv.writer; a NaN cell is empty."""
-    (r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau,
-     *columns) = dataclasses.astuple(record)
+def reference_csv_cells(row) -> list:
+    """rounds.csv cells of one round row, for csv.writer; a NaN cell is empty."""
+    r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau, *columns = row
     cells = [r, f"{time:.6f}", f"{loss:.8f}",
              "" if accuracy is None else f"{accuracy:.6f}",
              admitted, deferred, f"{mean_tau:.4f}", max_tau]
@@ -475,11 +478,11 @@ def reference_csv_cells(record) -> list:
 
 
 def reference_rounds_csv(log) -> bytes:
-    """rounds.csv as csv.writer writes it, one row per RoundRecord."""
+    """rounds.csv as csv.writer writes it, one line per round row."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(metrics.rounds_header(log.num_clients))
-    writer.writerows(map(reference_csv_cells, log.rounds))
+    writer.writerows(map(reference_csv_cells, rounds(log)))
     return buf.getvalue().encode()
 
 
@@ -566,10 +569,38 @@ def test_edge_values_print_as_the_oracles_do(log):
         assert_outputs_match_the_oracles(log, Path(out_dir))
 
 
+def _targets_out_of_order():
+    # accuracies that reach targets out of order, tie at their maximum and
+    # end on an eval with no accuracy
+    log = empty_log(num_clients=1)
+    for t, acc in enumerate((0.55, 0.9, None, 0.75, 0.9, 0.6, None)):
+        log.event(float(t), "eval", loss=1.0 / (t + 1), accuracy=acc)
+    return log
+
+
+@given(edge_logs())
+@example(empty_log(num_clients=1))
+@example(_nonfinite_round())
+@example(_targets_out_of_order())
+@settings(max_examples=150, deadline=None)
+def test_summary_reads_the_evaluations_as_their_definitions_do(log):
+    s, evals = log.summary(), log.evals
+    accs = [acc for _, _, acc in evals if acc is not None]
+    assert s["max_accuracy"] == (max(accs) if accs else None)
+    assert s["final_accuracy"] == (accs[-1] if accs else None)
+    # the last evaluation's loss, a NaN one too
+    assert repr(s["final_loss"]) == repr(evals[-1][1] if evals else None)
+    assert s["time_to_target"] == {str(t): time_to_target(evals, t)
+                                   for t in metrics.TARGETS}
+    if not accs:
+        assert s["max_accuracy"] is s["final_accuracy"] is None
+        assert set(s["time_to_target"].values()) == {None}
+
+
 def chunked_sections(log) -> dict:
     """(records, JSON values per record) of each section written a chunk
     at a time."""
-    return {"rounds": (len(log.rounds), 8 + 5 * log.num_clients),
+    return {"rounds": (len(rounds(log)), 8 + 5 * log.num_clients),
             "arrivals": (len(log.arrivals), 10),
             "evals": (len(log.evals), 3),
             "events": (len(log.events), metrics._LINE_WIDTH)}
