@@ -43,6 +43,7 @@ import numpy as np
 from . import learn, metrics, protocol, queue_sim
 from .config import ExperimentConfig, resolve_axis, set_key, validate_config
 from .predictor import DelayPredictor
+from .protocol import TIME_EPS
 from .streams import Substreams, spawn_seed, substream
 
 __all__ = ["Simulation", "Orchestrator", "FedQueueOrchestrator",
@@ -56,8 +57,6 @@ RANK_JOB_START = 0
 RANK_ARRIVAL = 1
 RANK_ROUND = 2
 _KINDS = ("job_start", "arrival", "round")
-
-_TIME_EPS = 1e-9
 
 # runs that `run_many` drives in lockstep at most, sharing lane stacks
 GROUP_SIZE = 8
@@ -104,14 +103,14 @@ class Simulation:
         self.version = 0                      # server model versions applied
         self._heap = []
         self._seq = 0
-        self._submissions = np.zeros(self.num_clients, dtype=int)
+        self._submissions = [0] * self.num_clients
         self._queued = []   # (msg, job, log mark at dispatch) of jobs not yet run
 
     # ---- scheduling ------------------------------------------------------
     def schedule(self, time: float, rank: int, key: int, payload) -> None:
         # causality: no event precedes the clock, so no job starts or
         # arrives before its submission, and the heap pops in time order
-        if time < self.now - _TIME_EPS:
+        if time < self.now - TIME_EPS:
             if rank == RANK_ROUND:
                 client, r = None, key
             else:
@@ -133,8 +132,8 @@ class Simulation:
         job's compute time, schedules its start and arrival, and queues the
         job."""
         fq = self.cfg.fedqueue
-        j = int(self._submissions[k])
-        self._submissions[k] += 1
+        j = self._submissions[k]
+        self._submissions[k] = j + 1
         q = queue_sim.sample_queue_delay(fq, k, self.substreams("queue", k, j))
         # noise-free quadratic jobs draw nothing: they get no substream
         rng = self.substreams("sgd", k, j) if self.objective.draws(k) else None
@@ -303,7 +302,7 @@ class Orchestrator:
         self.sim.log.final_model = self.w.copy()
 
     def _can_dispatch(self) -> bool:
-        return self.sim.now < self.sim.horizon - _TIME_EPS
+        return self.sim.now < self.sim.horizon - TIME_EPS
 
 
 class FedQueueOrchestrator(Orchestrator):
@@ -383,7 +382,7 @@ class FedQueueOrchestrator(Orchestrator):
         self.predictor.observe(msg.client, msg.q)
         self.buffer.append(msg)
         if fq.broadcast_when == "immediate" and self._can_dispatch():
-            s = min(int(math.floor(sim.now / fq.t_sync + _TIME_EPS)),
+            s = min(int(math.floor(sim.now / fq.t_sync + TIME_EPS)),
                     self.cfg.protocol.num_rounds - 1)
             self._submit(msg.client, s, *self._budget(msg.client))
 

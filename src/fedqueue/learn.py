@@ -1,11 +1,12 @@
 """Local objectives and synthetic data.
 
 Two workload families share one duck-typed interface (dimension, weights,
-client/global losses and gradients, the draw predicate, stochastic
-gradients, evaluate).  ``draws(k)`` says whether client k's jobs draw from
-their rng at all: every classify job draws minibatches, and a quadratic job
-draws gradient noise only when sigma_k > 0, so the engine derives a job's
-substream only when it is true.  Stochastic gradients come in three calls:
+the global loss, client and global gradients, the draw predicate,
+stochastic gradients, evaluate, init_point).  ``draws(k)`` says whether
+client k's jobs draw from their rng at all: every classify job draws
+minibatches, and a quadratic job draws gradient noise only when
+sigma_k > 0, so the engine derives a job's substream only when it is
+true.  Stochastic gradients come in three calls:
 ``sample_batches(k, steps, batch_size, rng)`` draws all the randomness of a
 ``steps``-step job on client k and returns one batch per step, or None when
 ``draws(k)`` is false (``rng`` is then None too); ``bind(ks, W)`` binds a
@@ -24,13 +25,13 @@ Lanes of several objectives share one stack when the objectives'
 ``stack_key``s are equal: any one of them binds and computes the stack.
 
 * ``QuadraticObjective`` -- F_k(w) = 0.5 (w - b_k)' A (w - b_k) with a shared
-  PSD matrix A and per-client offsets b_k.  Smoothness L and the cross-client
-  dissimilarity bound are known in closed form, and gradient noise is injected
-  with an exactly controlled scale, which makes it the workload for the
-  theory-check harness.  Its global loss is one stacked call over the K
-  clients, one gemv and one dot per client as ``client_loss`` computes them
-  alone, with the weighted losses added in client order: bit for bit the
-  sum of K ``client_loss`` calls.
+  PSD matrix A and per-client offsets b_k.  Smoothness L is the largest
+  eigenvalue of A, the cross-client dissimilarity G is max_k |A (b_bar - b_k)|,
+  and gradient noise is injected with an exactly controlled scale, which
+  makes it the workload for the theory-check harness.  Its global loss is one
+  stacked call over the K clients, one gemv and one dot per client as each
+  client's 0.5 d' A d is computed alone, with the weighted losses added in
+  client order: bit for bit ``tests/test_learn.py::reference_loss``.
 
 * ``ClassifyObjective`` -- a Gaussian-mixture multiclass task with a linear
   softmax or one-hidden-layer tanh model trained by hand-written SGD, with
@@ -42,7 +43,6 @@ Lanes of several objectives share one stack when the objectives'
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "ClassifyObjective",
     "dirichlet_partition",
     "iid_partition",
-    "heterogeneity_stats",
     "make_mixture_data",
     "staging_blocks",
     "build_objective",
@@ -88,33 +87,11 @@ class QuadraticObjective:
             else np.zeros((num_clients, dim))
         return cls(a, b, noise_sigma=noise_sigma)
 
-    # smoothness of F (shared A makes client and global L coincide)
-    def smoothness(self) -> float:
-        return float(np.linalg.eigvalsh(self.A).max())
-
-    def dissimilarity_bound(self) -> float:
-        """Exact G: gradients differ by the constant A (b_bar - b_k)."""
-        return float(max(np.linalg.norm(self.A @ (self.b_bar - bk)) for bk in self.b))
-
-    def minimizer(self) -> np.ndarray:
-        return self.b_bar.copy()
-
-    def min_value(self) -> float:
-        total = 0.0
-        for p_k, bk in zip(self.weights, self.b):
-            d = self.b_bar - bk
-            total += p_k * 0.5 * d @ self.A @ d
-        return float(total)
-
-    def client_loss(self, k: int, w: np.ndarray) -> float:
-        d = w - self.b[k]
-        return float(0.5 * d @ self.A @ d)
-
     def loss(self, w: np.ndarray) -> float:
-        # one gemv and one dot per client, as client_loss computes them
-        # alone; the weighted losses are added one by one in client order:
-        # numpy's pairwise sum, or sum()'s compensated one on Python >= 3.12,
-        # would change the last bit
+        # one gemv and one dot per client, as tests/test_learn.py's
+        # reference_loss computes each alone; the weighted losses are added
+        # one by one in client order: numpy's pairwise sum, or sum()'s
+        # compensated one on Python >= 3.12, would change the last bit
         d = w - self.b
         losses = ((0.5 * d)[:, None, :] @ self.A @ d[:, :, None])[:, 0, 0]
         total = 0.0
@@ -406,51 +383,6 @@ class ClassifyObjective:
 
     def init_point(self) -> np.ndarray:
         return self._w0.copy()
-
-
-# ---------------------------------------------------------------------------
-# assumption-constant estimation
-# ---------------------------------------------------------------------------
-
-def heterogeneity_stats(objective, probe_points, rng: np.random.Generator,
-                        noise_draws: int = 200, batch_size: int = 64):
-    """Empirical (G_hat, sigma_hat, L_hat) over >= 10 probe points.
-
-    G_hat: max client-vs-global gradient gap.  sigma_hat: RMS stochastic
-    gradient deviation.  L_hat: max secant slope over probe pairs plus
-    coordinate bumps (exact for quadratics up to the probe geometry).
-    """
-    probes = [np.asarray(p, dtype=float) for p in probe_points]
-    if len(probes) < 10:
-        raise ValueError("need at least 10 probe points")
-    g_hat = 0.0
-    sq_dev = []
-    draws_per_probe = max(1, noise_draws // len(probes))
-    for w in probes:
-        g_global = objective.gradient(w)
-        for k in range(objective.num_clients):
-            gk = objective.client_gradient(k, w)
-            g_hat = max(g_hat, float(np.linalg.norm(gk - g_global)))
-            batches = objective.sample_batches(k, draws_per_probe, batch_size, rng)
-            bound = objective.bind([k] * draws_per_probe, np.tile(w, (draws_per_probe, 1)))
-            g = objective.stochastic_gradient(bound, batches)
-            sq_dev.extend(np.sum((g - gk) ** 2, axis=1).tolist())
-    sigma_hat = math.sqrt(float(np.mean(sq_dev))) if sq_dev else 0.0
-    l_hat = 0.0
-    grads = [objective.gradient(w) for w in probes]
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            dw = np.linalg.norm(probes[i] - probes[j])
-            if dw > 1e-12:
-                l_hat = max(l_hat, float(np.linalg.norm(grads[i] - grads[j]) / dw))
-    eps = 1e-4
-    for w, g0 in zip(probes[: min(5, len(probes))], grads):
-        for axis in range(objective.dimension):
-            bumped = w.copy()
-            bumped[axis] += eps
-            slope = np.linalg.norm(objective.gradient(bumped) - g0) / eps
-            l_hat = max(l_hat, float(slope))
-    return g_hat, sigma_hat, l_hat
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 
 __all__ = [
+    "TIME_EPS",
     "STALENESS",
     "FEDQUEUE_STALENESS",
     "ASYNC_STALENESS",
@@ -30,6 +31,9 @@ __all__ = [
     "aggregate",
     "client_local_update",
 ]
+
+# The clock's tolerance in seconds, of the admission rule and the engine.
+TIME_EPS = 1e-9
 
 # The weight phi(tau) of an update tau rounds (fedqueue) or model versions
 # (the async pair) stale, by name: the parameters it reads, with their
@@ -137,7 +141,7 @@ def assign_aggregation_round(submit_round: int, arrival: float,
     comparisons so the result matches the defining inequality bit for bit,
     including arrivals exactly on a cutoff (admitted to that round).
     """
-    if arrival < submit_round * t_sync - 1e-9:
+    if arrival < submit_round * t_sync - TIME_EPS:
         raise ValueError("arrival precedes the submitting round")
     r = max(submit_round, math.ceil(arrival / t_sync) - 1)
     while r > submit_round and arrival <= r * t_sync:

@@ -476,7 +476,7 @@ def _in_flight_at_the_horizon(log):
 @pytest.mark.parametrize("algo", sorted(_JUST_PAST_THE_HORIZON))
 def test_no_event_is_logged_after_the_horizon(algo):
     # a job landing closer to the horizon than the clock's tolerance
-    # (engine._TIME_EPS) stays in flight, as any later one does
+    # (protocol.TIME_EPS) stays in flight, as any later one does
     log = run_experiment(_just_past_the_horizon(algo))
     assert _in_flight_at_the_horizon(log)
     assert not [e for e in log.events if e.t > log.horizon]

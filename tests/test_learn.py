@@ -9,8 +9,7 @@ import pytest
 from fedqueue.config import default_config, load_config
 from fedqueue.learn import (ClassifyObjective, QuadraticObjective,
                             _softmax_inplace, build_objective, dirichlet_partition,
-                            heterogeneity_stats, iid_partition,
-                            make_mixture_data)
+                            iid_partition, make_mixture_data)
 from fedqueue.streams import substream
 
 
@@ -120,6 +119,10 @@ def test_noisy_gradient_unbiased():
                                     obj.sample_batches(0, 10_000, 1, rng))
     tol = 3 * 0.8 / math.sqrt(2) / math.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * tol + 1e-3)
+    # the noise has RMS sigma: |g - exact|^2 is 0.32 chi^2_2, so the RMS of
+    # 10,000 draws has a standard error of about 0.004
+    rms = math.sqrt(float(np.mean(np.sum((draws - exact) ** 2, axis=1))))
+    assert abs(rms - 0.8) < 0.02
 
 
 def family_objective(family):
@@ -263,14 +266,6 @@ def test_full_client_passes_match_a_plain_reference_bitwise(case):
         assert obj.evaluate(w) == (loss, acc)
 
 
-def test_loss_at_minimizer_equals_min_value():
-    rng = substream(2, "quad")
-    obj = QuadraticObjective.diagonal(4, 3, rng, lmax=4.0, spread=1.0)
-    assert obj.loss(obj.minimizer()) == pytest.approx(obj.min_value(), rel=1e-12)
-    bumped = obj.minimizer() + 0.1
-    assert obj.loss(bumped) > obj.min_value()
-
-
 def reference_loss(obj, w):
     """Each client's 0.5 d' A d computed alone, weighted, and added in
     client order."""
@@ -297,11 +292,6 @@ def test_stacked_loss_matches_per_client_reference_bitwise(curvature, num_client
                 loss = obj.loss(w)
                 assert type(loss) is float
                 assert loss == reference_loss(obj, w)
-
-
-def test_smoothness_is_max_eigenvalue():
-    obj = QuadraticObjective(np.diag([1.0, 4.0]), np.zeros((2, 2)))
-    assert obj.smoothness() == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,42 +388,3 @@ def test_objective_holds_its_staged_rows_and_little_else(name):
         tracemalloc.stop()
     samples = cfg.workload.train_size + cfg.workload.test_size
     assert held < obj._staged.nbytes + obj._test_rows.nbytes + 16 * samples + 16384
-
-# ---------------------------------------------------------------------------
-# assumption-constant estimation
-# ---------------------------------------------------------------------------
-
-def probe_points(dim, count=12, seed=0):
-    rng = substream(seed, "probes")
-    return [rng.standard_normal(dim) for _ in range(count)]
-
-
-def test_homogeneous_clients_have_zero_dissimilarity():
-    obj = QuadraticObjective(np.diag([1.0, 4.0]), np.zeros((3, 2)))
-    g_hat, _, _ = heterogeneity_stats(obj, probe_points(2), substream(0, "h"))
-    assert g_hat == 0.0
-
-
-def test_known_spectrum_recovered():
-    obj = QuadraticObjective(np.diag([1.0, 4.0]), np.zeros((2, 2)))
-    _, _, l_hat = heterogeneity_stats(obj, probe_points(2), substream(1, "h"))
-    assert 3.96 <= l_hat <= 4.04
-
-
-def test_noise_scale_recovered():
-    obj = QuadraticObjective(np.eye(3), np.zeros((2, 3)), noise_sigma=0.4)
-    _, sigma_hat, _ = heterogeneity_stats(
-        obj, probe_points(3, count=10, seed=2), substream(2, "h"),
-        noise_draws=10_000)
-    assert abs(sigma_hat - 0.4) < 0.05
-
-
-def test_dissimilarity_matches_closed_form():
-    rng = substream(3, "q")
-    obj = QuadraticObjective.diagonal(3, 4, rng, spread=1.0)
-    g_hat, sigma_hat, _ = heterogeneity_stats(obj, probe_points(3, seed=4),
-                                              substream(4, "h"))
-    assert g_hat == pytest.approx(obj.dissimilarity_bound(), rel=1e-9)
-    # noise-free clients sample None batches: no gradient noise at all
-    assert sigma_hat == 0.0
-

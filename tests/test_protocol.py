@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedqueue import learn, protocol
-from fedqueue.protocol import (STALENESS, aggregate, assign_aggregation_round,
-                               client_local_update, compute_budget,
-                               partition_admissions, scale_learning_rate,
-                               staleness)
+from fedqueue.protocol import (STALENESS, TIME_EPS, aggregate,
+                               assign_aggregation_round, client_local_update,
+                               compute_budget, partition_admissions,
+                               scale_learning_rate, staleness)
 from fedqueue.streams import substream
 
 
@@ -143,6 +143,11 @@ def test_cutoff_boundary_is_inclusive():
 def test_causality_violation_raises():
     with pytest.raises(ValueError):
         assign_aggregation_round(3, 29.0, 10.0)
+    # within the clock's tolerance of its submit round's start, an arrival
+    # is admitted to that round; past it, it precedes the round
+    assert assign_aggregation_round(3, 30.0 - TIME_EPS / 2, 10.0) == (3, 0)
+    with pytest.raises(ValueError):
+        assign_aggregation_round(3, 30.0 - 2 * TIME_EPS, 10.0)
 
 
 @given(st.integers(0, 30), st.floats(0, 60), st.floats(0.1, 25))
