@@ -197,6 +197,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
+    if cfg.protocol.algo != "fedqueue":   # only fedqueue reads [ablation]
+        raise ConfigError(f"ablate needs algo.name = fedqueue, got {cfg.protocol.algo}")
     if args.trials < 1:
         raise argparse.ArgumentError(None, f"--trials must be >= 1, got {args.trials}")
     out = _out_path(args.out)

@@ -8,11 +8,13 @@ loading from a file, its line number.  An empty file yields the defaults.
 
 Each dataclass field below declares one key: its file key is the field name
 unless the field's metadata names another, its kind follows the annotation,
-and a ``Literal`` annotation lists the only values the key accepts.
+and a ``Literal`` annotation lists the only values the key accepts.  A key
+that no code reads is ``fixed``: it accepts only its default.
 """
 import configparser
 import io
 import math
+import re
 from copy import deepcopy
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -28,9 +30,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _key(name: str, **kw):
-    """A field whose file key differs from its attribute name."""
-    return field(metadata={"key": name}, **kw)
+def _key(name: str | None = None, fixed: bool = False, **kw):
+    """A field whose file key differs from its name, or `fixed` at its default."""
+    return field(metadata={"key": name, "fixed": fixed}, **kw)
 
 
 @dataclass
@@ -39,7 +41,7 @@ class WorkloadConfig:
     partition: Literal["iid", "non-iid"] = "non-iid"
     data_alpha: float = _key("data.alpha", default=0.5)   # Dirichlet concentration
     model: Literal["linear", "mlp"] = "linear"
-    loss_name: Literal["CELoss"] = _key("loss.name", default="CELoss")
+    loss_name: str = _key("loss.name", fixed=True, default="CELoss")
     dim: int = _key("data.dim", default=32)
     classes: int = _key("data.classes", default=10)
     train_size: int = _key("data.train_size", default=4000)
@@ -59,8 +61,8 @@ class ProtocolConfig:
     num_clients: int = 4
     num_rounds: int = 50
     batch_size: int = 64
-    optimizer: Literal["sgd"] = "sgd"
-    local_steps: int = 100
+    optimizer: str = _key(fixed=True, default="sgd")
+    local_steps: int = _key(fixed=True, default=100)
     algo: Literal["fedqueue", "fedavg", "fedasync", "fedbuff", "fedcompass"] = \
         _key("algo.name", default="fedqueue")
 
@@ -68,10 +70,10 @@ class ProtocolConfig:
 @dataclass
 class FedQueueConfig:
     broadcast_when: Literal["immediate", "next_round"] = "next_round"
-    delay_mode: Literal["simulate"] = "simulate"   # sleep is out of scope
+    delay_mode: str = _key(fixed=True, default="simulate")   # sleep is out of scope
     t_sync: float = _key("Tsync", default=10.0)
     q_init: float = 2.0
-    gamma: float = 0.2
+    gamma: float = _key(fixed=True, default=0.2)
     delta: float = 2.0
     alpha: float = 0.5
     warmup_steps: int = 10
@@ -82,7 +84,7 @@ class FedQueueConfig:
     slowdown: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     staleness_mode: Literal[protocol.FEDQUEUE_STALENESS] = "harmonic"
     staleness_beta: float = 0.5
-    admission_horizon: Literal["horizon", "all"] = "horizon"
+    admission_horizon: str = _key(fixed=True, default="horizon")
     client_weight_mode: Literal["equal", "data_size"] = "equal"
     lr_base: float = 0.003
     e_floor: int = _key("E_floor", default=1)
@@ -96,7 +98,7 @@ class AsyncConfig:
     staleness_fn: Literal[protocol.ASYNC_STALENESS] = "polynomial"
     staleness_fn_kwargs: dict = field(default_factory=lambda: {"a": 1.0})
     alpha: float = 0.5                    # server mixing factor
-    optimize_memory: bool = True          # accepted for compatibility; inert here
+    optimize_memory: bool = _key(fixed=True, default=True)
 
 
 @dataclass
@@ -106,9 +108,9 @@ class FedBuffConfig:
 
 @dataclass
 class CompassConfig:
-    staleness_fn: Literal[protocol.ASYNC_STALENESS] = "polynomial"
-    staleness_fn_kwargs: dict = field(default_factory=dict)
-    alpha: float = 0.5
+    staleness_fn: str = _key(fixed=True, default="polynomial")
+    staleness_fn_kwargs: dict = _key(fixed=True, default_factory=dict)
+    alpha: float = _key(fixed=True, default=0.5)
     max_local_steps: int = 200
     min_local_steps: int = 20
     speed_momentum: float = 0.6
@@ -157,20 +159,34 @@ class _KeySpec:
     attr: str
     kind: str      # int | float | bool | str | floats | ints | kwargs
     choices: tuple = ()
+    fixed: str | None = None   # the rendered default of a fixed key
 
 
 _KINDS = {int: "int", float: "float", bool: "bool", str: "str", dict: "kwargs",
           tuple[float, ...]: "floats", tuple[int, ...]: "ints"}
 
 
+def _render(kind: str, value) -> str:
+    if kind in ("floats", "ints"):
+        return ",".join(repr(v) if kind == "floats" else str(v) for v in value)
+    if kind == "kwargs":
+        return "{" + ",".join(f"{k}={v}" for k, v in value.items()) + "}"
+    if kind == "bool":
+        return "true" if value else "false"
+    return str(value)
+
+
 def _schema() -> dict[str, dict[str, _KeySpec]]:
     schema = {}
     for sec in fields(ExperimentConfig):
-        keys = schema[sec.metadata.get("key", sec.name)] = {}
+        keys = schema[sec.metadata.get("key") or sec.name] = {}
+        defaults = sec.type()
         for f in fields(sec.type):
             choices = get_args(f.type) if get_origin(f.type) is Literal else ()
-            keys[f.metadata.get("key", f.name)] = _KeySpec(
-                f"{sec.name}.{f.name}", "str" if choices else _KINDS[f.type], choices)
+            kind = "str" if choices else _KINDS[f.type]
+            keys[f.metadata.get("key") or f.name] = _KeySpec(
+                f"{sec.name}.{f.name}", kind, choices,
+                _render(kind, getattr(defaults, f.name)) if f.metadata.get("fixed") else None)
     return schema
 
 
@@ -194,12 +210,7 @@ def _parse(kind: str, raw: str, where: str):
         if kind == "float":
             return float(raw)
         if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "floats":
             return tuple(float(p) for p in raw.split(",") if p.strip() != "")
         if kind == "ints":
@@ -216,18 +227,8 @@ def _parse(kind: str, raw: str, where: str):
                 out[name.strip()] = float(val)
             return out
         return raw
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"cannot parse {where} value {raw!r} as {kind}") from exc
-
-
-def _render(kind: str, value) -> str:
-    if kind in ("floats", "ints"):
-        return ",".join(repr(v) if kind == "floats" else str(v) for v in value)
-    if kind == "kwargs":
-        return "{" + ",".join(f"{k}={v}" for k, v in value.items()) + "}"
-    if kind == "bool":
-        return "true" if value else "false"
-    return str(value)
 
 
 def get_key(cfg: ExperimentConfig, attr: str):
@@ -282,9 +283,14 @@ def default_config() -> ExperimentConfig:
 # load / save
 # ---------------------------------------------------------------------------
 
-def _find_line(text: str, needle: str) -> int | None:
+def _find_line(text: str, section: str, key: str | None = None) -> int | None:
+    """The line of `[section]`, or of the whole key `key` inside it."""
+    current = None
     for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip().startswith(needle):
+        line = line.strip()
+        current = line if line.startswith("[") else current
+        if current == f"[{section}]" and (
+                key is None or re.match(rf"{re.escape(key)}\s*[=:]", line)):
             return i
     return None
 
@@ -299,13 +305,13 @@ def loads_config(text: str) -> ExperimentConfig:
     cfg = default_config()
     for section in parser.sections():
         if section not in _SCHEMA:
-            line = _find_line(text, f"[{section}]")
+            line = _find_line(text, section)
             raise ConfigError(f"unknown section [{section}]"
                               + (f" (line {line})" if line else ""))
         for key, raw in parser.items(section):
             spec = _SCHEMA[section].get(key)
             if spec is None:
-                line = _find_line(text, key)
+                line = _find_line(text, section, key)
                 raise ConfigError(f"unknown key {key!r} in section [{section}]"
                                   + (f" (line {line})" if line else ""))
             _set_attr(cfg, spec.attr, _parse(spec.kind, raw, f"[{section}] {key}"))
@@ -342,6 +348,9 @@ def _require(cond: bool, msg: str) -> None:
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for section, key, spec in _iter_keys():
         value = get_key(cfg, spec.attr)
+        if spec.fixed is not None and (shown := _render(spec.kind, value)) != spec.fixed:
+            raise ConfigError(f"[{section}] {key} cannot change a run: it is fixed "
+                              f"at {spec.fixed}, got {shown}")
         if spec.kind in ("float", "floats"):
             values = value if spec.kind == "floats" else (value,)
             if not all(math.isfinite(v) for v in values):
@@ -362,7 +371,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              "quadratic workload constants out of range")
     _require(fq.t_sync > 0, "Tsync must be > 0")
     _require(fq.q_init >= 0, "q_init must be >= 0")
-    _require(fq.gamma >= 0, "gamma must be >= 0")
     _require(fq.delta >= 0, "delta must be >= 0")
     _require(0.0 < fq.alpha <= 1.0, "alpha must be in (0, 1]")
     _require(fq.warmup_steps >= 0, "warmup_steps must be >= 0")

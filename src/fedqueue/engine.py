@@ -323,7 +323,6 @@ class FedQueueOrchestrator(Orchestrator):
             static = (fq.queue_means if fq.sim_queue == "lognormal"
                       else fq.queue_fixed)
             self.predictor = DelayPredictor(static, 0.0)
-        self.delta_eff = protocol.effective_safety_buffer(fq.delta, fq.gamma)
         self.buffer: list[protocol.ClientUpdate] = []
         self.pool = set(range(sim.num_clients))
         self.e_min_ref: int | None = None
@@ -348,7 +347,7 @@ class FedQueueOrchestrator(Orchestrator):
         fq = self.cfg.fedqueue
         q_hat = self.predictor.predict(k)
         return q_hat, protocol.compute_budget(
-            fq.t_sync, q_hat, self.delta_eff, queue_sim.effective_rate(fq, k), fq.e_floor)
+            fq.t_sync, q_hat, fq.delta, queue_sim.effective_rate(fq, k), fq.e_floor)
 
     def _submit(self, k: int, r: int, q_hat: float, steps: int) -> None:
         fq = self.cfg.fedqueue

@@ -24,7 +24,6 @@ __all__ = [
     "staleness",
     "ClientUpdate",
     "compute_budget",
-    "effective_safety_buffer",
     "scale_learning_rate",
     "assign_aggregation_round",
     "partition_admissions",
@@ -110,16 +109,6 @@ def compute_budget(t_sync: float, q_hat: float, delta: float, c_k: float,
         raise ValueError("throughput must be > 0")
     j = max(0.0, t_sync - q_hat - delta)
     return max(int(e_floor), int(math.floor(c_k * j)))
-
-
-def effective_safety_buffer(delta: float, gamma: float) -> float:
-    """Planning slack actually used when budgeting a round.
-
-    At the calibrated default gamma = 0.2 this is exactly `delta`.
-    Sweeping gamma above the default stiffens the buffer proportionally,
-    trading local progress for earlier arrivals.
-    """
-    return delta * (1.0 + 0.5 * max(0.0, gamma - 0.2))
 
 
 def scale_learning_rate(eta_base: float, e_min: int, e_k: int) -> float:

@@ -128,11 +128,12 @@ def test_criterion_2_delay_ratio_grid_shape():
     p_rho = median_p_late("queue_rho", [0.1, 0.5, 0.9])
     assert p_rho[0] <= p_rho[1] <= p_rho[2], f"rho shape broken: {p_rho}"
     assert p_rho[0] < p_rho[2], f"rho sweep flat: {p_rho}"
-    p_gamma = median_p_late("gamma", [1.0, 2.0, 4.0])
-    assert p_gamma[0] >= p_gamma[1] >= p_gamma[2], f"gamma shape broken: {p_gamma}"
-    assert p_gamma[0] > p_gamma[2], f"gamma sweep flat: {p_gamma}"
+    p_delta = median_p_late("delta", [2.8, 3.8, 5.8])
+    assert p_delta[0] >= p_delta[1] >= p_delta[2], f"delta shape broken: {p_delta}"
+    assert p_delta[0] > p_delta[2], f"delta sweep flat: {p_delta}"
     report(2, "delay-ratio grid", f"P_late rho {[f'{p:.3f}' for p in p_rho]} rising, "
-           f"gamma {[f'{p:.3f}' for p in p_gamma]} falling, {time.time()-start:.1f}s")
+           f"delta rising {[f'{p:.3f}' for p in p_delta]} falling, "
+           f"{time.time()-start:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,15 @@ def test_unknown_key_rejected_with_name_and_line():
     text = "[fedqueue]\nTsync = 10.0\nTsink = 9.0\n"
     with pytest.raises(ConfigError, match=r"Tsink.*line 3"):
         loads_config(text)
+    # the line is the key's own, in its section, never an earlier section's
+    # key of the same name or one that the key begins
+    for text, key in (("[fedqueue]\nalpha = 0.5\n[fedbuff]\nalpha = 0.3\n", "alpha"),
+                      ("[fedqueue]\ndelta = 1\n[protocol]\ndelta = 2\n", "delta"),
+                      ("[fedqueue]\nalpha = 0.5\nTsync = 10.0\n[workload]\nalph = 1\n",
+                       "alph")):
+        line = text.count("\n")
+        with pytest.raises(ConfigError, match=rf"^unknown key '{key}' .*\(line {line}\)$"):
+            loads_config(text)
 
 
 def test_unknown_section_rejected():
@@ -76,14 +85,39 @@ def test_sleep_delay_mode_rejected():
         loads_config("[fedqueue]\ndelay_mode = sleep\n")
 
 
+# every string key: its values are a listed set, or one value if it is fixed
 @pytest.mark.parametrize("section, key, choices", [
-    (section, key, spec.choices) for section, key, spec in config._iter_keys()
-    if spec.choices])
+    (section, key, spec.choices or (spec.fixed,))
+    for section, key, spec in config._iter_keys() if spec.kind == "str"])
 def test_every_enumerated_key_rejects_other_values(section, key, choices):
     with pytest.raises(ConfigError) as err:
         loads_config(f"[{section}]\n{key} = bogus\n")
-    assert str(err.value) == (f"[{section}] {key} must be one of "
-                              f"{' | '.join(choices)}, got 'bogus'")
+    if config._SCHEMA[section][key].fixed:
+        assert str(err.value) == (f"[{section}] {key} cannot change a run: "
+                                  f"it is fixed at {choices[0]}, got bogus")
+    else:
+        assert str(err.value) == (f"[{section}] {key} must be one of "
+                                  f"{' | '.join(choices)}, got 'bogus'")
+
+
+FIXED_KEYS = [(section, key) for section, key, spec in config._iter_keys() if spec.fixed]
+# a value other than the default, by kind
+OTHER_VALUE = {"str": "bogus", "int": "7", "float": "4.0", "bool": "false",
+               "kwargs": "{a=1.0}"}
+
+
+@pytest.mark.parametrize("section, key", FIXED_KEYS)
+def test_fixed_key_accepts_only_its_default(section, key):
+    spec = config._SCHEMA[section][key]
+    value = OTHER_VALUE[spec.kind]
+    assert value != spec.fixed
+    message = (rf"^\[{section}\] {re.escape(key)} cannot change a run: it is fixed "
+               rf"at {re.escape(spec.fixed)}, got ")
+    with pytest.raises(ConfigError, match=message):
+        loads_config(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=message):
+        fedqueue.run_sweep(default_config(), [(f"{section}.{key}", [value])])
+    assert loads_config(f"[{section}]\n{key} = {spec.fixed}\n") == default_config()
 
 
 @pytest.mark.parametrize("steps", ["0,0,0,0", "-1,5,5,5"])
@@ -95,16 +129,20 @@ def test_fedavg_step_counts_below_one_rejected(steps):
 
 def test_readme_config_block_is_the_default_config():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
-    block = "\n".join(line.split(";", 1)[0].rstrip() for line in block.splitlines())
+    lines = text.split("```ini\n", 1)[1].split("```", 1)[0].splitlines()
+    block = "\n".join(line.split(";", 1)[0].rstrip() for line in lines)
     assert loads_config(block) == default_config()
-    section, named = None, []
-    for line in block.splitlines():
-        if line.startswith("["):
-            section = line.strip("[]")
-        elif line:
-            named.append((section, line.split("=", 1)[0].strip()))
+    section, named, marked = None, [], []
+    for line in lines:
+        code, _, comment = line.partition(";")
+        if code.startswith("["):
+            section = code.strip().strip("[]")
+        elif code.strip():
+            named.append((section, code.split("=", 1)[0].strip()))
+            if comment.strip().split(" (", 1)[0] == "fixed":
+                marked.append(named[-1])
     assert named == [(section, key) for section, key, _ in config._iter_keys()]
+    assert marked == FIXED_KEYS
 
 
 # one out-of-range value per key the delay and compute models read unchecked
@@ -343,6 +381,19 @@ def test_cmd_ablate_emits_four_variants(tmp_path, capsys):
         assert variant in printed
 
 
+def test_cmd_ablate_rejects_a_baseline_config(tmp_path, capsys):
+    # only fedqueue reads [ablation]: under a baseline the four variants are
+    # one run four times
+    cfg = tmp_path / "fedavg.ini"
+    cfg.write_text("[protocol]\nnum_rounds = 3\nalgo.name = fedavg\n")
+    out = tmp_path / "abl"
+    assert run_cli("ablate", "--config", str(cfg), "--out", str(out)) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "config error: ablate needs algo.name = fedqueue, got fedavg\n"
+    assert not out.exists()
+
+
 def test_cmd_ablate_prints_a_marker_for_runs_without_accuracy(tmp_path, capsys):
     cfg = tmp_path / "quad.ini"
     cfg.write_text("[protocol]\nnum_rounds = 5\n[workload]\ndataset = quadratic\n")
@@ -389,7 +440,7 @@ BAD_ARGUMENTS = {
     "sweep-repeated-value": (["sweep", "--axis", "queue_rho", "--values",
                               "0.1,0.5,0.1"], "--values"),
     "sweep-unpaired-values": (["sweep", "--axis", "queue_rho", "--values", "0.1",
-                               "--axis", "gamma"], "--values"),
+                               "--axis", "delta"], "--values"),
     "sweep-repeated-axis": (["sweep", "--axis", "queue_rho", "--values", "0.1",
                              "--axis", "fedqueue.queue_rho", "--values", "0.5"],
                             "--axis"),

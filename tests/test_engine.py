@@ -131,13 +131,6 @@ def test_skipped_round_keeps_model():
     assert not log.failed
 
 
-def test_admission_horizon_all_matches_horizon_mode_in_simulation():
-    base = quick_config(fedqueue__queue_rho=0.9)
-    alt = quick_config(fedqueue__queue_rho=0.9)
-    alt.fedqueue.admission_horizon = "all"
-    assert run_experiment(base).checksum() == run_experiment(alt).checksum()
-
-
 def test_immediate_broadcast_runs_and_differs():
     base = quick_config(fedqueue__queue_rho=0.9)
     imm = quick_config(fedqueue__queue_rho=0.9)
@@ -604,9 +597,11 @@ def test_sweep_grid_size():
 
 
 def test_sweep_gamma_axis():
+    # the buffers a gamma = 1, 2, 4 sweep stretched delta = 2 to; gamma
+    # itself is fixed
     cfg = quick_config(protocol__num_rounds=5)
-    results = run_sweep(cfg, [("gamma", [1.0, 2.0, 4.0])], trials=1)
-    assert [r["value"] for r in results] == [1.0, 2.0, 4.0]
+    results = run_sweep(cfg, [("delta", [2.8, 3.8, 5.8])], trials=1)
+    assert [r["value"] for r in results] == [2.8, 3.8, 5.8]
 
 
 def test_degenerate_sweep_reproduces_single_run():
@@ -792,16 +787,16 @@ def test_sweep_values_independent_of_order():
 
 def test_grid_points_reproduce_standalone():
     cfg = quick_config(protocol__num_rounds=5)
-    grid = [("queue_rho", [0.1, 0.9]), ("gamma", [1.0, 4.0])]
+    grid = [("queue_rho", [0.1, 0.9]), ("delta", [2.8, 5.8])]
     results = run_sweep(cfg, grid, trials=2)
-    points = [((ri, rho), (gi, gamma), ti) for ri, rho in enumerate([0.1, 0.9])
-              for gi, gamma in enumerate([1.0, 4.0]) for ti in range(2)]
+    points = [((ri, rho), (di, delta), ti) for ri, rho in enumerate([0.1, 0.9])
+              for di, delta in enumerate([2.8, 5.8]) for ti in range(2)]
     assert len(results) == len(points)
-    for res, ((ri, rho), (gi, gamma), ti) in zip(results, points):
-        assert (res["values"], res["value"], res["trial"]) == ((rho, gamma), gamma, ti)
-        assert res["seed"] == spawn_seed(cfg.protocol.seed, ri, gi, ti)
+    for res, ((ri, rho), (di, delta), ti) in zip(results, points):
+        assert (res["values"], res["value"], res["trial"]) == ((rho, delta), delta, ti)
+        assert res["seed"] == spawn_seed(cfg.protocol.seed, ri, di, ti)
         standalone = cfg.copy()
-        standalone.fedqueue.queue_rho, standalone.fedqueue.gamma = rho, gamma
+        standalone.fedqueue.queue_rho, standalone.fedqueue.delta = rho, delta
         standalone.protocol.seed = res["seed"]
         assert run_experiment(standalone).checksum() == res["log"].checksum()
 

@@ -36,17 +36,6 @@ def test_budget_oversubscribed_queue_clamps():
     assert compute_budget(10.0, 12.0, 2.0, 10.0, 5) == 5
 
 
-def test_effective_safety_buffer_identity_at_default_gamma():
-    assert protocol.effective_safety_buffer(2.0, 0.2) == 2.0
-    assert protocol.effective_safety_buffer(1.0, 0.2) == 1.0
-
-
-def test_effective_safety_buffer_grows_with_gamma():
-    vals = [protocol.effective_safety_buffer(2.0, g) for g in (0.2, 1, 2, 4)]
-    assert vals == sorted(vals)
-    assert vals[0] < vals[-1]
-
-
 # ---------------------------------------------------------------------------
 # learning-rate scaling
 # ---------------------------------------------------------------------------
