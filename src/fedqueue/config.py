@@ -303,7 +303,12 @@ def loads_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
     cfg = default_config()
-    for section in parser.sections():
+    # configparser folds a [DEFAULT] section's keys into every other section
+    # and lists it in none, so it would be inherited or ignored unseen
+    sections = parser.sections()
+    if parser.defaults():
+        sections.insert(0, parser.default_section)
+    for section in sections:
         if section not in _SCHEMA:
             line = _find_line(text, section)
             raise ConfigError(f"unknown section [{section}]"

@@ -98,8 +98,11 @@ class Event:
 
 # The writer prints each number once: a chunk of records is flattened into
 # one list of plain scalars, printed by one encoder call, and the resulting
-# tokens are laid into fixed %-templates.  Only numbers and null go through
-# the encoder, never strings, so ", " only ever separates two tokens.
+# tokens are laid into %-templates.  Only numbers and null go through the
+# encoder, never strings, so ", " only ever separates two tokens.  A cell
+# that is NaN by its record's definition is template text, not a value, and
+# an event's time is printed on its own, once for a run of events that share
+# it (`_time_head`).
 _encode = json.JSONEncoder(default=float).encode
 
 
@@ -125,21 +128,25 @@ def _chunked(items, width: int):
         yield chunk
 
 
-def _hash_records(h, records, template: str, values_of, each_chunk=None) -> None:
+def _hash_records(h, records, width: int, text_of) -> None:
     """Feed `h` the JSON array of `records`, byte for byte as json.dumps
-    writes it, a chunk at a time: the values `values_of` gives for the
-    chunk's records are printed by one encoder call and laid into one
-    `template` per record.  `each_chunk(chunk, tokens)`, if given, follows
-    each chunk."""
+    writes it, a chunk at a time: `text_of(chunk)` prints a chunk's records,
+    counted at `width` values each, with one encoder call."""
     sep = b"["
-    for chunk in _chunked(records, template.count("%s")):
-        tokens = _tokens(list(chain.from_iterable(map(values_of, chunk))))
+    for chunk in _chunked(records, width):
         h.update(sep)
-        h.update((", ".join([template] * len(chunk)) % tokens).encode())
+        h.update(text_of(chunk).encode())
         sep = b", "
-        if each_chunk is not None:
-            each_chunk(chunk, tokens)
     h.update(b"]" if sep == b", " else b"[]")
+
+
+def _uniform(template: str, values_of):
+    """`_hash_records`' text_of for records of one template, filled with
+    the values `values_of` gives for each record."""
+    def text_of(chunk) -> str:
+        tokens = _tokens(list(chain.from_iterable(map(values_of, chunk))))
+        return ", ".join([template] * len(chunk)) % tokens
+    return text_of
 
 
 # The checksum's records are JSON objects with sorted keys; an arrival
@@ -155,29 +162,68 @@ _ROUND_FIELDS = ("round", "time", "loss", "accuracy", "admitted", "deferred",
 _CLIENT_COLUMNS = _ROUND_FIELDS[8:]       # one value per client each
 
 
-def _round_values(row) -> tuple:
-    """A `_round_rows` row's values in sorted-key order, each per-client
+def _held_columns(algo: str) -> tuple:
+    """The per-client columns a round row of `algo` has values in, for the
+    clients it holds; every other per-client cell of the row is NaN."""
+    return _CLIENT_COLUMNS if algo == "fedqueue" else ("q", "steps_done")
+
+
+def _fedqueue_values(row) -> tuple:
+    """A fedqueue row's printed values in sorted-key order, each held
     column spread out."""
-    (r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau,
+    (r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau, _,
      q, q_hat, steps_budget, eta, steps_done) = row
     return (accuracy, admitted, deferred, *eta, loss, max_tau, mean_tau, *q,
             *q_hat, r, *steps_budget, *steps_done, time)
 
 
-@cache
-def _round_record(k: int) -> str:
-    """The checksum's template of a round row with k clients."""
-    return _object((key, _list(k) if key in _CLIENT_COLUMNS else "%s")
-                   for key in sorted(_ROUND_FIELDS))
+def _baseline_values(row) -> tuple:
+    """A baseline row's printed values in sorted-key order."""
+    r, time, loss, accuracy, admitted, deferred, mean_tau, max_tau, _, q, steps_done = row
+    return (accuracy, admitted, deferred, loss, max_tau, mean_tau, *q, r,
+            *steps_done, time)
 
 
-@cache
-def _client_cells(k: int):
-    """Getter of a round row's per-client tokens in rounds.csv's order."""
-    labels = _round_values((*_ROUND_FIELDS[:8],
-                            *([(c, j) for j in range(k)] for c in _CLIENT_COLUMNS)))
-    index = {label: i for i, label in enumerate(labels)}
-    return itemgetter(*(index[c, j] for c in _CLIENT_COLUMNS for j in range(k)))
+# rounds.csv lines as csv.writer writes them: the head cells from the row,
+# the held per-client cells from the checksum's tokens, a NaN or None cell
+# empty
+_CSV_HEAD = "%s,%.6f,%.8f,%.6f,%s,%s,%.4f,%s,"
+_CSV_HEAD_NO_ACCURACY = "%s,%.6f,%.8f,%.0s,%s,%s,%.4f,%s,"   # %.0s prints None as ""
+_CSV_TOKENS = (("NaN", ""), ("null", ""), ("Infinity", "inf"))   # -Infinity too
+
+
+class _RowTemplates(dict):
+    """The printing templates of one log's round rows, keyed by the clients
+    a row holds and built at the first such row: (the checksum record, the
+    rounds.csv cells after the head, the getter of those cells' tokens from
+    the row's, the row's count of printed values).  Every cell the row does
+    not hold is literal NaN text in the record and empty in the CSV."""
+
+    def __init__(self, algo: str, k: int):
+        super().__init__()
+        self.k, self.held = k, _held_columns(algo)
+        self.spread = _fedqueue_values if algo == "fedqueue" else _baseline_values
+        self.width = 8 + len(self.held) * k     # a row's values if it holds every client
+
+    def __missing__(self, clients: tuple):
+        k, held = self.k, self.held
+        # every held column holds the same clients
+        json_cells, csv_cells = ["NaN"] * k, [""] * k
+        for j in clients:
+            json_cells[j] = csv_cells[j] = "%s"
+        record = _object(
+            (key, "[" + ", ".join(json_cells if key in held else ["NaN"] * k) + "]"
+             if key in _CLIENT_COLUMNS else "%s") for key in sorted(_ROUND_FIELDS))
+        csv = ",".join(",".join(csv_cells if c in held else [""] * k)
+                       for c in _CLIENT_COLUMNS)
+        labels = self.spread((*_ROUND_FIELDS[:8], clients,
+                              *([(c, j) for j in clients] for c in held)))
+        index = {label: i for i, label in enumerate(labels)}
+        picks = [index[c, j] for c in _CLIENT_COLUMNS if c in held for j in clients]
+        # a held client has at least two cells, so itemgetter gives a tuple
+        cells = itemgetter(*picks) if picks else lambda tokens: ()
+        self[clients] = templates = (record, csv + "\r\n", cells, len(labels))
+        return templates
 
 
 @dataclass
@@ -239,27 +285,27 @@ class MetricsLog:
         return sum(1 for e in self.events if e.kind == "skipped_round")
 
     def _round_rows(self):
-        """One row per aggregation or skipped round, in order: a tuple of
-        the _ROUND_FIELDS, each per-client column (observed q, predicted
-        q_hat, budget E, eta, steps done) a tuple over the clients, NaN
-        where the row has no value for a client.  `admitted` counts the
-        updates aggregated, and mean_tau and max_tau are their staleness.
+        """One row per aggregation or skipped round, in order: the first
+        eight _ROUND_FIELDS, the sorted tuple of the clients the row holds,
+        then one tuple over those clients per column of
+        `_held_columns(algo)`.  Every other per-client cell of the row is
+        NaN.  `admitted` counts the updates aggregated, and mean_tau and
+        max_tau are their staleness.
 
-        Fedqueue keys a row by submit round: the dispatch columns of the jobs
-        submitted in it (a client's last one wins), and `deferred` counts
+        Fedqueue keys a row by submit round: it holds the jobs submitted in
+        it, with their dispatch columns (observed q, predicted q_hat, budget
+        E, eta, steps done; a client's last job wins), and `deferred` counts
         those admitted to a later round.  A baseline's row is one
-        aggregation: the applied updates' q and steps, and `deferred` counts
-        the stale ones among them.
+        aggregation: it holds the applied updates, with their q and steps
+        done, and `deferred` counts the stale ones among them.
         """
         # one row meaning for both families changes the pinned outputs; the
         # deliberate re-pin that does it (ROADMAP.md) removes this branch
         by_submit = self.algo == "fedqueue"
-        nan = float("nan")
-        blank = (nan,) * 5
-        clients = range(self.num_clients)
+        none = ((),) * len(_held_columns(self.algo))
         if by_submit:
             stale = Counter(a.submit_round for a in self._arrivals() if a.tau >= 1)
-        cols, loss, accuracy = {}, nan, None
+        cols, loss, accuracy = {}, float("nan"), None
         for e in self.events:
             kind = e.kind
             if kind == "eval":
@@ -279,29 +325,39 @@ class MetricsLog:
                 if by_submit:
                     mine, deferred = cols.pop(r, {}), stale[r]
                 else:
-                    mine = {a.client: (a.q, nan, nan, nan, a.steps_done)
-                            for a in applied}
+                    mine = {a.client: (a.q, a.steps_done) for a in applied}
                     deferred = sum(1 for tau in taus if tau >= 1)
+                clients = tuple(sorted(mine))
                 yield (r, e.t, loss, accuracy, len(taus), deferred,
                        sum(taus) / len(taus) if taus else 0.0,
-                       max(taus) if taus else 0,
-                       *zip(*[mine.get(k, blank) for k in clients]))
+                       max(taus) if taus else 0, clients,
+                       *(zip(*map(mine.__getitem__, clients)) if mine else none))
 
-    def checksum(self, each_rounds_chunk=None) -> str:
+    def checksum(self, rounds_csv=None) -> str:
         """sha256 of json.dumps({"rounds": [dict(zip(_ROUND_FIELDS, row))
-        for row in _round_rows()], "arrivals": [{key: getattr(a, key) for
-        key in _ARRIVAL_KEYS} for a in arrivals], "evals": evals},
-        sort_keys=True, default=float), hashed a chunk of records at a time
-        as it is printed.  `each_rounds_chunk`, if given, is called with each
-        chunk of round rows (see `_round_rows`) once it is hashed, and with
-        the rows' tokens, their printed values in `_round_values` order."""
+        for row in round rows], "arrivals": [{key: getattr(a, key) for key
+        in _ARRIVAL_KEYS} for a in arrivals], "evals": evals},
+        sort_keys=True, default=float), a round row's per-client columns
+        spread over all clients (see `_round_rows`), hashed a chunk of
+        records at a time as it is printed.  `rounds_csv`, if given, is a
+        text file that each chunk of round rows is written to as rounds.csv
+        lines, from the tokens the checksum printed for it."""
         h = hashlib.sha256(b'{"arrivals": ')
-        _hash_records(h, self._arrivals(), _ARRIVAL_RECORD, _arrival_sorted)
+        _hash_records(h, self._arrivals(), len(_ARRIVAL_KEYS),
+                      _uniform(_ARRIVAL_RECORD, _arrival_sorted))
         h.update(b', "evals": ')
-        _hash_records(h, self._evals(), _list(3), iter)
+        _hash_records(h, self._evals(), 3, _uniform(_list(3), iter))
         h.update(b', "rounds": ')
-        _hash_records(h, self._round_rows(), _round_record(self.num_clients),
-                      _round_values, each_rounds_chunk)
+        templates = _RowTemplates(self.algo, self.num_clients)
+
+        def text_of(rows) -> str:
+            shapes = [templates[row[8]] for row in rows]
+            tokens = _tokens(list(chain.from_iterable(map(templates.spread, rows))))
+            if rounds_csv is not None:
+                rounds_csv.write(_csv_lines(rows, shapes, tokens))
+            return ", ".join([shape[0] for shape in shapes]) % tokens
+
+        _hash_records(h, self._round_rows(), templates.width, text_of)
         h.update(b"}")
         return h.hexdigest()
 
@@ -559,58 +615,76 @@ def rounds_header(num_clients: int):
     return cols
 
 
-# rounds.csv lines as csv.writer writes them: the head cells from the row,
-# the per-client cells from the checksum's tokens, a NaN or None cell empty
-_CSV_LINE = "%s,%.6f,%.8f,%.6f,%s,%s,%.4f,%s,%s\r\n"
-_CSV_LINE_NO_ACCURACY = "%s,%.6f,%.8f,%.0s,%s,%s,%.4f,%s,%s\r\n"   # %.0s prints None as ""
-_CSV_TOKENS = (("NaN", ""), ("null", ""), ("Infinity", "inf"))   # -Infinity too
-
-
-def _csv_lines(rows, tokens, k: int) -> str:
-    """rounds.csv lines of a chunk of `_round_rows` rows and their tokens."""
-    cells, width = _client_cells(k), len(tokens) // len(rows)
-    templates, args = [], []
-    for i, row in enumerate(rows):
-        templates.append(_CSV_LINE_NO_ACCURACY if row[3] is None else _CSV_LINE)
+def _csv_lines(rows, shapes, tokens) -> str:
+    """rounds.csv lines of a chunk of `_round_rows` rows, given each row's
+    `_RowTemplates` entry and the chunk's tokens."""
+    lines, args, i = [], [], 0
+    for row, (_, cells_line, cells, width) in zip(rows, shapes):
+        lines.append(_CSV_HEAD_NO_ACCURACY if row[3] is None else _CSV_HEAD)
+        lines.append(cells_line)
         args += row[:8]
-        args.append(",".join(cells(tokens[i * width:(i + 1) * width])))
-    text = "".join(templates) % tuple(args)
+        args += cells(tokens[i:i + width])
+        i += width
+    text = "".join(lines) % tuple(args)
     for token, cell in _CSV_TOKENS:
         text = text.replace(token, cell)
     return text
 
 
-# events.jsonl lines: one template per kind, the aggregate's per list length
-def _event_line(kind: str, values: dict) -> str:
-    return _object([("t", "%s"), ("kind", f'"{kind}"'), *values.items()]) + "\n"
+# events.jsonl lines: the time, printed once for a run of consecutive events
+# that hold the same float object, then one template per kind for the rest
+# of the line, the aggregate's per list length
+def _event_tail(kind: str, values: dict) -> str:
+    return _object([("kind", f'"{kind}"'), *values.items()])[1:] + "\n"
 
 
-_EVENT_LINES = {kind: _event_line(kind, dict.fromkeys(names, "%s"))
+_EVENT_TAILS = {kind: _event_tail(kind, dict.fromkeys(names, "%s"))
                 for kind, names in EVENT_FIELDS.items() if kind != "aggregate"}
 _LINE_WIDTH = 1 + max(map(len, EVENT_FIELDS.values()))    # values per line, lists aside
 
 
 @cache
-def _aggregate_line(applied: int) -> str:
-    return _event_line("aggregate", {"round": "%s", "clients": _list(applied),
+def _aggregate_tail(applied: int) -> str:
+    return _event_tail("aggregate", {"round": "%s", "clients": _list(applied),
                                      "taus": _list(applied)})
+
+
+def _time_head(t) -> str:
+    """The start of an events.jsonl line at time t: its rounded time as
+    json.dumps prints it (float.__repr__ for a finite float)."""
+    t = round(float(t), 9)
+    return '{"t": ' + (float.__repr__(t) if t - t == 0.0 else _encode(t)) + ", "
 
 
 def _event_lines(chunk) -> str:
     """events.jsonl lines of a chunk of events."""
-    templates, values = [], []
+    lines, values = [], []
+    line, value = lines.append, values.append
+    last = None
     for e in chunk:
-        values.append(round(float(e.t), 9))
-        kind = e.kind
-        held = _VALUES[kind](e.data)          # e.values, without the call
-        if kind == "aggregate":
-            r, clients, taus = held
-            templates.append(_aggregate_line(len(clients)))
-            values += (r, *clients, *taus)
+        if e.t is not last:
+            last = e.t
+            head = _time_head(last)
+        line(head)
+        # the kind's EVENT_FIELDS, read from what it holds as _VALUES reads them
+        kind, held = e.kind, e.data
+        if kind == "dispatch":
+            values += (held.client, held.submit_round, held.steps_done, held.eta,
+                       held.q_hat)
+        elif kind == "arrival":
+            values += (held.client, held.submit_round, held.q, held.steps_done)
+        elif kind == "job_start":
+            value(held.client)
+        elif kind == "aggregate":
+            line(_aggregate_tail(len(held)))
+            value(held[0].agg_round)
+            values += [m.client for m in held]
+            values += [m.tau for m in held]
+            continue
         else:
-            templates.append(_EVENT_LINES[kind])
             values += held
-    return "".join(templates) % _tokens(values)
+        line(_EVENT_TAILS[kind])
+    return "".join(lines) % _tokens(values)
 
 
 def write_outputs(log: MetricsLog, out_dir):
@@ -620,12 +694,13 @@ def write_outputs(log: MetricsLog, out_dir):
     The writer streams a chunk of records at a time, each chunk printed by
     one encoder call: rounds.csv is written in the pass that hashes the
     round rows for the checksum, from the same tokens, so beyond the log it
-    holds one chunk of records and the summary's lists."""
+    holds one chunk of records, the templates of the round rows' sets of
+    held clients, and the summary's lists."""
     out_dir.mkdir(parents=True, exist_ok=True)
     k = log.num_clients
     with open(out_dir / "rounds.csv", "w", newline="") as fh:
         fh.write(",".join(rounds_header(k)) + "\r\n")
-        checksum = log.checksum(lambda rows, tokens: fh.write(_csv_lines(rows, tokens, k)))
+        checksum = log.checksum(fh)
     summary = {
         "algo": log.algo,
         "seed": log.seed,

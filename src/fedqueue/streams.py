@@ -14,8 +14,8 @@ hashed into a pool of four, then the pool hashed out into the state), and
 NEP 19 holds that seeding to stream compatibility across numpy releases.
 The hash runs on Python ints masked to 32 bits, or on ``uint32`` arrays,
 which wrap exactly as its C code does.  ``Substreams`` computes the seeds
-of 64 consecutive last key parts ``j`` at once: a key head's pool is mixed
-once, and each block of 64 ``j`` is one pass of the hash over arrays.
+of 256 consecutive last key parts ``j`` at once: a key head's pool is mixed
+once, and each block of 256 ``j`` is one pass of the hash over arrays.
 
 A job's ``("sgd", k, j)`` substream is derived only when its objective
 draws from it: a job of a noise-free quadratic client gets none.  Since
@@ -39,7 +39,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_WORDS = 8        # PCG64 seeds from 4 uint64 words
 
-_BLOCK = 64             # last key parts derived at once by Substreams
+_BLOCK = 256            # last key parts derived at once by Substreams
 
 
 def _key_part(part) -> int:
@@ -177,17 +177,17 @@ class Substreams:
     """The substreams (seed, *head, j) of one master seed, for keys whose
     last part j is an int: each call equals ``substream(seed, *head, j)``.
 
-    The seeds of j = 64 b, ..., 64 b + 63 are computed together, the first
-    time one of them is asked for; a head keeps its latest block, so a
-    caller that counts j up derives each block once.  The 64 j of a block
-    share their higher words, because 2^32 is a multiple of 64, so only the
+    The seeds of j = 256 b, ..., 256 b + 255 are computed together, the
+    first time one of them is asked for; a head keeps its latest block, so a
+    caller that counts j up derives each block once.  The 256 j of a block
+    share their higher words, because 2^32 is a multiple of 256, so only the
     lowest word varies across the block's array.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._heads = {}      # head -> (pool, hash constant) after the head
-        self._blocks = {}     # head -> (block index, (64, 4) uint64 seeds)
+        self._blocks = {}     # head -> (block index, (_BLOCK, 4) uint64 seeds)
 
     def __call__(self, *key) -> np.random.Generator:
         head, j = key[:-1], key[-1]

@@ -3,6 +3,7 @@
 the tests' readers of a run log's round rows and dispatches."""
 import hashlib
 import json
+import math
 from collections import namedtuple
 
 from fedqueue import metrics
@@ -35,15 +36,25 @@ def output_digest(log, out_dir) -> str:
     return h.hexdigest()
 
 
-# a round row of `MetricsLog._round_rows`, its per-client columns as lists
+# a round row of `MetricsLog._round_rows`, each per-client column a list over
+# all clients
 Round = namedtuple("Round", ("round", "time", "loss", "accuracy", "admitted",
                              "deferred", "mean_tau", "max_tau", "q", "q_hat",
                              "steps_budget", "eta", "steps_done"))
 
 
 def rounds(log) -> list:
-    """One Round per aggregation or skipped round of `log`, in order."""
-    return [Round(*row[:8], *map(list, row[8:])) for row in log._round_rows()]
+    """One Round per aggregation or skipped round of `log`, in order, NaN
+    in each per-client cell its row does not hold."""
+    held = metrics._held_columns(log.algo)
+    out = []
+    for row in log._round_rows():
+        columns = {name: [math.nan] * log.num_clients for name in Round._fields[8:]}
+        for name, values in zip(held, row[9:]):
+            for k, value in zip(row[8], values):
+                columns[name][k] = value
+        out.append(Round(*row[:8], *columns.values()))
+    return out
 
 
 def dispatches(log) -> list:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import shlex
@@ -78,6 +79,17 @@ def test_unknown_key_rejected_with_name_and_line():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"\[fedquux\]"):
         loads_config("[fedquux]\nx = 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 5\n",                                       # was ignored
+    "[DEFAULT]\nseed = 5\n[protocol]\nnum_rounds = 3\n",             # was inherited
+    "[protocol]\nnum_rounds = 3\n\n[DEFAULT]\nseed = 5\n[fedqueue]\ndelta = 1\n",
+], ids=["alone", "inherited", "before-another-section"])
+def test_default_section_rejected_with_its_line(text):
+    line = text.splitlines().index("[DEFAULT]") + 1
+    with pytest.raises(ConfigError, match=rf"^unknown section \[DEFAULT\] \(line {line}\)$"):
+        loads_config(text)
 
 
 def test_sleep_delay_mode_rejected():
@@ -520,6 +532,13 @@ def test_documented_commands_parse_and_name_loadable_configs():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         if args.config:
-            load_config(REPO / args.config)
+            args.config = REPO / args.config
+        cfg = cli._load(args)
         if args.command == "sweep":
-            cli._sweep_grid(args)
+            # every point of the grid is a config the validator accepts
+            grid = cli._sweep_grid(args)
+            for point in itertools.product(*(values for _, values in grid)):
+                swept = cfg.copy()
+                for (axis, _), value in zip(grid, point):
+                    config.set_key(swept, axis, value)
+                config.validate_config(swept)

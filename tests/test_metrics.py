@@ -434,9 +434,18 @@ REFERENCE_RUNS = (
 )
 
 
+# the benchmark's quadratic workload at 12 clients: each of its round rows
+# holds one to three of the twelve, so its rows print through many of the
+# writer's per-row templates
+QUAD_RUNS = {f"quad-dispatch-{algo}": algo for algo in ("fedasync", "fedbuff")}
+
+
 @pytest.fixture(scope="module")
 def reference_logs():
-    return {name: run_experiment(parity_corpus.config(name)) for name in REFERENCE_RUNS}
+    logs = {name: run_experiment(parity_corpus.config(name)) for name in REFERENCE_RUNS}
+    logs.update((name, run_experiment(quad_dispatch_config(algo, 20)))
+                for name, algo in QUAD_RUNS.items())
+    return logs
 
 
 def test_reference_runs_cover_the_edge_cases(reference_logs):
@@ -492,7 +501,7 @@ def assert_outputs_match_the_oracles(log, out_dir):
     assert (out_dir / "rounds.csv").read_bytes() == reference_rounds_csv(log)
 
 
-@pytest.mark.parametrize("name", REFERENCE_RUNS)
+@pytest.mark.parametrize("name", REFERENCE_RUNS + tuple(QUAD_RUNS))
 def test_written_files_match_their_oracles(name, reference_logs, tmp_path):
     assert_outputs_match_the_oracles(reference_logs[name], tmp_path)
 
@@ -559,9 +568,18 @@ def _nonfinite_round():
     return log
 
 
+def _zero_then_negative_zero():
+    # two time objects that compare equal: each prints its own sign
+    log = empty_log(num_clients=1)
+    log.event(0.0, "skipped_round", round=0)
+    log.event(-0.0, "eval", loss=1.0, accuracy=0.5)
+    return log
+
+
 @given(edge_logs())
 @example(empty_log(num_clients=1))
 @example(_nonfinite_round())
+@example(_zero_then_negative_zero())
 @settings(max_examples=150, deadline=None)
 def test_edge_values_print_as_the_oracles_do(log):
     assert log.checksum() == reference_checksum(log)
@@ -600,7 +618,8 @@ def test_summary_reads_the_evaluations_as_their_definitions_do(log):
 def chunked_sections(log) -> dict:
     """(records, JSON values per record) of each section written a chunk
     at a time."""
-    return {"rounds": (len(rounds(log)), 8 + 5 * log.num_clients),
+    width = 8 + len(metrics._held_columns(log.algo)) * log.num_clients
+    return {"rounds": (len(rounds(log)), width),
             "arrivals": (len(log.arrivals), 10),
             "evals": (len(log.evals), 3),
             "events": (len(log.events), metrics._LINE_WIDTH)}

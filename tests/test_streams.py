@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from fedqueue.streams import Substreams, spawn_seed, substream
+from fedqueue.streams import _BLOCK, Substreams, spawn_seed, substream
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**63 + 11, 2**130 + 5]
 KEYS = [("data",), ("queue", 3, 0), ("sgd", 11, 63), ("warmup", 2**32 + 7),
@@ -42,7 +42,9 @@ def test_random_keys_match_numpy():
                                   (2**33, "x")], ids=repr)
 def test_block_cache_matches_numpy_across_block_edges(seed, head):
     streams = Substreams(seed)
-    js = [0, 63, 64, 1, 127, 128, 130, 63, 2**32 - 1, 2**32, 2**32 + 64, 2**64 + 3]
+    block = _BLOCK
+    js = [0, block - 1, block, 1, 2 * block - 1, 2 * block, 2 * block + 2,
+          block - 1, 2**32 - 1, 2**32, 2**32 + block, 2**64 + 3]
     for j in js:
         expected = np.random.default_rng(oracle(seed, *head, j)).integers(0, 2**62, 3)
         assert np.array_equal(streams(*head, j).integers(0, 2**62, 3), expected)
