@@ -20,7 +20,10 @@ a copy of the model it was dispatched with and draws from its own
 substream, so its update does not depend on when it runs, nor on which
 other lanes share its stack.  A diverging job cuts the log back to a mark
 taken at its dispatch, so the failed log stops there, as if the job had
-run at its dispatch.
+run at its dispatch.  Evaluations are deferred too: each new global model
+logs its eval event at once and queues a copy of the model, and one
+stacked `evaluate_many` call fills in the values of up to `EVAL_STACK`
+queued events, when that many wait and when the run ends.
 
 `Simulation.run` and `run_experiment` drive one run.  `run_many` deals its
 configs round-robin into groups of at most `GROUP_SIZE` runs and drives
@@ -60,6 +63,10 @@ _KINDS = ("job_start", "arrival", "round")
 
 # runs that `run_many` drives in lockstep at most, sharing lane stacks
 GROUP_SIZE = 8
+
+# models a run queues for evaluation at most before it evaluates them in
+# one stacked call
+EVAL_STACK = 64
 
 # A run fails as stalled once more than this many events per client fall in
 # one round-length window [w T_sync, (w+1) T_sync) of virtual time, which
@@ -104,7 +111,11 @@ class Simulation:
         self._heap = []
         self._seq = 0
         self._submissions = [0] * self.num_clients
-        self._queued = []   # (msg, job, log mark at dispatch) of jobs not yet run
+        # the jobs not yet run: (msg, log mark at dispatch), and their lanes
+        self._queued, self._lanes = [], []
+        # eval events not yet filled in, and row i their i-th model
+        self._eval_events = []
+        self._eval_models = np.empty((EVAL_STACK, self.objective.dimension))
 
     # ---- scheduling ------------------------------------------------------
     def schedule(self, time: float, rank: int, key: int, payload) -> None:
@@ -144,10 +155,9 @@ class Simulation:
             arrival=arrival, steps_done=steps, eta=eta, q_hat=q_hat,
             submit_time=self.now)
         # the orchestrator may rebind its model before the job runs
-        lane = (self.objective, self.cfg.protocol.batch_size, k, w.copy(), eta,
-                steps, rng)
-        self._queued.append((msg, lane,
-                             (len(self.log.events), self.log.total_local_steps)))
+        self._lanes.append((self.objective, self.cfg.protocol.batch_size, k,
+                            w.copy(), eta, steps, rng))
+        self._queued.append((msg, (len(self.log.events), self.log.total_local_steps)))
         self.schedule(self.now + q, RANK_JOB_START, k, msg)
         self.schedule(arrival, RANK_ARRIVAL, k, msg)
         self.log.total_local_steps += steps
@@ -164,10 +174,12 @@ class Simulation:
         FloatingPointError naming its client is raised."""
         if not self._queued:
             return
-        queued, self._queued = self._queued, []
-        deltas, diverged = yield [lane for _, lane, _ in queued]
+        queued, lanes = self._queued, self._lanes
+        self._queued, self._lanes = [], []
+        deltas, diverged = yield lanes
         if diverged:
-            _, (_, _, k, w, *_), (events, steps) = queued[diverged[0]]
+            i = diverged[0]
+            (_, (events, steps)), (_, _, k, w, *_) = queued[i], lanes[i]
             for e in self.log.events[events:]:
                 if e.kind == "aggregate":
                     for m in e.data:
@@ -176,7 +188,7 @@ class Simulation:
             self.log.total_local_steps, self.log.final_model = steps, w
             self.fail(f"non-finite iterate on client {k}")
             raise FloatingPointError(self.log.failure_reason)
-        for (msg, *_), delta in zip(queued, deltas):
+        for (msg, _), delta in zip(queued, deltas):
             msg.delta = delta
 
     def fail(self, reason: str) -> None:
@@ -185,11 +197,23 @@ class Simulation:
         self.log.failed, self.log.failure_reason = True, reason
 
     def evaluate(self, w: np.ndarray) -> None:
+        """Log an eval event of the model `w`, its values filled in when
+        `EVAL_STACK` models wait (`_evaluate_queued`) or the run ends."""
+        self._eval_models[len(self._eval_events)] = w
+        self.log.event(self.now, "eval", loss=None, accuracy=None)
+        self._eval_events.append(self.log.events[-1])
+        if len(self._eval_events) == EVAL_STACK:
+            self._evaluate_queued()
+
+    def _evaluate_queued(self) -> None:
+        """Fill in the queued eval events from one stacked evaluation."""
+        events, self._eval_events = self._eval_events, []
         # a diverging model can be finite while its loss overflows: the loss
         # reads inf, and the next job's finiteness check fails the run
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, acc = self.objective.evaluate(w)
-        self.log.event(self.now, "eval", loss=loss, accuracy=acc)
+            values = self.objective.evaluate_many(self._eval_models[:len(events)])
+        for e, data in zip(events, values):
+            e.data = data
 
     def aggregated(self, w: np.ndarray, round: int, updates: list, taus) -> None:
         """A new global model `w`: count the version, evaluate it, and log
@@ -220,7 +244,8 @@ class Simulation:
         queued when the loop ends, also by an exception, run before it
         returns.  A diverging job, also one dispatched just before the
         horizon, ends the run there, failed, and the orchestrator does not
-        finish.  The run ends with no delta left in its log."""
+        finish.  The run ends with no delta left in its log and every eval
+        event filled in, whichever way it ends."""
         try:
             try:
                 orchestrator.start()
@@ -230,6 +255,8 @@ class Simulation:
             orchestrator.finish()
         except FloatingPointError:
             pass
+        finally:
+            self._evaluate_queued()
         # a job that ran but was never applied (in flight at the horizon,
         # or before a diverging job) would keep its delta reachable
         # through its dispatch event
@@ -270,22 +297,22 @@ def _drive(runs) -> None:
     pauses or ends, run the lanes of every paused run in one
     `protocol.client_local_update` call, hand each run back its own
     deltas and diverged lanes, and repeat until every run has ended."""
-    waiting = [(run, None) for run in runs]
-    while waiting:
+    replies = dict.fromkeys(runs)   # each run still going -> what it is sent
+    while True:
         paused, lanes = [], []
-        for run, reply in waiting:
+        for run, reply in replies.items():
             try:
-                queued = run.send(reply)
+                lanes += run.send(reply)
             except StopIteration:
                 continue
-            paused.append((run, len(lanes)))
-            lanes += queued
+            paused.append((run, len(lanes)))     # the end of its lanes
         if not paused:
             return
         deltas, _, diverged = protocol.client_local_update(lanes)
-        ends = [lo for _, lo in paused[1:]] + [len(lanes)]
-        waiting = [(run, (deltas[lo:hi], [i - lo for i in diverged if lo <= i < hi]))
-                   for (run, lo), hi in zip(paused, ends)]
+        replies, lo = {}, 0
+        for run, hi in paused:
+            replies[run] = (deltas[lo:hi], [i - lo for i in diverged if lo <= i < hi])
+            lo = hi
 
 
 class Orchestrator:

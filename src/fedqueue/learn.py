@@ -2,11 +2,12 @@
 
 Two workload families share one duck-typed interface (dimension, weights,
 the global loss, client and global gradients, the draw predicate,
-stochastic gradients, evaluate, init_point).  ``draws(k)`` says whether
-client k's jobs draw from their rng at all: every classify job draws
-minibatches, and a quadratic job draws gradient noise only when
-sigma_k > 0, so the engine derives a job's substream only when it is
-true.  Stochastic gradients come in three calls:
+stochastic gradients, evaluate, init_point).  ``evaluate_many(W)`` is
+``[evaluate(w) for w in W]`` bit for bit, for an ``(M, dim)`` stack W of
+models.  ``draws(k)`` says whether client k's jobs draw from their rng at
+all: every classify job draws minibatches, and a quadratic job draws
+gradient noise only when sigma_k > 0, so the engine derives a job's
+substream only when it is true.  Stochastic gradients come in three calls:
 ``sample_batches(k, steps, batch_size, rng)`` draws all the randomness of a
 ``steps``-step job on client k and returns one batch per step, or None when
 ``draws(k)`` is false (``rng`` is then None too); ``bind(ks, W)`` binds a
@@ -29,9 +30,9 @@ Lanes of several objectives share one stack when the objectives'
   eigenvalue of A, the cross-client dissimilarity G is max_k |A (b_bar - b_k)|,
   and gradient noise is injected with an exactly controlled scale, which
   makes it the workload for the theory-check harness.  Its global loss is one
-  stacked call over the K clients, one gemv and one dot per client as each
-  client's 0.5 d' A d is computed alone, with the weighted losses added in
-  client order: bit for bit ``tests/test_learn.py::reference_loss``.
+  computation over a stack of models and the K clients (``losses``), and the
+  loss of one model is that stack holding one model: bit for bit
+  ``tests/test_learn.py::reference_loss``.
 
 * ``ClassifyObjective`` -- a Gaussian-mixture multiclass task with a linear
   softmax or one-hidden-layer tanh model trained by hand-written SGD, with
@@ -73,6 +74,7 @@ class QuadraticObjective:
         self.num_clients, self.dimension = self.b.shape
         sig = np.asarray(noise_sigma, dtype=float)
         self.noise_sigma = np.full(self.num_clients, float(sig)) if sig.ndim == 0 else sig
+        self._draws = tuple(bool(s > 0) for s in self.noise_sigma)
         self.weights = np.full(self.num_clients, 1.0 / self.num_clients)
         self.b_bar = self.weights @ self.b
         # its lanes stack only with each other: bind reads its offsets
@@ -87,17 +89,22 @@ class QuadraticObjective:
             else np.zeros((num_clients, dim))
         return cls(a, b, noise_sigma=noise_sigma)
 
+    def losses(self, W: np.ndarray) -> np.ndarray:
+        """The global loss of each row of the (M, p) stack W: one gemv and
+        one dot per model and client, as tests/test_learn.py's
+        reference_loss computes each alone, and each model's weighted
+        losses added one by one in client order, from 0.0, by a cumulative
+        sum (numpy's pairwise sum, or sum()'s compensated one on Python >=
+        3.12, would change the last bit)."""
+        d = W[:, None, :] - self.b
+        client_losses = ((0.5 * d)[..., None, :] @ self.A @ d[..., None])[..., 0, 0]
+        # column 0 is the sum's 0.0 start: -0.0 + 0.0 is 0.0, as in a loop
+        terms = np.zeros((len(W), self.num_clients + 1))
+        np.multiply(self.weights, client_losses, out=terms[:, 1:])
+        return np.cumsum(terms, axis=1)[:, -1]
+
     def loss(self, w: np.ndarray) -> float:
-        # one gemv and one dot per client, as tests/test_learn.py's
-        # reference_loss computes each alone; the weighted losses are added
-        # one by one in client order: numpy's pairwise sum, or sum()'s
-        # compensated one on Python >= 3.12, would change the last bit
-        d = w - self.b
-        losses = ((0.5 * d)[:, None, :] @ self.A @ d[:, :, None])[:, 0, 0]
-        total = 0.0
-        for x in (self.weights * losses).tolist():
-            total += x
-        return total
+        return self.losses(np.asarray(w)[None]).item()
 
     def client_gradient(self, k: int, w: np.ndarray) -> np.ndarray:
         return self.A @ (w - self.b[k])
@@ -107,7 +114,7 @@ class QuadraticObjective:
 
     def draws(self, k: int) -> bool:
         """Whether client k's jobs draw from their rng: only noisy ones do."""
-        return bool(self.noise_sigma[k] > 0)
+        return self._draws[k]
 
     def sample_batches(self, k: int, steps: int, batch_size: int,
                        rng: np.random.Generator | None):
@@ -131,6 +138,9 @@ class QuadraticObjective:
 
     def evaluate(self, w: np.ndarray):
         return self.loss(w), None
+
+    def evaluate_many(self, W: np.ndarray) -> list:
+        return [(loss, None) for loss in self.losses(W).tolist()]
 
     def init_point(self) -> np.ndarray:
         return self.b_bar + np.ones(self.dimension) / math.sqrt(self.dimension)
@@ -380,6 +390,10 @@ class ClassifyObjective:
     def evaluate(self, w: np.ndarray):
         """(loss, accuracy) on the test split."""
         return self._loss_and_accuracy(w, self._test_rows, self.y_test)
+
+    def evaluate_many(self, W: np.ndarray) -> list:
+        # one model at a time: a stacked pass was no faster
+        return [self.evaluate(w) for w in W]
 
     def init_point(self) -> np.ndarray:
         return self._w0.copy()

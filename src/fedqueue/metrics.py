@@ -651,7 +651,13 @@ def _aggregate_tail(applied: int) -> str:
 
 def _time_head(t) -> str:
     """The start of an events.jsonl line at time t: its rounded time as
-    json.dumps prints it (float.__repr__ for a finite float)."""
+    json.dumps prints it (float.__repr__ for a finite float).  For 1e-4 <=
+    |t| < 1e6 that is t printed to 9 decimals without its trailing zeros:
+    round(t, 9) is the float nearest that decimal of at most 15 significant
+    digits, and such a decimal is the shortest that reads back as it."""
+    if 1e-4 <= abs(t) < 1e6:
+        text = ("%.9f" % t).rstrip("0")
+        return '{"t": ' + text + ("0, " if text[-1] == "." else ", ")
     t = round(float(t), 9)
     return '{"t": ' + (float.__repr__(t) if t - t == 0.0 else _encode(t)) + ", "
 

@@ -198,7 +198,8 @@ def client_local_update(lanes):
     if min(etas) <= 0:
         raise ValueError("eta must be > 0")
     # each lane's first chunk of batches shows the shape of its batches
-    chunks = [obj.sample_batches(k, min(steps, _CHUNK_STEPS), size, rng)
+    chunks = [None if rng is None else
+              obj.sample_batches(k, min(steps, _CHUNK_STEPS), size, rng)
               for obj, size, k, steps, rng in zip(objectives, sizes, ks, budgets, rngs)]
     stacks = {}
     for i, (obj, chunk) in enumerate(zip(objectives, chunks)):
@@ -245,8 +246,8 @@ def client_local_update(lanes):
                         g *= n_eta
                         n_w -= g
                     t = end
-            finite = np.isfinite(w).all(axis=1)
-            if not finite.all():
+            if not np.isfinite(w).all():
+                finite = np.isfinite(w).all(axis=1)
                 diverged += [i for j, i in enumerate(members)
                              if steps[j] and not finite[j]]
             for i, delta in zip(members, w - start):

@@ -45,7 +45,8 @@ _BLOCK = 256            # last key parts derived at once by Substreams
 def _key_part(part) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
-    if isinstance(part, (int, np.integer)):
+    # a bool is an int to Python, but no key part: True would alias 1
+    if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
         if part < 0:
             raise ValueError(f"substream key parts must be nonnegative, got {part}")
         return int(part)
@@ -65,7 +66,7 @@ def _words(n: int) -> list[int]:
 def _entropy(seed: int, key) -> list[int]:
     """The entropy words of (seed, *key): the seed's words, padded with
     zeros to the pool size when there is a key, then each key part's."""
-    if not isinstance(seed, (int, np.integer)):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise TypeError(f"seeds must be ints, got {type(seed)!r}")
     if seed < 0:
         raise ValueError(f"seeds must be nonnegative, got {seed}")
@@ -146,7 +147,9 @@ def _seeded_type():
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _PCG64_WORDS // 2 or np.dtype(dtype) != np.uint64:
+            # PCG64 passes the type np.uint64 itself: no np.dtype is built
+            if n_words != _PCG64_WORDS // 2 or (
+                    dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError("only PCG64's seeding request is precomputed")
             return self.words
 
@@ -160,7 +163,8 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 def substream(seed: int, *key) -> np.random.Generator:
     """Generator for the substream addressed by (seed, *key).
 
-    Key parts may be nonnegative ints or strings (strings are CRC32-folded).
+    Key parts may be nonnegative ints or strings (strings are CRC32-folded),
+    not bools.
     The same (seed, key) always yields a bit-identical stream.
     """
     pool, _ = _pool(_entropy(seed, key))
@@ -191,7 +195,9 @@ class Substreams:
 
     def __call__(self, *key) -> np.random.Generator:
         head, j = key[:-1], key[-1]
-        block, row = divmod(_key_part(j), _BLOCK)
+        # the engine's j is a plain nonnegative int, its own key part
+        block, row = divmod(j if type(j) is int and j >= 0 else _key_part(j),
+                            _BLOCK)
         cached = self._blocks.get(head)
         if cached is None or cached[0] != block:
             cached = self._blocks[head] = (block, self._block(head, block))

@@ -675,6 +675,51 @@ def test_lockstep_runs_are_isolated_from_their_group(tmp_path):
                 alone[i % len(cases)], (jobs, i)
 
 
+def _recording_evaluations(monkeypatch) -> list:
+    """The Simulations built from here on, each with the copies of the
+    models it was asked to evaluate (`sim.evaluated`); none of them ever
+    holds a full queue of unevaluated models."""
+    sims = []
+    init, evaluate = engine.Simulation.__init__, engine.Simulation.evaluate
+
+    def recording_init(sim, *args, **kwargs):
+        init(sim, *args, **kwargs)
+        sim.evaluated = []
+        sims.append(sim)
+
+    def recording_evaluate(sim, w):
+        sim.evaluated.append(w.copy())
+        evaluate(sim, w)
+        assert len(sim._eval_events) < engine.EVAL_STACK
+
+    monkeypatch.setattr(engine.Simulation, "__init__", recording_init)
+    monkeypatch.setattr(engine.Simulation, "evaluate", recording_evaluate)
+    return sims
+
+
+def test_queued_evaluations_are_filled_in_when_runs_end(monkeypatch):
+    sims = _recording_evaluations(monkeypatch)
+    logs = [run_experiment(cfg) for cfg in (
+        quick_config(), _stalled_config(),
+        quick_config(**DIVERGING["fedbuff-classify-diverges"]))]
+    # a lockstep group whose diverging run ends while its neighbour goes on
+    logs += run_many([quick_config(protocol__algo="fedasync",
+                                   workload__dataset="quadratic"),
+                      quick_config(**DIVERGING["fedqueue-diverges"])])
+    assert [log.failure_reason.split(" ")[0] for log in logs] == \
+        ["", "stalled:", "non-finite", "", "non-finite"]
+    assert [id(sim.log) for sim in sims] == [id(log) for log in logs]
+    assert max(len(sim.evaluated) for sim in sims) > engine.EVAL_STACK
+    for sim in sims:
+        assert sim._eval_events == []
+        # a failed log is cut back: its evaluations are the first ones
+        evals = [e.data for e in sim.log.events if e.kind == "eval"]
+        assert 0 < len(evals) <= len(sim.evaluated)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [sim.objective.evaluate(w) for w in sim.evaluated[:len(evals)]]
+        assert repr(evals) == repr(expected)
+
+
 def test_lockstep_group_pools_the_gradient_calls(monkeypatch):
     # three default runs in one group: each stack serves the lanes of all
     # three, so the calls fall to at most half, for the same lane-steps

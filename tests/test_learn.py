@@ -294,6 +294,66 @@ def test_stacked_loss_matches_per_client_reference_bitwise(curvature, num_client
                 assert loss == reference_loss(obj, w)
 
 
+def _bits(values) -> list:
+    """Each (loss, accuracy) pair with its floats as hex: -0.0 and 0.0 differ."""
+    return [tuple(None if v is None else float(v).hex() for v in pair)
+            for pair in values]
+
+
+def _model_stack(obj, rng, size: int) -> np.ndarray:
+    """`size` models: the initial point, each client offset, rows holding
+    inf or NaN, a huge one, then random ones."""
+    special = [obj.init_point(), np.full(obj.dimension, np.inf),
+               np.full(obj.dimension, np.nan), np.full(obj.dimension, 1e200)]
+    if isinstance(obj, QuadraticObjective):
+        special += list(obj.b)
+    special[1][0] = -np.inf
+    special[2][1:] = 1.0
+    rows = special + list(rng.standard_normal((size, obj.dimension)))
+    return np.array(rows[:size])
+
+
+QUADRATICS = {
+    "diagonal": lambda rng, sigma: QuadraticObjective.diagonal(
+        16, 12, rng, noise_sigma=sigma),
+    "dense": lambda rng, sigma: QuadraticObjective(
+        (lambda m: m @ m.T + 0.1 * np.eye(7))(rng.standard_normal((7, 7))),
+        rng.standard_normal((5, 7)), noise_sigma=sigma),
+}
+
+
+@pytest.mark.parametrize("size", [1, 64, 65])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("curvature", list(QUADRATICS))
+def test_quadratic_evaluate_many_matches_evaluate_bitwise(curvature, sigma, size):
+    rng = substream(9, "evaluate-many", curvature, size)
+    obj = QUADRATICS[curvature](rng, sigma)
+    W = _model_stack(obj, rng, size)
+    # under the engine's errstate: the inf and NaN rows overflow quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        many = obj.evaluate_many(W)
+        alone = [obj.evaluate(w) for w in W]
+        reference = [(reference_loss(obj, w), None) for w in W]
+    assert _bits(many) == _bits(alone) == _bits(reference)
+    assert all(type(loss) is float for loss, _ in many)
+    # a model at a client's offset has a zero loss term, summed from 0.0
+    # as the loop sums it, sign included
+    if size > 4:
+        assert _bits(many[4:4 + obj.num_clients]) == \
+            _bits((reference_loss(obj, b), None) for b in obj.b[:size - 4])
+
+
+@pytest.mark.parametrize("size", [1, 64, 65])
+@pytest.mark.parametrize("model", ["linear", "mlp"])
+def test_classify_evaluate_many_matches_evaluate_bitwise(model, size):
+    obj = small_classify(model)[0]
+    W = _model_stack(obj, substream(9, "evaluate-many", model, size), size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        many = obj.evaluate_many(W)
+        alone = [obj.evaluate(w) for w in W]
+    assert _bits(many) == _bits(alone)
+
+
 # ---------------------------------------------------------------------------
 # synthetic classification
 # ---------------------------------------------------------------------------

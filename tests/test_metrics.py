@@ -681,3 +681,37 @@ def test_write_outputs_holds_little_beyond_the_log(tmp_path):
         tracemalloc.stop()
     assert len(log.events) > 5000
     assert extra < 0.25 * size, (extra, size)
+
+
+def _head_oracle(t: float) -> str:
+    return '{"t": ' + json.dumps(round(t, 9)) + ", "
+
+
+@given(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2e6, 2e6),
+    st.floats(1e-4, 1e-4 * (1 + 1e-12)), st.floats(-1e-4, -1e-4 * (1 - 1e-12)),
+    st.floats(1e6 * (1 - 1e-15), 1e6 * (1 + 1e-15)),
+    st.floats(-1e6 * (1 + 1e-15), -1e6 * (1 - 1e-15)),
+    # near-ties at the tenth decimal: k + 1/2 ten-billionths, give or take
+    st.tuples(st.integers(-10**15, 10**15), st.sampled_from((0.4999, 0.5, 0.5001)))
+    .map(lambda kh: (kh[0] + kh[1]) * 1e-10)))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1e-4)
+@example(-1e-4)
+@example(math.nextafter(1e-4, 0.0))
+@example(1e6)
+@example(math.nextafter(1e6, 0.0))
+@example(-math.nextafter(1e6, 0.0))
+@example(999999.99999999995)
+@example(2.0 ** -10)
+@example(3 * 2.0 ** -11)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@settings(max_examples=500, deadline=None)
+def test_time_head_prints_the_rounded_time_as_json_dumps_does(t):
+    assert metrics._time_head(t) == _head_oracle(t)

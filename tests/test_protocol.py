@@ -645,9 +645,11 @@ def test_first_order_displacement_equalization_on_constant_gradient():
 
 def test_array_like_batches_run_as_a_stack():
     # a fake objective may return lists: they stack like arrays, and zero
-    # noise rows give the draw-free stack's deltas bit for bit
+    # noise rows give the draw-free stack's deltas bit for bit.  A lane that
+    # draws has an rng: a lane of rng None draws no batches
     g = np.array([0.7, -1.3])
-    lanes = [(0, np.array([0.1 * i, -0.2]), 0.01 * (i + 1), steps, None)
+    lanes = [(0, np.array([0.1 * i, -0.2]), 0.01 * (i + 1), steps,
+              substream(0, "rows", i))
              for i, steps in enumerate((3, 70, 0, 130))]
     listed = client_local_update(lanes_of(Linearized(g, noise_rows=True), lanes, 1))
     draw_free = client_local_update(lanes_of(Linearized(g), lanes, 1))

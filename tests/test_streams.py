@@ -61,3 +61,20 @@ def test_negative_or_untyped_key_parts_raise():
             derive(1, "queue", 0.5, 0)
     with pytest.raises(ValueError):
         substream(-1, "data")
+
+
+def test_bool_seeds_and_key_parts_raise():
+    # a Python bool is an int, so True would alias 1, as np.bool_ would
+    for flag in (True, False, np.bool_(True)):
+        for derive in (substream, spawn_seed,
+                       lambda seed, *key: Substreams(seed)(*key)):
+            with pytest.raises(TypeError):
+                derive(42, "queue", flag, 0)
+            with pytest.raises(TypeError):
+                derive(42, "queue", 0, flag)
+            with pytest.raises(TypeError):
+                derive(flag, "queue", 1, 0)
+        with pytest.raises(TypeError):
+            spawn_seed(42, flag)
+        with pytest.raises(TypeError):
+            spawn_seed(flag, 1)
